@@ -34,7 +34,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", type=int, default=None,
                     help="override the per-experiment seed counts")
     ap.add_argument("--base-seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--only", nargs="*", choices=sorted(EXPERIMENTS),
                     default=sorted(EXPERIMENTS))
     args = ap.parse_args(argv)
@@ -51,7 +50,6 @@ def main(argv: list[str] | None = None) -> int:
             "--out", str(out_dir),
             "--seeds", str(seeds),
             "--base-seed", str(args.base_seed),
-            "--threads", str(args.threads),
         ])
         print(f"   exit code {rc}")
         worst = max(worst, rc)

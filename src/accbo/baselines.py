@@ -8,33 +8,17 @@ variance-reduction correction and the Nesterov lower loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .constants import ConstraintViolation, Schedule
+from .constants import Schedule
 from .hypergrad import EstimatorConfig, estimate_hypergradient
 from .optimizer import CountingOracles, IterationLog, upper_step
 from .rng import RandomStream
 from .snag import NumericalAbort
 
-__all__ = ["BaselineKind", "sgd_tracking_step", "run_plain_momentum_bilevel"]
-
-
-@dataclass(frozen=True)
-class BaselineKind:
-    kind: str  # sgd_tracker | plain_momentum_bilevel
-    step_size: float
-    beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("sgd_tracker", "plain_momentum_bilevel"):
-            raise ConstraintViolation(f"unknown baseline kind {self.kind!r}")
-        if self.step_size <= 0.0:
-            raise ConstraintViolation("step_size must be positive")
-        if not (0.0 <= self.beta < 1.0):
-            raise ConstraintViolation("beta must be in [0, 1)")
+__all__ = ["sgd_tracking_step", "run_plain_momentum_bilevel"]
 
 
 def sgd_tracking_step(

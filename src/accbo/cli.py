@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seeds", type=int, default=1, help="number of seeds")
         cmd.add_argument("--base-seed", type=int, default=0, help="base seed (u64)")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads")
     return parser
 
 
@@ -58,7 +57,6 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=Path(args.out),
             n_seeds=args.seeds,
             base_seed=args.base_seed,
-            threads=args.threads,
         )
         return _COMMANDS[args.command](config)
     except (harness.ConfigError, ConstraintViolation) as exc:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,13 +47,10 @@ class ExperimentConfig:
     out_dir: Path
     n_seeds: int = 1
     base_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.n_seeds < 1:
             raise ConfigError("seeds: must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads: must be >= 1")
 
 
 def _check_fields(doc: dict, required: set[str], optional: set[str], ctx: str) -> None:
@@ -65,6 +60,19 @@ def _check_fields(doc: dict, required: set[str], optional: set[str], ctx: str) -
     for name in doc:
         if name not in required and name not in optional:
             raise ConfigError(f"{ctx}: unknown field '{name}'")
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    return (isinstance(value, int if integer else (int, float))
+            and not isinstance(value, bool))
+
+
+def _numbers(value, ctx: str) -> list:
+    """A number or a list of numbers, as a list."""
+    values = value if isinstance(value, list) else [value]
+    if not all(_is_number(v) for v in values):
+        raise ConfigError(f"{ctx}: must be a number or a list of numbers")
+    return values
 
 
 def load_config(path: str | Path) -> dict:
@@ -184,14 +192,25 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
         optional={"sigma", "drift", "write_trajectories"},
         ctx="snag-track",
     )
-    sigmas = doc.get("sigma", 0.0)
-    if not isinstance(sigmas, list):
-        sigmas = [sigmas]
-    drift_doc = doc.get("drift", {"kind": "none", "delta": 0.0})
-    deltas = drift_doc.get("delta", 0.0)
-    if not isinstance(deltas, list):
-        deltas = [deltas]
+    for name in ("mu", "alpha", "delta_prob", "V0"):
+        if not _is_number(doc[name]):
+            raise ConfigError(f"snag-track.{name}: must be a number")
+    for name in ("T", "dim"):
+        if not (_is_number(doc[name], integer=True) and doc[name] >= 1):
+            raise ConfigError(f"snag-track.{name}: must be a positive integer")
+    if not isinstance(doc.get("write_trajectories", True), bool):
+        raise ConfigError("snag-track.write_trajectories: must be true or false")
+    sigmas = _numbers(doc.get("sigma", 0.0), "snag-track.sigma")
+    drift_doc = doc.get("drift", {})
+    if not isinstance(drift_doc, dict):
+        raise ConfigError("snag-track.drift: must be an object")
+    _check_fields(drift_doc, required=set(), optional={"kind", "delta"},
+                  ctx="snag-track.drift")
+    deltas = _numbers(drift_doc.get("delta", 0.0), "snag-track.drift.delta")
     kind = drift_doc.get("kind", "none")
+    if kind not in ("none", "fixed_direction", "random_walk"):
+        raise ConfigError(
+            "snag-track.drift.kind: must be none, fixed_direction or random_walk")
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     cells = [(s, d) for s in sigmas for d in deltas]
@@ -220,11 +239,7 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
         return {"sigma": sigma, "delta": delta, "violation_rate": rate,
                 "n_seeds": config.n_seeds}
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
+    results = [run_cell(c) for c in cells]
 
     summary = {
         "command": "snag-track",
@@ -292,6 +307,22 @@ def _summarize_run(logs: list[optimizer.IterationLog]) -> dict:
     }
 
 
+# Runners by algorithm name, each called as (inst, schedule, option, stream,
+# x0). The library functions are looked up on their modules at call time.
+_RUNNERS = {
+    "accbo": lambda inst, schedule, option, stream, x0:
+        optimizer.run_accbo(inst, schedule, option, stream, x0=x0),
+    "plain_momentum": lambda inst, schedule, option, stream, x0:
+        baselines.run_plain_momentum_bilevel(inst, schedule, stream, x0=x0),
+}
+
+
+def _runner(algorithm, ctx: str):
+    if not isinstance(algorithm, str) or algorithm not in _RUNNERS:
+        raise ConfigError(f"{ctx}: unknown algorithm {algorithm!r}")
+    return _RUNNERS[algorithm]
+
+
 def cmd_accbo(config: ExperimentConfig) -> int:
     doc = config.params
     _check_fields(
@@ -304,17 +335,13 @@ def cmd_accbo(config: ExperimentConfig) -> int:
     schedule = _schedule_from_config(doc["schedule"], inst, "accbo.schedule")
     x0 = np.asarray(doc["x0"], dtype=float) if "x0" in doc else None
     algorithm = doc.get("algorithm", "accbo")
+    run = _runner(algorithm, "accbo.algorithm")
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     per_seed = []
     for k in range(config.n_seeds):
         stream = RandomStream(config.base_seed).child("run", k)
-        if algorithm == "accbo":
-            logs = optimizer.run_accbo(inst, schedule, doc["option"], stream, x0=x0)
-        elif algorithm == "plain_momentum":
-            logs = baselines.run_plain_momentum_bilevel(inst, schedule, stream, x0=x0)
-        else:
-            raise ConfigError(f"accbo.algorithm: unknown algorithm '{algorithm}'")
+        logs = run(inst, schedule, doc["option"], stream, x0)
         write_csv(_run_log_records(logs), config.out_dir / f"run_seed{k}.csv",
                   RUN_COLUMNS)
         per_seed.append(_summarize_run(logs))
@@ -360,6 +387,9 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     inst = _load_instance(doc["instance"], "sweep.instance")
     x0 = np.asarray(doc["x0"], dtype=float) if "x0" in doc else None
     algorithms = doc.get("algorithms", ["accbo", "plain_momentum"])
+    if not isinstance(algorithms, list):
+        raise ConfigError("sweep.algorithms: must be a list of algorithm names")
+    runners = [_runner(a, "sweep.algorithms") for a in algorithms]
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     table = []
@@ -368,18 +398,11 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         sched_doc["epsilon"] = eps
         schedule = _schedule_from_config(sched_doc, inst, "sweep.schedule")
         target = 20.0 * eps
-        for algorithm in algorithms:
+        for algorithm, run in zip(algorithms, runners):
             counts = []
             for k in range(config.n_seeds):
                 stream = RandomStream(config.base_seed).child("sweep", k)
-                if algorithm == "accbo":
-                    logs = optimizer.run_accbo(
-                        inst, schedule, doc["option"], stream, x0=x0
-                    )
-                else:
-                    logs = baselines.run_plain_momentum_bilevel(
-                        inst, schedule, stream, x0=x0
-                    )
+                logs = run(inst, schedule, doc["option"], stream, x0)
                 counts.append(calls_to_target(logs, target))
             table.append({
                 "epsilon": eps,

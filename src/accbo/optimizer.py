@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ConstraintViolation, Schedule, nesterov_momentum
+from .constants import ConstraintViolation, Schedule
 from .hypergrad import EstimatorConfig, estimate_hypergradient
 from .rng import RandomStream
 from .snag import NumericalAbort, SnagState, snag_step
@@ -167,7 +167,8 @@ def run_accbo(
     """Full optimizer run; returns one IterationLog per outer iteration.
 
     Deterministic given (instance, schedule, option, stream). Non-finite
-    state aborts with the logs collected so far attached to the exception.
+    state in the outer loop raises NumericalAbort with the logs collected so
+    far attached as its ``logs`` attribute.
     """
     if option not in ("one", "two"):
         raise ConstraintViolation(f"option must be 'one' or 'two', got {option!r}")
@@ -178,69 +179,64 @@ def run_accbo(
     s = schedule
     oracles = CountingOracles(inst)
     cfg = EstimatorConfig(Q=s.Q, S=s.S, l_g1=inst.constants.l_g1)
-    mu = inst.constants.mu
 
     x = np.zeros(inst.dim_x) if x0 is None else np.asarray(x0, dtype=float)
     y = warm_start(oracles, x, s.alpha_init, s.T0, stream.child("init"))
-    y_prev = y.copy()
+    # Option one carries one SNAG recursion across outer iterations.
+    lower = SnagState(w=y, w_prev=y.copy(), alpha=s.alpha, gamma=s.gamma)
     y_hat = y.copy()
     x_prev: np.ndarray | None = None
     yhat_prev: np.ndarray | None = None
     m: np.ndarray | None = None
-
-    gamma_lower = nesterov_momentum(mu, s.alpha)
     logs: list[IterationLog] = []
+    try:
+        for t in range(s.T):
+            ystar = inst.lower_minimizer(x)
+            y_err = float(np.linalg.norm(y - ystar))
+            yhat_err = float(np.linalg.norm(y_hat - ystar))
 
-    for t in range(s.T):
-        ystar = inst.lower_minimizer(x)
-        y_err = float(np.linalg.norm(y - ystar))
-        yhat_err = float(np.linalg.norm(y_hat - ystar))
-
-        # Lower-level update at the current x.
-        if option == "one":
-            z = y + gamma_lower * (y - y_prev)
-            g = oracles.stoch_grad_y_g(x, z, stream.child("lower", t))
-            if not np.all(np.isfinite(g)):
-                raise NumericalAbort(f"non-finite lower gradient at t={t}")
-            y_next = z - s.alpha * g
-            y_prev, y = y, y_next
-        else:
-            if t > 0 and t % s.I == 0:
-                y_next = _lower_round(
-                    oracles, x, y, s.alpha, gamma_lower, s.N, stream.child("lower", t)
+            # Lower-level update at the current x.
+            if option == "one":
+                lower = snag_step(
+                    lower, lambda z, st: oracles.stoch_grad_y_g(x, z, st),
+                    stream.child("lower", t),
                 )
-            else:
-                y_next = y
-            y_prev, y = y, y_next
+                y = lower.w
+            elif t > 0 and t % s.I == 0:
+                y = _lower_round(
+                    oracles, x, y, s.alpha, s.gamma, s.N, stream.child("lower", t)
+                )
 
-        yhat_next = average_step(y_hat, y, s.tau)
+            yhat_next = average_step(y_hat, y, s.tau)
 
-        # Upper-level update: momentum at (x_t, yhat_t), then normalized step.
-        m = momentum_update(
-            oracles, m, x, x_prev, y_hat, yhat_prev, cfg, s.beta,
-            stream.child("upper", t),
-        )
-        if not np.all(np.isfinite(m)):
-            raise NumericalAbort(f"non-finite momentum at t={t}")
-        x_next, zero_event = upper_step(x, m, s.eta)
+            # Upper-level update: momentum at (x_t, yhat_t), then normalized step.
+            m = momentum_update(
+                oracles, m, x, x_prev, y_hat, yhat_prev, cfg, s.beta,
+                stream.child("upper", t),
+            )
+            if not np.all(np.isfinite(m)):
+                raise NumericalAbort(f"non-finite momentum at t={t}")
+            x_next, zero_event = upper_step(x, m, s.eta)
 
-        logs.append(IterationLog(
-            t=t,
-            grad_norm_true=float(np.linalg.norm(inst.true_hypergradient(x))),
-            m_norm=float(np.linalg.norm(m)),
-            y_track_err=y_err,
-            yhat_track_err=yhat_err,
-            yhat_step=float(np.linalg.norm(yhat_next - y_hat)),
-            calls_g1=oracles.calls["g1"],
-            calls_jvp=oracles.calls["jvp"],
-            calls_hvp=oracles.calls["hvp"],
-            calls_f=oracles.calls["f"],
-            zero_momentum=zero_event,
-        ))
+            logs.append(IterationLog(
+                t=t,
+                grad_norm_true=float(np.linalg.norm(inst.true_hypergradient(x))),
+                m_norm=float(np.linalg.norm(m)),
+                y_track_err=y_err,
+                yhat_track_err=yhat_err,
+                yhat_step=float(np.linalg.norm(yhat_next - y_hat)),
+                calls_g1=oracles.calls["g1"],
+                calls_jvp=oracles.calls["jvp"],
+                calls_hvp=oracles.calls["hvp"],
+                calls_f=oracles.calls["f"],
+                zero_momentum=zero_event,
+            ))
 
-        x_prev, x = x, x_next
-        yhat_prev, y_hat = y_hat, yhat_next
-
+            x_prev, x = x, x_next
+            yhat_prev, y_hat = y_hat, yhat_next
+    except NumericalAbort as exc:
+        exc.logs = logs
+        raise
     return logs
 
 

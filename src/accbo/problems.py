@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,13 +144,6 @@ class BilevelInstance:
             "sigma_g2": self.constants.sigma_g2,
         }
         return {"kind": self.kind, "params": self._params(), "noise": noise}
-
-
-@dataclass
-class _Noise:
-    sigma_f1: float = 0.0
-    sigma_g1: float = 0.0
-    sigma_g2: float = 0.0
 
 
 class IsotropicQuadratic(BilevelInstance):

@@ -144,33 +144,29 @@ class DriftProcess:
         if self.kind == "external" and self.sequence is None:
             raise ConstraintViolation("external drift needs a sequence")
 
-    def displacement(self, t: int, dim: int, stream: RandomStream) -> np.ndarray:
-        if self.kind == "none" or self.delta == 0.0 and self.kind != "external":
-            return np.zeros(dim)
+    def displacements(self, T: int, dim: int, stream: RandomStream) -> np.ndarray:
+        """(T, dim) array whose row t is the minimizer's displacement at step t."""
+        if self.kind == "external":
+            seq = np.asarray(self.sequence, dtype=float)
+            if T > len(seq):
+                raise ConstraintViolation(
+                    f"external drift sequence too short at t={len(seq)}")
+            return seq[:T]
+        if self.kind == "none" or self.delta == 0.0:
+            return np.zeros((T, dim))
         if self.kind == "fixed_direction":
             d = np.asarray(self.direction, dtype=float)
             n = np.linalg.norm(d)
             if n == 0:
                 raise ConstraintViolation("drift direction must be nonzero")
-            return self.delta * d / n
-        if self.kind == "random_walk":
-            # Uniform sphere direction: ||displacement|| = delta exactly, so the
-            # squared drift is deterministic (trivially sub-exponential).
-            return self.delta * stream.child("drift", t).unit_vector(dim)
-        seq = np.asarray(self.sequence, dtype=float)
-        if t >= len(seq):
-            raise ConstraintViolation(f"external drift sequence too short at t={t}")
-        return seq[t]
-
-    def displacements(self, T: int, dim: int, stream: RandomStream) -> np.ndarray:
-        """(T, dim) array of per-step displacements; batched draw for speed."""
-        if self.kind == "random_walk" and self.delta > 0.0:
-            v = stream.child("drift").generator().normal(0.0, 1.0, size=(T, dim))
-            norms = np.linalg.norm(v, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            return self.delta * v / norms
-        return np.stack([self.displacement(t, dim, stream) for t in range(T)]) \
-            if T else np.zeros((0, dim))
+            return np.tile(self.delta * d / n, (T, 1))
+        # random_walk: uniform sphere directions, so ||displacement|| = delta
+        # exactly and the squared drift is deterministic (trivially
+        # sub-exponential). One block draw from the "drift" sub-stream.
+        v = stream.child("drift").generator().normal(0.0, 1.0, size=(T, dim))
+        norms = np.linalg.norm(v, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        return self.delta * v / norms
 
 
 @dataclass(frozen=True)
@@ -198,6 +194,31 @@ class QuadraticFamily:
         return self.hessian is None
 
 
+def _run_inputs(family: QuadraticFamily, drift: DriftProcess,
+                p: TrackingBoundParams, stream: RandomStream, wstar: np.ndarray):
+    """Bound function, default start, and (T, dim) noise and drift tapes of one
+    tracking run on stream, started at the minimizer wstar."""
+    drifting = drift.kind != "none" and drift.delta > 0
+    if drifting and not family.isotropic:
+        raise ConstraintViolation(
+            "the with-drift bound is stated for isotropic quadratics only"
+        )
+    bound_fn = tracking_bound_with_drift if drifting else tracking_bound_no_drift
+    # Offset chosen so the initial potential is exactly p.V0.
+    w0 = wstar.copy()
+    w0[0] += math.sqrt(p.V0 / family.mu) if p.V0 > 0 else 0.0
+    # All noise for the run is drawn up front from one sub-stream (row t is
+    # the step-t sample); this is equivalent to per-step draws but avoids
+    # deriving T generators.
+    dim = family.dim
+    if p.sigma > 0.0:
+        noise = stream.child("noise").generator().normal(
+            0.0, p.sigma / math.sqrt(8.0 * dim), size=(p.T, dim))
+    else:
+        noise = np.zeros((p.T, dim))
+    return bound_fn, w0, noise, drift.displacements(p.T, dim, stream)
+
+
 def run_tracking_experiment(
     family: QuadraticFamily,
     drift: DriftProcess,
@@ -210,24 +231,12 @@ def run_tracking_experiment(
 
     Returns one record per t in [0, T] with keys t, V, bound, dist, phi_gap.
     """
-    if drift.kind != "none" and drift.delta > 0 and not family.isotropic:
-        raise ConstraintViolation(
-            "the with-drift bound is stated for isotropic quadratics only"
-        )
-    H = family.matrix()
     dim = family.dim
     wstar = np.zeros(dim) if wstar0 is None else np.asarray(wstar0, dtype=float)
-    if w0 is None:
-        # Offset chosen so the initial potential is exactly p.V0.
-        w0 = wstar.copy()
-        w0[0] += math.sqrt(p.V0 / family.mu) if p.V0 > 0 else 0.0
-    state = SnagState.initial(np.asarray(w0, dtype=float), p.alpha, family.mu)
-
-    bound_fn = (
-        tracking_bound_with_drift
-        if (drift.kind != "none" and drift.delta > 0)
-        else tracking_bound_no_drift
-    )
+    bound_fn, w_default, noise, moves = _run_inputs(family, drift, p, stream, wstar)
+    H = family.matrix()
+    state = SnagState.initial(
+        w_default if w0 is None else np.asarray(w0, dtype=float), p.alpha, family.mu)
 
     def record(state: SnagState, wstar: np.ndarray, params: TrackingBoundParams) -> dict:
         e = state.w - wstar
@@ -244,17 +253,6 @@ def run_tracking_experiment(
     e0 = state.w - wstar
     gap0 = 0.5 * float(e0 @ H @ e0)
     params = replace(p, V0=potential(state, wstar, gap0, family.mu))
-
-    # All noise for the run is drawn up front from one sub-stream (row t is
-    # the step-t sample); this is equivalent to per-step draws but avoids
-    # deriving T generators.
-    if p.sigma > 0.0:
-        noise = stream.child("noise").generator().normal(
-            0.0, p.sigma / math.sqrt(8.0 * dim), size=(p.T, dim))
-    else:
-        noise = np.zeros((p.T, dim))
-
-    moves = drift.displacements(p.T, dim, stream)
 
     logs = [record(state, wstar, params)]
     for t in range(p.T):
@@ -281,8 +279,8 @@ def mc_tracking_violation_rate(
     """Fraction of independent runs where the potential ever exceeds its bound.
 
     Seed k reproduces run_tracking_experiment with the default start on the
-    stream (base_seed, "mc", k); the recursion is carried for all seeds at
-    once so large Monte-Carlo grids stay fast.
+    stream (base_seed, "mc", k); one SNAG state carries all seeds as rows of
+    (n_seeds, dim) arrays so large Monte-Carlo grids stay fast.
     """
     if n_seeds < 1:
         raise ConstraintViolation("n_seeds must be >= 1")
@@ -290,55 +288,32 @@ def mc_tracking_violation_rate(
         mu=p.mu, dim=dim,
         hessian=None if mu_hessian is None else tuple(map(tuple, mu_hessian)),
     )
-    if drift.kind != "none" and drift.delta > 0 and not family.isotropic:
-        raise ConstraintViolation(
-            "the with-drift bound is stated for isotropic quadratics only"
-        )
-    H = family.matrix()
     T = p.T
-
-    noise = np.zeros((n_seeds, T, dim))
-    moves = np.zeros((n_seeds, T, dim))
-    for k in range(n_seeds):
-        stream = RandomStream(base_seed).child("mc", k)
-        if p.sigma > 0.0:
-            noise[k] = stream.child("noise").generator().normal(
-                0.0, p.sigma / math.sqrt(8.0 * dim), size=(T, dim))
-        moves[k] = drift.displacements(T, dim, stream)
-
-    # Default start of run_tracking_experiment: offset on the first
-    # coordinate so the initial potential is exactly p.V0.
+    root = RandomStream(base_seed)
     wstar = np.zeros((n_seeds, dim))
-    w = np.zeros((n_seeds, dim))
-    if p.V0 > 0:
-        w[:, 0] += math.sqrt(p.V0 / family.mu)
-    w_prev = w.copy()
+    w = np.empty((n_seeds, dim))
+    noise = np.empty((n_seeds, T, dim))
+    moves = np.empty((n_seeds, T, dim))
+    for k in range(n_seeds):
+        bound_fn, w[k], noise[k], moves[k] = _run_inputs(
+            family, drift, p, root.child("mc", k), wstar[k])
+    H = family.matrix()
+    state = SnagState.initial(w, p.alpha, family.mu)
+    s = math.sqrt(family.mu * p.alpha)
 
-    alpha = p.alpha
-    gamma = nesterov_momentum(family.mu, alpha)
-    s = math.sqrt(family.mu * alpha)
-
-    def potentials(w, w_prev, wstar):
-        e = w - wstar
-        u = e + (s - 1.0) * (w_prev - wstar)
+    def potentials(state: SnagState, wstar: np.ndarray) -> np.ndarray:
+        e = state.w - wstar
+        u = e + (s - 1.0) * (state.w_prev - wstar)
         gap = 0.5 * np.sum((e @ H.T) * e, axis=1)
-        return np.sum(u * u, axis=1) / (2.0 * alpha) + gap
+        return np.sum(u * u, axis=1) / (2.0 * p.alpha) + gap
 
-    bound_fn = (
-        tracking_bound_with_drift
-        if (drift.kind != "none" and drift.delta > 0)
-        else tracking_bound_no_drift
-    )
-    V0 = float(potentials(w, w_prev, wstar)[0])
-    params = replace(p, V0=V0)
-
-    violated = potentials(w, w_prev, wstar) > bound_fn(params, 0)
+    params = replace(p, V0=float(potentials(state, wstar)[0]))
+    violated = potentials(state, wstar) > bound_fn(params, 0)
     for t in range(T):
-        z = w + gamma * (w - w_prev)
-        g = (z - wstar) @ H.T + noise[:, t]
-        if not np.all(np.isfinite(g)):
-            raise NumericalAbort(f"non-finite gradient at iteration {t}")
-        w_prev, w = w, z - alpha * g
+        def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
+            return (z - wstar) @ H.T + noise[:, t]
+
+        state = snag_step(state, grad, root)
         wstar = wstar + moves[:, t]
-        violated |= potentials(w, w_prev, wstar) > bound_fn(params, t + 1)
+        violated |= potentials(state, wstar) > bound_fn(params, t + 1)
     return float(np.count_nonzero(violated)) / n_seeds

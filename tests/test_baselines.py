@@ -2,26 +2,14 @@ import numpy as np
 import pytest
 
 from accbo.baselines import (
-    BaselineKind,
     run_plain_momentum_bilevel,
     sgd_tracking_step,
 )
-from accbo.constants import ConstraintViolation, derive_schedule
 from accbo.problems import IsotropicQuadratic
 from accbo.rng import RandomStream
 from accbo.snag import NumericalAbort
 
 from test_optimizer import noisy_iso, practical_schedule
-
-
-class TestBaselineKind:
-    def test_validation(self):
-        with pytest.raises(ConstraintViolation):
-            BaselineKind(kind="bogus", step_size=0.1)
-        with pytest.raises(ConstraintViolation):
-            BaselineKind(kind="sgd_tracker", step_size=0.0)
-        with pytest.raises(ConstraintViolation):
-            BaselineKind(kind="sgd_tracker", step_size=0.1, beta=1.0)
 
 
 class TestSgdStep:

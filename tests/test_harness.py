@@ -91,8 +91,6 @@ class TestConfigLoading:
     def test_invalid_run_options(self, tmp_path):
         with pytest.raises(ConfigError):
             ExperimentConfig("bias", {}, tmp_path, n_seeds=0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig("bias", {}, tmp_path, threads=0)
 
 
 class TestSerialization:
@@ -189,15 +187,14 @@ class TestCommands:
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
         assert len(summary["table"]) == 4  # 2 epsilons x 2 algorithms
 
-    def test_threads_do_not_change_summary(self, tmp_path):
-        a = ExperimentConfig("snag-track", dict(SNAG_DOC), tmp_path / "a",
-                             n_seeds=3, threads=1)
-        b = ExperimentConfig("snag-track", dict(SNAG_DOC), tmp_path / "b",
-                             n_seeds=3, threads=4)
-        cmd_snag_track(a)
-        cmd_snag_track(b)
-        assert (tmp_path / "a" / "snag_track_summary.json").read_bytes() == \
-            (tmp_path / "b" / "snag_track_summary.json").read_bytes()
+    def test_sweep_unknown_algorithm_runs_nothing(self, tmp_path):
+        doc = {
+            "instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+            "schedule": ACCBO_DOC["schedule"], "algorithms": ["accbo", "acbo"],
+        }
+        with pytest.raises(ConfigError, match="sweep.algorithms.*'acbo'"):
+            cmd_sweep(ExperimentConfig("sweep", doc, tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 class TestCallsToTarget:
@@ -266,6 +263,33 @@ class TestCli:
         for name in ("accbo_summary.json", "run_seed0.csv", "run_seed1.csv"):
             assert (tmp_path / "out1" / name).read_bytes() == \
                 (tmp_path / "out2" / name).read_bytes()
+
+    @pytest.mark.parametrize("command, doc, field", [
+        ("snag-track", dict(SNAG_DOC, T="20"), "snag-track.T"),
+        ("snag-track", dict(SNAG_DOC, dim=0), "snag-track.dim"),
+        ("snag-track", dict(SNAG_DOC, mu=None), "snag-track.mu"),
+        ("snag-track", dict(SNAG_DOC, sigma=[0.1, "x"]), "snag-track.sigma"),
+        ("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk", "dleta": 5}),
+         "'dleta'"),
+        ("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk", "delta": "5"}),
+         "snag-track.drift.delta"),
+        ("snag-track", dict(SNAG_DOC, drift={"kind": "external", "delta": 0.1}),
+         "snag-track.drift.kind"),
+        ("snag-track", dict(SNAG_DOC, drift=[0.1]), "snag-track.drift"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                   "schedule": ACCBO_DOC["schedule"], "algorithms": ["acbo"]},
+         "sweep.algorithms"),
+    ])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
+                                        field):
+        path = write_config(tmp_path, doc)
+        rc = cli.main([command, "--config", str(path),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_main_callable_directly(self, tmp_path):
         path = write_config(tmp_path, dict(SNAG_DOC, sigma=[0.0]))

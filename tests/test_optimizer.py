@@ -14,6 +14,7 @@ from accbo.optimizer import (
 )
 from accbo.problems import IsotropicQuadratic
 from accbo.rng import RandomStream
+from accbo.snag import NumericalAbort
 
 
 def practical_schedule(inst, *, alpha=0.04, eta=0.01, T=20, epsilon=0.05,
@@ -214,6 +215,28 @@ class TestRunAccbo:
         # tracking error must change by exactly the minimizer motion between
         # rounds. Check y_track_err is finite and recorded at every step.
         assert all(np.isfinite(rec.y_track_err) for rec in logs)
+
+    def test_abort_carries_logs_collected_so_far(self):
+        class NanAfter(IsotropicQuadratic):
+            """Lower-level oracle that returns nan after its first n calls."""
+
+            n = 50 + 5  # warm start, then five outer iterations
+
+            def stoch_grad_y_g(self, x, y, stream):
+                self.n -= 1
+                g = super().stoch_grad_y_g(x, y, stream)
+                return g if self.n >= 0 else np.full_like(g, np.nan)
+
+        inst = NanAfter(1.0, 0.5 * np.eye(2), [0.1, 0.0], [0.5, -0.5],
+                        [0.2, 0.3], sigma_f1=0.05, sigma_g1=0.1)
+        sched = practical_schedule(inst, T=20)
+        with pytest.raises(NumericalAbort) as info:
+            run_accbo(inst, sched, "one", RandomStream(4))
+        logs = info.value.logs
+        assert [rec.t for rec in logs] == list(range(5))
+        reference = run_accbo(noisy_iso(), practical_schedule(noisy_iso(), T=5),
+                              "one", RandomStream(4))
+        assert logs == reference
 
     def test_running_average_requires_logs(self):
         with pytest.raises(ConstraintViolation):

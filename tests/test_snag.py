@@ -197,20 +197,39 @@ class TestBounds:
 class TestDriftProcess:
     def test_random_walk_has_exact_length(self):
         d = DriftProcess(kind="random_walk", delta=0.01)
+        steps = d.displacements(10, 3, RandomStream(5))
+        assert steps.shape == (10, 3)
         for t in range(10):
-            step = d.displacement(t, 3, RandomStream(5))
-            assert np.linalg.norm(step) == pytest.approx(0.01, abs=1e-14)
+            assert np.linalg.norm(steps[t]) == pytest.approx(0.01, abs=1e-14)
+
+    @pytest.mark.parametrize("drift", [
+        DriftProcess(),
+        DriftProcess(kind="random_walk", delta=0.0),
+        DriftProcess(kind="fixed_direction", delta=0.0, direction=(0.0, 0.0)),
+    ])
+    def test_no_drift_is_zero(self, drift):
+        steps = drift.displacements(7, 2, NULL)
+        np.testing.assert_array_equal(steps, np.zeros((7, 2)))
 
     def test_fixed_direction_normalized(self):
         d = DriftProcess(kind="fixed_direction", delta=0.5, direction=(3.0, 4.0))
-        np.testing.assert_allclose(d.displacement(0, 2, NULL), [0.3, 0.4],
-                                   atol=1e-15)
+        steps = d.displacements(4, 2, NULL)
+        assert steps.shape == (4, 2)
+        for t in range(4):
+            np.testing.assert_allclose(steps[t], [0.3, 0.4], atol=1e-15)
+
+    def test_fixed_direction_rejects_zero_direction(self):
+        d = DriftProcess(kind="fixed_direction", delta=0.5, direction=(0.0, 0.0))
+        with pytest.raises(ConstraintViolation):
+            d.displacements(3, 2, NULL)
 
     def test_external_sequence(self):
         d = DriftProcess(kind="external", sequence=((0.1, 0.0), (0.0, 0.2)))
-        np.testing.assert_array_equal(d.displacement(1, 2, NULL), [0.0, 0.2])
+        steps = d.displacements(2, 2, NULL)
+        np.testing.assert_array_equal(steps[0], [0.1, 0.0])
+        np.testing.assert_array_equal(steps[1], [0.0, 0.2])
         with pytest.raises(ConstraintViolation):
-            d.displacement(2, 2, NULL)
+            d.displacements(3, 2, NULL)
 
     def test_validation(self):
         with pytest.raises(ConstraintViolation):
@@ -273,3 +292,20 @@ class TestTrackingExperiment:
         p = self.make_params(sigma=0.0, T=50)
         rate = mc_tracking_violation_rate(p, DriftProcess(), n_seeds=5)
         assert rate == 0.0
+
+    def test_batched_rate_matches_scalar_runs(self):
+        # Seed k of the batched kernel is the scalar run on stream
+        # (base_seed, "mc", k); this cell's rate lies strictly inside (0, 1).
+        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, delta_drift=0.0,
+                                T=300, delta_prob=0.05, V0=1.0)
+        drift = DriftProcess(kind="fixed_direction", delta=0.2,
+                             direction=(1.0, 0.0))
+        n_seeds = 40
+        rate = mc_tracking_violation_rate(p, drift, n_seeds, dim=2, base_seed=5)
+        exceeded = 0
+        for k in range(n_seeds):
+            logs = run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+                                           RandomStream(5).child("mc", k))
+            exceeded += any(rec["V"] > rec["bound"] for rec in logs)
+        assert 0.0 < rate < 1.0
+        assert rate == exceeded / n_seeds
