@@ -1,9 +1,10 @@
 """Reference algorithms for the comparative experiments.
 
 Two deliberately weaker methods: a plain SGD tracker for the drifting
-lower-level comparison, and a plain-momentum bilevel method that keeps the
-normalized upper step and the same hypergradient estimator but drops the
-variance-reduction correction and the Nesterov lower loop.
+lower-level comparison, and a plain-momentum bilevel method. The latter is
+the optimizer's shared outer loop with SGD lower-level tracking, no
+averaging and no recursive-momentum correction, so it keeps the normalized
+upper step and the same hypergradient estimator.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .constants import Schedule
 from .hypergrad import EstimatorConfig, estimate_hypergradient
-from .optimizer import CountingOracles, IterationLog, upper_step
+from .optimizer import CountingOracles, IterationLog, _outer_loop
 from .rng import RandomStream
 from .snag import NumericalAbort
 
@@ -41,10 +42,11 @@ def run_plain_momentum_bilevel(
 ) -> list[IterationLog]:
     """Plain-momentum bilevel baseline with SGD lower-level updates.
 
-    Same warm start length, estimator, normalization and logging schema as
-    the accelerated optimizer; only the two acceleration mechanisms differ:
-    m_t = beta*m_{t-1} + (1-beta)*estimate, and the lower level takes one
-    plain SGD step per iteration with no extrapolation or averaging.
+    AccBO's outer loop (same warm start length, estimator, normalization,
+    logging and abort handling) with both acceleration mechanisms removed:
+    the lower level takes plain SGD steps with no extrapolation or averaging
+    (y_hat = y), and m_t = beta*m_{t-1} + (1-beta)*estimate has no
+    recursive-momentum correction.
     """
     s = schedule
     oracles = CountingOracles(inst)
@@ -58,40 +60,14 @@ def run_plain_momentum_bilevel(
             s.alpha_init, stream.child("init").child("warm", t),
         )
 
-    m: np.ndarray | None = None
-    logs: list[IterationLog] = []
-    for t in range(s.T):
-        ystar = inst.lower_minimizer(x)
-        y_err = float(np.linalg.norm(y - ystar))
+    def lower(x, y, t, st):
+        return sgd_tracking_step(
+            y, lambda w, sw: oracles.stoch_grad_y_g(x, w, sw), s.alpha, st)
 
-        y_next = sgd_tracking_step(
-            y, lambda w, st: oracles.stoch_grad_y_g(x, w, st),
-            s.alpha, stream.child("lower", t),
-        )
+    def direction(m, x, x_prev, y, y_prev, st):
+        q = st.child("q").integers(0, cfg.Q)
+        g = estimate_hypergradient(oracles, x, y, cfg, st, q=q)
+        return g if m is None else s.beta * m + (1.0 - s.beta) * g
 
-        est_stream = stream.child("upper", t)
-        q = est_stream.child("q").integers(0, cfg.Q)
-        g = estimate_hypergradient(oracles, x, y, cfg, est_stream, q=q)
-        m = g if m is None else s.beta * m + (1.0 - s.beta) * g
-        if not np.all(np.isfinite(m)):
-            raise NumericalAbort(f"non-finite momentum at t={t}")
-        x_next, zero_event = upper_step(x, m, s.eta)
-
-        logs.append(IterationLog(
-            t=t,
-            grad_norm_true=float(np.linalg.norm(inst.true_hypergradient(x))),
-            m_norm=float(np.linalg.norm(m)),
-            y_track_err=y_err,
-            yhat_track_err=y_err,  # no averaging: yhat coincides with y
-            yhat_step=float(np.linalg.norm(y_next - y)),
-            calls_g1=oracles.calls["g1"],
-            calls_jvp=oracles.calls["jvp"],
-            calls_hvp=oracles.calls["hvp"],
-            calls_f=oracles.calls["f"],
-            zero_momentum=zero_event,
-        ))
-
-        y = y_next
-        x = x_next
-
-    return logs
+    # tau = 1: the averaged iterate is the last lower-level iterate.
+    return _outer_loop(oracles, x, y, s, 1.0, lower, direction, stream)

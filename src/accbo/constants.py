@@ -69,14 +69,7 @@ class ProblemConstants:
 def derive_smoothness_constants(c: ProblemConstants) -> tuple[float, float]:
     """Relaxed-smoothness constants (L0, L1) of the composed objective."""
     kappa = math.sqrt(1.0 + c.l_g1**2 / c.mu**2)
-    L0 = kappa * (
-        c.Lx0
-        + c.Lx1 * c.l_g1 * c.l_f0 / c.mu
-        + (c.l_g1 / c.mu) * (c.Ly0 + c.Ly1 * c.l_f0)
-        + c.l_f0 * (c.l_g1 * c.l_g2 + c.l_g2 * c.mu) / c.mu**2
-    )
-    L1 = kappa * c.Lx1
-    return L0, L1
+    return kappa * derive_bias_lipschitz(c), kappa * c.Lx1
 
 
 def derive_sigma_bar(c: ProblemConstants) -> float:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, hypergrad, optimizer, problems, snag
-from .constants import ConstraintViolation, derive_schedule
+from .constants import derive_schedule
 from .rng import RandomStream
 
 __all__ = [
@@ -123,16 +123,18 @@ def write_json(obj, path: str | Path) -> None:
 
 
 def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
-    if isinstance(spec, str):
-        return problems.instance_from_json(Path(spec).read_text(encoding="utf-8"))
-    if isinstance(spec, dict):
-        if spec.get("kind") == "fixture_ridge":
-            kwargs = {k: v for k, v in spec.items() if k != "kind"}
-            return problems.make_fixture_ridge(**kwargs)
-        try:
+    # A missing file, an unknown keyword (TypeError) and a rejected value
+    # (ConstraintViolation is a ValueError) are all config errors.
+    try:
+        if isinstance(spec, str):
+            return problems.instance_from_json(Path(spec).read_text(encoding="utf-8"))
+        if isinstance(spec, dict):
+            if spec.get("kind") == "fixture_ridge":
+                kwargs = {k: v for k, v in spec.items() if k != "kind"}
+                return problems.make_fixture_ridge(**kwargs)
             return problems.instance_from_dict(spec)
-        except ConstraintViolation as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
     raise ConfigError(f"{ctx}: instance must be a path or an inline object")
 
 
@@ -143,6 +145,9 @@ def _schedule_from_config(doc: dict, inst, ctx: str):
         optional={"sigma_g1_tilde", "y0_gap", "overrides"},
         ctx=ctx,
     )
+    for name in ("epsilon", "delta", "d0", "sigma_g1_tilde", "y0_gap"):
+        if name in doc and not _is_number(doc[name]):
+            raise ConfigError(f"{ctx}.{name}: must be a number")
     return derive_schedule(
         inst.constants,
         epsilon=doc["epsilon"],
@@ -265,6 +270,9 @@ def cmd_bias(config: ExperimentConfig) -> int:
         optional={"S", "x"},
         ctx="bias",
     )
+    if not (isinstance(doc["Q_grid"], list)
+            and all(_is_number(Q, integer=True) for Q in doc["Q_grid"])):
+        raise ConfigError("bias.Q_grid: must be a list of integers")
     inst = _load_instance(doc["instance"], "bias.instance")
     x = np.asarray(doc.get("x", [0.0] * inst.dim_x), dtype=float)
     S = doc.get("S", 1)
@@ -382,21 +390,21 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         optional={"x0", "algorithms"},
         ctx="sweep",
     )
-    if config.n_seeds < 1:
-        raise ConfigError("sweep: empty seed list")
+    if not isinstance(doc["epsilons"], list):
+        raise ConfigError("sweep.epsilons: must be a list of numbers")
+    epsilons = _numbers(doc["epsilons"], "sweep.epsilons")
     inst = _load_instance(doc["instance"], "sweep.instance")
     x0 = np.asarray(doc["x0"], dtype=float) if "x0" in doc else None
     algorithms = doc.get("algorithms", ["accbo", "plain_momentum"])
     if not isinstance(algorithms, list):
         raise ConfigError("sweep.algorithms: must be a list of algorithm names")
     runners = [_runner(a, "sweep.algorithms") for a in algorithms]
+    schedules = [_schedule_from_config(dict(doc["schedule"], epsilon=eps), inst,
+                                       "sweep.schedule") for eps in epsilons]
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     table = []
-    for eps in doc["epsilons"]:
-        sched_doc = dict(doc["schedule"])
-        sched_doc["epsilon"] = eps
-        schedule = _schedule_from_config(sched_doc, inst, "sweep.schedule")
+    for eps, schedule in zip(epsilons, schedules):
         target = 20.0 * eps
         for algorithm, run in zip(algorithms, runners):
             counts = []

@@ -157,6 +157,60 @@ def _lower_round(inst, x, y, alpha, gamma, N, stream) -> np.ndarray:
     return state.w
 
 
+def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
+                schedule: Schedule, tau: float, lower, direction,
+                stream: RandomStream) -> list[IterationLog]:
+    """The outer loop that AccBO and its plain-momentum ablation share.
+
+    Iteration t takes the new lower iterate from
+    ``lower(x, y, t, stream.child("lower", t))``, averages it into y_hat with
+    weight tau, and steps x a distance eta along
+    ``direction(m, x, x_prev, y_hat, yhat_prev, stream.child("upper", t))``,
+    which is formed at the current y_hat. A NumericalAbort carries the logs
+    collected so far as its ``logs`` attribute.
+    """
+    inst = oracles.inst
+    y_hat = y.copy()
+    x_prev: np.ndarray | None = None
+    yhat_prev: np.ndarray | None = None
+    m: np.ndarray | None = None
+    logs: list[IterationLog] = []
+    try:
+        for t in range(schedule.T):
+            ystar = inst.lower_minimizer(x)
+            y_err = float(np.linalg.norm(y - ystar))
+            yhat_err = float(np.linalg.norm(y_hat - ystar))
+
+            y = lower(x, y, t, stream.child("lower", t))
+            yhat_next = average_step(y_hat, y, tau)
+
+            m = direction(m, x, x_prev, y_hat, yhat_prev, stream.child("upper", t))
+            if not np.all(np.isfinite(m)):
+                raise NumericalAbort(f"non-finite momentum at t={t}")
+            x_next, zero_event = upper_step(x, m, schedule.eta)
+
+            logs.append(IterationLog(
+                t=t,
+                grad_norm_true=float(np.linalg.norm(inst.true_hypergradient(x))),
+                m_norm=float(np.linalg.norm(m)),
+                y_track_err=y_err,
+                yhat_track_err=yhat_err,
+                yhat_step=float(np.linalg.norm(yhat_next - y_hat)),
+                calls_g1=oracles.calls["g1"],
+                calls_jvp=oracles.calls["jvp"],
+                calls_hvp=oracles.calls["hvp"],
+                calls_f=oracles.calls["f"],
+                zero_momentum=zero_event,
+            ))
+
+            x_prev, x = x, x_next
+            yhat_prev, y_hat = y_hat, yhat_next
+    except NumericalAbort as exc:
+        exc.logs = logs
+        raise
+    return logs
+
+
 def run_accbo(
     inst,
     schedule: Schedule,
@@ -182,62 +236,25 @@ def run_accbo(
 
     x = np.zeros(inst.dim_x) if x0 is None else np.asarray(x0, dtype=float)
     y = warm_start(oracles, x, s.alpha_init, s.T0, stream.child("init"))
-    # Option one carries one SNAG recursion across outer iterations.
-    lower = SnagState(w=y, w_prev=y.copy(), alpha=s.alpha, gamma=s.gamma)
-    y_hat = y.copy()
-    x_prev: np.ndarray | None = None
-    yhat_prev: np.ndarray | None = None
-    m: np.ndarray | None = None
-    logs: list[IterationLog] = []
-    try:
-        for t in range(s.T):
-            ystar = inst.lower_minimizer(x)
-            y_err = float(np.linalg.norm(y - ystar))
-            yhat_err = float(np.linalg.norm(y_hat - ystar))
 
-            # Lower-level update at the current x.
-            if option == "one":
-                lower = snag_step(
-                    lower, lambda z, st: oracles.stoch_grad_y_g(x, z, st),
-                    stream.child("lower", t),
-                )
-                y = lower.w
-            elif t > 0 and t % s.I == 0:
-                y = _lower_round(
-                    oracles, x, y, s.alpha, s.gamma, s.N, stream.child("lower", t)
-                )
+    if option == "one":
+        # One SNAG recursion carried across outer iterations.
+        state = SnagState(w=y, w_prev=y.copy(), alpha=s.alpha, gamma=s.gamma)
 
-            yhat_next = average_step(y_hat, y, s.tau)
+        def lower(x, y, t, st):
+            nonlocal state
+            state = snag_step(state, lambda z, sz: oracles.stoch_grad_y_g(x, z, sz), st)
+            return state.w
+    else:
+        def lower(x, y, t, st):
+            if t > 0 and t % s.I == 0:
+                return _lower_round(oracles, x, y, s.alpha, s.gamma, s.N, st)
+            return y
 
-            # Upper-level update: momentum at (x_t, yhat_t), then normalized step.
-            m = momentum_update(
-                oracles, m, x, x_prev, y_hat, yhat_prev, cfg, s.beta,
-                stream.child("upper", t),
-            )
-            if not np.all(np.isfinite(m)):
-                raise NumericalAbort(f"non-finite momentum at t={t}")
-            x_next, zero_event = upper_step(x, m, s.eta)
+    def direction(m, x, x_prev, y_hat, yhat_prev, st):
+        return momentum_update(oracles, m, x, x_prev, y_hat, yhat_prev, cfg, s.beta, st)
 
-            logs.append(IterationLog(
-                t=t,
-                grad_norm_true=float(np.linalg.norm(inst.true_hypergradient(x))),
-                m_norm=float(np.linalg.norm(m)),
-                y_track_err=y_err,
-                yhat_track_err=yhat_err,
-                yhat_step=float(np.linalg.norm(yhat_next - y_hat)),
-                calls_g1=oracles.calls["g1"],
-                calls_jvp=oracles.calls["jvp"],
-                calls_hvp=oracles.calls["hvp"],
-                calls_f=oracles.calls["f"],
-                zero_momentum=zero_event,
-            ))
-
-            x_prev, x = x, x_next
-            yhat_prev, y_hat = y_hat, yhat_next
-    except NumericalAbort as exc:
-        exc.logs = logs
-        raise
-    return logs
+    return _outer_loop(oracles, x, y, s, s.tau, lower, direction, stream)
 
 
 def running_average_grad_norm(logs: list[IterationLog]) -> float:

@@ -198,7 +198,9 @@ def _run_inputs(family: QuadraticFamily, drift: DriftProcess,
                 p: TrackingBoundParams, stream: RandomStream, wstar: np.ndarray):
     """Bound function, default start, and (T, dim) noise and drift tapes of one
     tracking run on stream, started at the minimizer wstar."""
-    drifting = drift.kind != "none" and drift.delta > 0
+    dim = family.dim
+    moves = drift.displacements(p.T, dim, stream)
+    drifting = bool(moves.any())
     if drifting and not family.isotropic:
         raise ConstraintViolation(
             "the with-drift bound is stated for isotropic quadratics only"
@@ -210,13 +212,12 @@ def _run_inputs(family: QuadraticFamily, drift: DriftProcess,
     # All noise for the run is drawn up front from one sub-stream (row t is
     # the step-t sample); this is equivalent to per-step draws but avoids
     # deriving T generators.
-    dim = family.dim
     if p.sigma > 0.0:
         noise = stream.child("noise").generator().normal(
             0.0, p.sigma / math.sqrt(8.0 * dim), size=(p.T, dim))
     else:
         noise = np.zeros((p.T, dim))
-    return bound_fn, w0, noise, drift.displacements(p.T, dim, stream)
+    return bound_fn, w0, noise, moves
 
 
 def run_tracking_experiment(

@@ -279,6 +279,22 @@ class TestCli:
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
                    "schedule": ACCBO_DOC["schedule"], "algorithms": ["acbo"]},
          "sweep.algorithms"),
+        ("bias", {"instance": {"kind": "fixture_ridge", "sigma_gg": 0.1},
+                  "Q_grid": [1], "n_samples": 10}, "bias.instance"),
+        ("accbo", dict(ACCBO_DOC, instance=dict(
+            ISO_DOC, params=dict(ISO_DOC["params"], l_f9=1.0))), "accbo.instance"),
+        ("sweep", {"instance": dict(ISO_DOC, noise={"sigma_g3": 0.1}), "option": "one",
+                   "epsilons": [0.2], "schedule": ACCBO_DOC["schedule"]},
+         "sweep.instance"),
+        ("accbo", dict(ACCBO_DOC, instance="no/such/instance.json"), "accbo.instance"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": "0.1",
+                   "schedule": ACCBO_DOC["schedule"]}, "sweep.epsilons"),
+        ("bias", {"instance": ISO_DOC, "Q_grid": 3, "n_samples": 10}, "bias.Q_grid"),
+        ("accbo", dict(ACCBO_DOC, schedule=dict(ACCBO_DOC["schedule"], epsilon="0.1")),
+         "accbo.schedule.epsilon"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                   "schedule": dict(ACCBO_DOC["schedule"], delta="0.05")},
+         "sweep.schedule.delta"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from accbo.baselines import run_plain_momentum_bilevel
 from accbo.constants import ConstraintViolation, ProblemConstants, derive_schedule
 from accbo.hypergrad import EstimatorConfig, estimate_hypergradient
 from accbo.optimizer import (
@@ -216,7 +217,11 @@ class TestRunAccbo:
         # rounds. Check y_track_err is finite and recorded at every step.
         assert all(np.isfinite(rec.y_track_err) for rec in logs)
 
-    def test_abort_carries_logs_collected_so_far(self):
+    @pytest.mark.parametrize("run", [
+        lambda inst, sched, stream: run_accbo(inst, sched, "one", stream),
+        lambda inst, sched, stream: run_plain_momentum_bilevel(inst, sched, stream),
+    ], ids=["accbo", "plain_momentum"])
+    def test_abort_carries_logs_collected_so_far(self, run):
         class NanAfter(IsotropicQuadratic):
             """Lower-level oracle that returns nan after its first n calls."""
 
@@ -231,11 +236,11 @@ class TestRunAccbo:
                         [0.2, 0.3], sigma_f1=0.05, sigma_g1=0.1)
         sched = practical_schedule(inst, T=20)
         with pytest.raises(NumericalAbort) as info:
-            run_accbo(inst, sched, "one", RandomStream(4))
+            run(inst, sched, RandomStream(4))
         logs = info.value.logs
         assert [rec.t for rec in logs] == list(range(5))
-        reference = run_accbo(noisy_iso(), practical_schedule(noisy_iso(), T=5),
-                              "one", RandomStream(4))
+        reference = run(noisy_iso(), practical_schedule(noisy_iso(), T=5),
+                        RandomStream(4))
         assert logs == reference
 
     def test_running_average_requires_logs(self):

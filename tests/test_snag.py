@@ -267,6 +267,11 @@ class TestTrackingExperiment:
             run_tracking_experiment(fam, DriftProcess(kind="random_walk",
                                                       delta=0.01),
                                     p, RandomStream(0))
+        # An external sequence moves the minimizer although its delta is 0.
+        fam = QuadraticFamily(1.0, 2, hessian=((1.0, 0.0), (0.0, 4.0)))
+        drift = DriftProcess(kind="external", sequence=((0.5, 0.0),) * 20)
+        with pytest.raises(ConstraintViolation):
+            run_tracking_experiment(fam, drift, self.make_params(T=20), RandomStream(0))
 
     def test_run_is_deterministic(self):
         p = self.make_params()
