@@ -67,6 +67,18 @@ def _is_number(value, integer: bool = False) -> bool:
             and not isinstance(value, bool))
 
 
+def _is_int(value, low: int = 1) -> bool:
+    return _is_number(value, integer=True) and value >= low
+
+
+def _point(value, dim: int, ctx: str) -> np.ndarray:
+    """A list of dim numbers, as a float array."""
+    if not (isinstance(value, list) and len(value) == dim
+            and all(_is_number(v) for v in value)):
+        raise ConfigError(f"{ctx}: must be a list of {dim} numbers")
+    return np.asarray(value, dtype=float)
+
+
 def _numbers(value, ctx: str) -> list:
     """A number or a list of numbers, as a list."""
     values = value if isinstance(value, list) else [value]
@@ -138,7 +150,11 @@ def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
     raise ConfigError(f"{ctx}: instance must be a path or an inline object")
 
 
-def _schedule_from_config(doc: dict, inst, ctx: str):
+def _schedule_from_config(doc, inst, ctx: str, **fixed):
+    """Derive the schedule of a config's schedule object; keywords set fields over it."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{ctx}: must be an object")
+    doc = dict(doc, **fixed)
     _check_fields(
         doc,
         required={"mode", "epsilon", "delta", "d0"},
@@ -201,7 +217,7 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
         if not _is_number(doc[name]):
             raise ConfigError(f"snag-track.{name}: must be a number")
     for name in ("T", "dim"):
-        if not (_is_number(doc[name], integer=True) and doc[name] >= 1):
+        if not _is_int(doc[name]):
             raise ConfigError(f"snag-track.{name}: must be a positive integer")
     if not isinstance(doc.get("write_trajectories", True), bool):
         raise ConfigError("snag-track.write_trajectories: must be true or false")
@@ -271,10 +287,14 @@ def cmd_bias(config: ExperimentConfig) -> int:
         ctx="bias",
     )
     if not (isinstance(doc["Q_grid"], list)
-            and all(_is_number(Q, integer=True) for Q in doc["Q_grid"])):
-        raise ConfigError("bias.Q_grid: must be a list of integers")
+            and all(_is_int(Q) for Q in doc["Q_grid"])):
+        raise ConfigError("bias.Q_grid: must be a list of positive integers")
+    if not _is_int(doc.get("S", 1)):
+        raise ConfigError("bias.S: must be a positive integer")
+    if not _is_int(doc["n_samples"], low=2):
+        raise ConfigError("bias.n_samples: must be an integer >= 2")
     inst = _load_instance(doc["instance"], "bias.instance")
-    x = np.asarray(doc.get("x", [0.0] * inst.dim_x), dtype=float)
+    x = _point(doc["x"], inst.dim_x, "bias.x") if "x" in doc else np.zeros(inst.dim_x)
     S = doc.get("S", 1)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -341,7 +361,7 @@ def cmd_accbo(config: ExperimentConfig) -> int:
     )
     inst = _load_instance(doc["instance"], "accbo.instance")
     schedule = _schedule_from_config(doc["schedule"], inst, "accbo.schedule")
-    x0 = np.asarray(doc["x0"], dtype=float) if "x0" in doc else None
+    x0 = _point(doc["x0"], inst.dim_x, "accbo.x0") if "x0" in doc else None
     algorithm = doc.get("algorithm", "accbo")
     run = _runner(algorithm, "accbo.algorithm")
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,17 +410,17 @@ def cmd_sweep(config: ExperimentConfig) -> int:
         optional={"x0", "algorithms"},
         ctx="sweep",
     )
-    if not isinstance(doc["epsilons"], list):
-        raise ConfigError("sweep.epsilons: must be a list of numbers")
+    if not (isinstance(doc["epsilons"], list) and doc["epsilons"]):
+        raise ConfigError("sweep.epsilons: must be a non-empty list of numbers")
     epsilons = _numbers(doc["epsilons"], "sweep.epsilons")
     inst = _load_instance(doc["instance"], "sweep.instance")
-    x0 = np.asarray(doc["x0"], dtype=float) if "x0" in doc else None
+    x0 = _point(doc["x0"], inst.dim_x, "sweep.x0") if "x0" in doc else None
     algorithms = doc.get("algorithms", ["accbo", "plain_momentum"])
     if not isinstance(algorithms, list):
         raise ConfigError("sweep.algorithms: must be a list of algorithm names")
     runners = [_runner(a, "sweep.algorithms") for a in algorithms]
-    schedules = [_schedule_from_config(dict(doc["schedule"], epsilon=eps), inst,
-                                       "sweep.schedule") for eps in epsilons]
+    schedules = [_schedule_from_config(doc["schedule"], inst, "sweep.schedule",
+                                       epsilon=eps) for eps in epsilons]
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     table = []

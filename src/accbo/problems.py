@@ -10,6 +10,16 @@ contract the recursive-momentum update needs.
 Conventions: x has dim_x entries, y has dim_y entries; the mixed second
 derivative of g is stored as a (dim_x, dim_y) matrix so the hypergradient is
 grad_x f - J_xy @ H_yy^{-1} @ grad_y f.
+
+The ridge toy computes the quantities that depend on x alone (its sigmoid
+weights, H_yy(x) and y*(x)) once per upper-level point. It keeps them in a
+cache of two entries keyed on the bytes of ``np.asarray(x, float)``: two,
+because each outer iteration alternates between x_t and x_{t-1}. A cached
+entry is bit-equal to recomputing it, its arrays are read-only, and
+``lower_minimizer`` returns a copy the caller owns. The cache draws no noise,
+so oracle outputs, draws and call counts are what they would be without it.
+Curvature that does not depend on x (mu*I, 2*c_reg*I, the general quadratic's
+H) is built once, read-only, when the instance is made.
 """
 
 from __future__ import annotations
@@ -32,6 +42,11 @@ __all__ = [
     "instance_from_json",
     "make_fixture_ridge",
 ]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _as_vec(v, dim: int, name: str) -> np.ndarray:
@@ -166,6 +181,7 @@ class IsotropicQuadratic(BilevelInstance):
         self.b = _as_vec(b, self.dim_y, "b")
         self.c = _as_vec(c, self.dim_x, "c")
         self.d = _as_vec(d, self.dim_y, "d")
+        self._hess = _read_only(self.mu * np.eye(self.dim_y))
         op_A = float(np.linalg.norm(self.A, 2)) if self.A.size else 0.0
         self.constants = ProblemConstants(
             mu=self.mu,
@@ -198,7 +214,7 @@ class IsotropicQuadratic(BilevelInstance):
         return self.mu * self._residual(x, y)
 
     def hess_yy_g(self, x, y):
-        return self.mu * np.eye(self.dim_y)
+        return self._hess
 
     def jac_xy_g(self, x, y):
         return -self.mu * self.A.T
@@ -236,7 +252,8 @@ class GeneralQuadratic(BilevelInstance):
 
     def __init__(self, H, C, b, c, d, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
                  sigma_g2=0.0):
-        self.H = np.atleast_2d(np.asarray(H, dtype=float))
+        # A read-only copy: hess_yy_g hands it out, and the constants rest on it.
+        self.H = _read_only(np.array(H, dtype=float, ndmin=2))
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
         self.dim_y = self.H.shape[0]
         self.dim_x = self.C.shape[1]
@@ -346,6 +363,8 @@ class RidgeWeighting(BilevelInstance):
         self.c_reg = float(c_reg)
         self.dim_x = self.n_tr
         self.dim_y = dim_w
+        self._reg = _read_only(2.0 * self.c_reg * np.eye(self.dim_y))
+        self._x_cache = {}
 
         zz_max = float(np.linalg.eigvalsh(self.Z.T @ self.Z / self.n_tr)[-1])
         vv_max = float(np.linalg.eigvalsh(self.V.T @ self.V / self.n_val)[-1])
@@ -379,7 +398,7 @@ class RidgeWeighting(BilevelInstance):
         return 0.5 * float(np.mean((self.V @ y - self.y_val) ** 2))
 
     def g_value(self, x, y):
-        s = _sigmoid(x)
+        s = self._at(x)["s"]
         r = self.Z @ y - self.y_tr
         return float(np.mean(s * 0.5 * r**2) + self.c_reg * np.sum(y**2))
 
@@ -390,25 +409,39 @@ class RidgeWeighting(BilevelInstance):
         return self.V.T @ (self.V @ y - self.y_val) / self.n_val
 
     def grad_y_g(self, x, y):
-        s = _sigmoid(x)
+        s = self._at(x)["s"]
         r = self.Z @ y - self.y_tr
         return self.Z.T @ (s * r) / self.n_tr + 2.0 * self.c_reg * y
 
     def hess_yy_g(self, x, y):
-        s = _sigmoid(x)
-        return (self.Z.T * s) @ self.Z / self.n_tr + 2.0 * self.c_reg * np.eye(self.dim_y)
+        return self._at(x)["H"]
 
     def jac_xy_g(self, x, y):
-        s = _sigmoid(x)
+        s = self._at(x)["s"]
         r = self.Z @ y - self.y_tr
         # Row i is d(grad_w g)/d lam_i = sigmoid'(lam_i) * r_i * z_i / n_tr.
         return (s * (1.0 - s) * r)[:, None] * self.Z / self.n_tr
 
+    def _at(self, x) -> dict:
+        """Read-only sigmoid weights, H_yy(x) and y*(x), cached on x's bytes."""
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        terms = self._x_cache.get(key)
+        if terms is None:
+            if len(self._x_cache) == 2:
+                del self._x_cache[next(iter(self._x_cache))]  # the older point
+            s = _sigmoid(x)
+            H = (self.Z.T * s) @ self.Z / self.n_tr + self._reg
+            rhs = self.Z.T @ (s * self.y_tr) / self.n_tr
+            terms = self._x_cache[key] = {
+                "s": _read_only(s),
+                "H": _read_only(H),
+                "ystar": _read_only(np.linalg.solve(H, rhs)),
+            }
+        return terms
+
     def lower_minimizer(self, x):
-        s = _sigmoid(x)
-        H = (self.Z.T * s) @ self.Z / self.n_tr + 2.0 * self.c_reg * np.eye(self.dim_y)
-        rhs = self.Z.T @ (s * self.y_tr) / self.n_tr
-        return np.linalg.solve(H, rhs)
+        return self._at(x)["ystar"].copy()
 
     def _params(self):
         return {
@@ -437,6 +470,7 @@ class ExpUpperToy(BilevelInstance):
         if mu <= 0:
             raise ConstraintViolation(f"mu must be positive, got {mu!r}")
         self.mu = float(mu)
+        self._hess = _read_only(self.mu * np.eye(self.dim_y))
         op_A = float(np.linalg.norm(self.A, 2)) if self.A.size else 0.0
         self.constants = ProblemConstants(
             mu=self.mu,
@@ -468,7 +502,7 @@ class ExpUpperToy(BilevelInstance):
         return self.mu * (y - self.A @ x - self.b)
 
     def hess_yy_g(self, x, y):
-        return self.mu * np.eye(self.dim_y)
+        return self._hess
 
     def jac_xy_g(self, x, y):
         return -self.mu * self.A.T

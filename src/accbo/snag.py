@@ -69,7 +69,8 @@ def snag_step(
     if not np.all(np.isfinite(g)):
         raise NumericalAbort(f"non-finite gradient at iteration {state.t}")
     w_next = z - state.alpha * g
-    return replace(state, w=w_next, w_prev=state.w, t=state.t + 1)
+    return SnagState(w=w_next, w_prev=state.w, alpha=state.alpha,
+                     gamma=state.gamma, t=state.t + 1)
 
 
 def potential(state: SnagState, minimizer: np.ndarray, phi_gap: float, mu: float) -> float:

@@ -5,6 +5,7 @@ from accbo.problems import (
     ExpUpperToy,
     GeneralQuadratic,
     IsotropicQuadratic,
+    RidgeWeighting,
     make_fixture_ridge,
 )
 
@@ -30,6 +31,16 @@ def general_quad():
 @pytest.fixture
 def ridge_toy():
     return make_fixture_ridge()
+
+
+def scaled_ridge():
+    """Criterion 8's ridge toy: the fixture with its validation data scaled by
+    40, so the hypergradient is sensitive to lower-level tracking error."""
+    base = make_fixture_ridge()
+    return RidgeWeighting(
+        base.Z, base.y_tr, 40.0 * base.V, 40.0 * base.y_val, 0.05,
+        sigma_f1=0.1, sigma_g1=0.05,
+    )
 
 
 @pytest.fixture

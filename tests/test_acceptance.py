@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import analytic_instances
+from conftest import analytic_instances, scaled_ridge
 
 from accbo.baselines import run_plain_momentum_bilevel
 from accbo.constants import (
@@ -38,7 +38,7 @@ from accbo.hypergrad import (
     estimate_hypergradient,
 )
 from accbo.optimizer import run_accbo, running_average_grad_norm
-from accbo.problems import IsotropicQuadratic, RidgeWeighting, make_fixture_ridge
+from accbo.problems import IsotropicQuadratic
 from accbo.rng import RandomStream
 from accbo.snag import (
     DriftProcess,
@@ -306,11 +306,7 @@ def test_criterion_8_acceleration_comparison():
     # Ridge reweighting toy: option two vs baseline. The scaled validation
     # objective makes the hypergradient sensitive to lower-level tracking
     # error, so the baseline's SGD tracker pays a persistent bias.
-    base = make_fixture_ridge()
-    ridge = RidgeWeighting(
-        base.Z, base.y_tr, 40.0 * base.V, 40.0 * base.y_val, 0.05,
-        sigma_f1=0.1, sigma_g1=0.05,
-    )
+    ridge = scaled_ridge()
     x = np.zeros(ridge.dim_x)
     for _ in range(3000):
         g = ridge.true_hypergradient(x)

@@ -295,6 +295,21 @@ class TestCli:
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
                    "schedule": dict(ACCBO_DOC["schedule"], delta="0.05")},
          "sweep.schedule.delta"),
+        ("accbo", dict(ACCBO_DOC, schedule=5), "accbo.schedule"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                   "schedule": [1]}, "sweep.schedule"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [],
+                   "schedule": ACCBO_DOC["schedule"]}, "sweep.epsilons"),
+        ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": 10, "S": "2"},
+         "bias.S"),
+        ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": "10"},
+         "bias.n_samples"),
+        ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": 10, "x": [0.1]},
+         "bias.x"),
+        ("accbo", dict(ACCBO_DOC, x0="ab"), "accbo.x0"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                   "schedule": ACCBO_DOC["schedule"], "x0": [1.0, "b"]}, "sweep.x0"),
+        ("bias", {"instance": ISO_DOC, "Q_grid": [0], "n_samples": 10}, "bias.Q_grid"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):

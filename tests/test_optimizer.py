@@ -13,9 +13,11 @@ from accbo.optimizer import (
     upper_step,
     warm_start,
 )
-from accbo.problems import IsotropicQuadratic
+from accbo.problems import IsotropicQuadratic, instance_from_dict
 from accbo.rng import RandomStream
 from accbo.snag import NumericalAbort
+
+from conftest import scaled_ridge
 
 
 def practical_schedule(inst, *, alpha=0.04, eta=0.01, T=20, epsilon=0.05,
@@ -156,7 +158,32 @@ class TestCountingOracles:
         assert wrapped.total_calls == 0
 
 
+class FreshEachCall:
+    """Forwards every method call to a newly built copy of the instance."""
+
+    def __init__(self, inst):
+        self._inst = inst
+
+    def __getattr__(self, name):
+        value = getattr(self._inst, name)
+        if not callable(value):
+            return value
+        doc = self._inst.to_dict()
+        return lambda *args: getattr(instance_from_dict(doc), name)(*args)
+
+
 class TestRunAccbo:
+    def test_instance_cache_changes_no_log(self):
+        # Criterion 8's ridge toy, option two, with a shorter run from zero.
+        ridge = scaled_ridge()
+        x = np.zeros(ridge.dim_x)
+        sched = practical_schedule(
+            ridge, alpha=1e-3, beta=0.95, eta=0.005, T=200, T0=400, S=1, Q=15, I=2,
+            N=12, sigma_g1_tilde=0.05 / np.sqrt(ridge.constants.mu * 1e-3))
+        cached = run_accbo(ridge, sched, "two", RandomStream(3), x0=x)
+        uncached = run_accbo(FreshEachCall(ridge), sched, "two", RandomStream(3), x0=x)
+        assert [vars(r) for r in cached] == [vars(r) for r in uncached]
+
     def test_option_one_rejects_anisotropic_lower(self, general_quad):
         sched = practical_schedule(general_quad)
         with pytest.raises(ConstraintViolation):

@@ -253,3 +253,35 @@ class TestValidation:
         with pytest.raises(ConstraintViolation):
             GeneralQuadratic([[1.0, 0.0], [0.0, -1.0]], np.eye(2),
                              b=[0, 0], c=[0, 0], d=[0, 0])
+
+
+def fresh(inst):
+    """A newly built copy of inst, with nothing cached."""
+    return instance_from_dict(inst.to_dict())
+
+
+class TestXCache:
+    XY_METHODS = ("grad_y_g", "hess_yy_g", "jac_xy_g", "g_value")
+    X_METHODS = ("lower_minimizer", "true_hypergradient")
+
+    @pytest.mark.parametrize("inst", analytic_instances(), ids=lambda i: i.kind)
+    def test_alternating_points_match_a_fresh_instance(self, inst):
+        (xa, y), (xb, _) = random_points(inst, 2, seed=2)
+        xc = xa.copy()
+        xc[-1] += 0.5  # differs from xa in its last entry only
+        for x in (xa, xb, xa, xc, xb):
+            for name in self.XY_METHODS:
+                np.testing.assert_array_equal(getattr(inst, name)(x, y),
+                                              getattr(fresh(inst), name)(x, y))
+            for name in self.X_METHODS:
+                got = getattr(inst, name)(x)
+                np.testing.assert_array_equal(got, getattr(fresh(inst), name)(x))
+                # Returned arrays belong to the caller; scribbling on them
+                # must not reach a later cache hit.
+                got[...] = np.nan
+
+    @pytest.mark.parametrize("inst", analytic_instances(), ids=lambda i: i.kind)
+    def test_returned_curvature_is_read_only(self, inst):
+        x, y = next(random_points(inst, 1))
+        with pytest.raises(ValueError):
+            inst.hess_yy_g(x, y)[0, 0] = 0.0
