@@ -232,35 +232,47 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
     if kind not in ("none", "fixed_direction", "random_walk"):
         raise ConfigError(
             "snag-track.drift.kind: must be none, fixed_direction or random_walk")
+    # Written as "not (x > 0)" so that a NaN is refused too.
+    for name in ("mu", "alpha"):
+        if not doc[name] > 0:
+            raise ConfigError(f"snag-track.{name}: must be positive")
+    if not 0 < doc["delta_prob"] < 1:
+        raise ConfigError("snag-track.delta_prob: must be in (0, 1)")
+    for name, values in (("V0", [doc["V0"]]), ("sigma", sigmas),
+                         ("drift.delta", deltas)):
+        if not all(v >= 0 for v in values):
+            raise ConfigError(f"snag-track.{name}: must be >= 0")
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(s, d) for s in sigmas for d in deltas]
-
-    def run_cell(cell):
-        sigma, delta = cell
-        p = snag.TrackingBoundParams(
+    dim = doc["dim"]
+    cells = [(
+        snag.TrackingBoundParams(
             mu=doc["mu"], alpha=doc["alpha"], sigma=sigma, delta_drift=delta,
             T=doc["T"], delta_prob=doc["delta_prob"], V0=doc["V0"],
-        )
-        drift = snag.DriftProcess(
+        ),
+        snag.DriftProcess(
             kind=kind if delta > 0 else "none", delta=delta,
-            direction=(1.0,) + (0.0,) * (doc["dim"] - 1)
+            direction=(1.0,) + (0.0,) * (dim - 1)
             if kind == "fixed_direction" else None,
-        )
-        rate = snag.mc_tracking_violation_rate(
-            p, drift, config.n_seeds, dim=doc["dim"], base_seed=config.base_seed
-        )
+        ),
+    ) for sigma in sigmas for delta in deltas]
+    rates = snag.mc_tracking_grid(cells, config.n_seeds, dim=dim,
+                                  base_seed=config.base_seed)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+
+    results = []
+    for (p, drift), rate in zip(cells, rates):
+        sigma, delta = p.sigma, p.delta_drift
         if doc.get("write_trajectories", True):
-            family = snag.QuadraticFamily(mu=doc["mu"], dim=doc["dim"])
+            family = snag.QuadraticFamily(mu=doc["mu"], dim=dim)
             logs = snag.run_tracking_experiment(
                 family, drift, p, RandomStream(config.base_seed).child("mc", 0)
             )
             name = f"track_sigma{_fmt(float(sigma))}_delta{_fmt(float(delta))}.csv"
             write_csv(logs, config.out_dir / name, TRAJECTORY_COLUMNS)
-        return {"sigma": sigma, "delta": delta, "violation_rate": rate,
-                "n_seeds": config.n_seeds}
-
-    results = [run_cell(c) for c in cells]
+        log.info("snag-track sigma=%s delta=%s: violation rate %s over %d seeds",
+                 sigma, delta, rate, config.n_seeds)
+        results.append({"sigma": sigma, "delta": delta, "violation_rate": rate,
+                        "n_seeds": config.n_seeds})
 
     summary = {
         "command": "snag-track",
@@ -351,6 +363,16 @@ def _runner(algorithm, ctx: str):
     return _RUNNERS[algorithm]
 
 
+def _check_option(option, inst, algorithms: list[str], ctx: str) -> None:
+    """Refuse what run_accbo would refuse, before any output is written."""
+    if option not in ("one", "two"):
+        raise ConfigError(f"{ctx}: must be 'one' or 'two', got {option!r}")
+    if (option == "one" and "accbo" in algorithms
+            and inst.kind not in optimizer.OPTION_ONE_KINDS):
+        raise ConfigError(f"{ctx}: option one requires an isotropic quadratic "
+                          f"lower level, not {inst.kind!r}")
+
+
 def cmd_accbo(config: ExperimentConfig) -> int:
     doc = config.params
     _check_fields(
@@ -364,6 +386,7 @@ def cmd_accbo(config: ExperimentConfig) -> int:
     x0 = _point(doc["x0"], inst.dim_x, "accbo.x0") if "x0" in doc else None
     algorithm = doc.get("algorithm", "accbo")
     run = _runner(algorithm, "accbo.algorithm")
+    _check_option(doc["option"], inst, [algorithm], "accbo.option")
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     per_seed = []
@@ -373,6 +396,8 @@ def cmd_accbo(config: ExperimentConfig) -> int:
         write_csv(_run_log_records(logs), config.out_dir / f"run_seed{k}.csv",
                   RUN_COLUMNS)
         per_seed.append(_summarize_run(logs))
+        log.info("accbo %s seed %d: running average grad norm %s after %d iterations",
+                 algorithm, k, per_seed[-1]["running_avg_grad_norm"], len(logs))
 
     summary = {
         "command": "accbo",
@@ -419,6 +444,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     if not isinstance(algorithms, list):
         raise ConfigError("sweep.algorithms: must be a list of algorithm names")
     runners = [_runner(a, "sweep.algorithms") for a in algorithms]
+    _check_option(doc["option"], inst, algorithms, "sweep.option")
     schedules = [_schedule_from_config(doc["schedule"], inst, "sweep.schedule",
                                        epsilon=eps) for eps in epsilons]
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -432,6 +458,8 @@ def cmd_sweep(config: ExperimentConfig) -> int:
                 stream = RandomStream(config.base_seed).child("sweep", k)
                 logs = run(inst, schedule, doc["option"], stream, x0)
                 counts.append(calls_to_target(logs, target))
+                log.info("sweep epsilon=%s %s seed %d: %s oracle calls to target",
+                         eps, algorithm, k, counts[-1])
             table.append({
                 "epsilon": eps,
                 "algorithm": algorithm,

@@ -32,6 +32,9 @@ __all__ = [
     "run_accbo",
 ]
 
+# Instance kinds whose lower level option one can track (isotropic quadratic).
+OPTION_ONE_KINDS = ("isotropic_quadratic", "exp_upper_toy")
+
 
 class CountingOracles:
     """Wraps an instance, counting stochastic oracle calls by kind."""
@@ -226,7 +229,7 @@ def run_accbo(
     """
     if option not in ("one", "two"):
         raise ConstraintViolation(f"option must be 'one' or 'two', got {option!r}")
-    if option == "one" and inst.kind not in ("isotropic_quadratic", "exp_upper_toy"):
+    if option == "one" and inst.kind not in OPTION_ONE_KINDS:
         raise ConstraintViolation(
             "option one requires an isotropic quadratic lower level"
         )

@@ -3,7 +3,15 @@
 Implements the two-line recursion (extrapolate, then gradient step at the
 extrapolated point), the rank-1 potential that certifies tracking, the
 high-probability tracking bounds with and without drift, and Monte-Carlo
-verification wrappers over seeded runs.
+verification over seeded runs.
+
+The Monte-Carlo kernel ``mc_tracking_grid`` carries every (cell, seed) row
+of a grid of cells in one SNAG state. Seed k of every cell reads the same
+two unit tapes, drawn once from the sub-streams "noise" and "drift" of
+(base_seed, "mc", k); each cell scales them to its own sigma and drift
+size step by step, so memory holds one unit tape per source, not one tape
+per cell. ``run_tracking_experiment`` is the scalar reference: seed k of a
+cell is that run on stream (base_seed, "mc", k).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ __all__ = [
     "tracking_bound_no_drift",
     "QuadraticFamily",
     "run_tracking_experiment",
+    "mc_tracking_grid",
     "mc_tracking_violation_rate",
 ]
 
@@ -126,6 +135,29 @@ def tracking_bound_no_drift(p: TrackingBoundParams, t: int) -> float:
     return rate**t * p.V0 + noise * _log_factor(p)
 
 
+# Sub-stream labels of a run's two tapes, one (T, dim) block each.
+_NOISE, _DRIFT = "noise", "drift"
+
+
+def _unit_tape(stream: RandomStream, label: str, T: int, dim: int) -> np.ndarray:
+    """(T, dim) standard normal block of stream's `label` sub-stream; row t is step t."""
+    return stream.child(label).generator().normal(0.0, 1.0, size=(T, dim))
+
+
+def _noise_rows(scale, z: np.ndarray) -> np.ndarray:
+    """Gradient noise from unit rows z: what Generator.normal(0.0, scale) computes."""
+    return 0.0 + scale * z
+
+
+def _walk_rows(delta, v: np.ndarray) -> np.ndarray:
+    """Random-walk displacements from unit rows v: uniform sphere directions, so
+    ||displacement|| = delta exactly and the squared drift is deterministic
+    (trivially sub-exponential)."""
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return delta * v / norms
+
+
 @dataclass(frozen=True)
 class DriftProcess:
     """Per-step minimizer displacement model."""
@@ -145,8 +177,17 @@ class DriftProcess:
         if self.kind == "external" and self.sequence is None:
             raise ConstraintViolation("external drift needs a sequence")
 
+    @property
+    def walks(self) -> bool:
+        """True when the displacements are drawn: a random walk with delta > 0."""
+        return self.kind == "random_walk" and self.delta > 0.0
+
     def displacements(self, T: int, dim: int, stream: RandomStream) -> np.ndarray:
-        """(T, dim) array whose row t is the minimizer's displacement at step t."""
+        """(T, dim) array whose row t is the minimizer's displacement at step t.
+
+        Only a walking drift draws, one block from the "drift" sub-stream."""
+        if self.walks:
+            return _walk_rows(self.delta, _unit_tape(stream, _DRIFT, T, dim))
         if self.kind == "external":
             seq = np.asarray(self.sequence, dtype=float)
             if T > len(seq):
@@ -155,19 +196,11 @@ class DriftProcess:
             return seq[:T]
         if self.kind == "none" or self.delta == 0.0:
             return np.zeros((T, dim))
-        if self.kind == "fixed_direction":
-            d = np.asarray(self.direction, dtype=float)
-            n = np.linalg.norm(d)
-            if n == 0:
-                raise ConstraintViolation("drift direction must be nonzero")
-            return np.tile(self.delta * d / n, (T, 1))
-        # random_walk: uniform sphere directions, so ||displacement|| = delta
-        # exactly and the squared drift is deterministic (trivially
-        # sub-exponential). One block draw from the "drift" sub-stream.
-        v = stream.child("drift").generator().normal(0.0, 1.0, size=(T, dim))
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return self.delta * v / norms
+        d = np.asarray(self.direction, dtype=float)
+        n = np.linalg.norm(d)
+        if n == 0:
+            raise ConstraintViolation("drift direction must be nonzero")
+        return np.tile(self.delta * d / n, (T, 1))
 
 
 @dataclass(frozen=True)
@@ -195,13 +228,10 @@ class QuadraticFamily:
         return self.hessian is None
 
 
-def _run_inputs(family: QuadraticFamily, drift: DriftProcess,
-                p: TrackingBoundParams, stream: RandomStream, wstar: np.ndarray):
-    """Bound function, default start, and (T, dim) noise and drift tapes of one
-    tracking run on stream, started at the minimizer wstar."""
-    dim = family.dim
-    moves = drift.displacements(p.T, dim, stream)
-    drifting = bool(moves.any())
+def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams,
+                 drifting: bool, wstar: np.ndarray):
+    """Bound function, start and noise scale of one tracking cell whose runs
+    start at the minimizer wstar (a row or a stack of rows)."""
     if drifting and not family.isotropic:
         raise ConstraintViolation(
             "the with-drift bound is stated for isotropic quadratics only"
@@ -209,16 +239,8 @@ def _run_inputs(family: QuadraticFamily, drift: DriftProcess,
     bound_fn = tracking_bound_with_drift if drifting else tracking_bound_no_drift
     # Offset chosen so the initial potential is exactly p.V0.
     w0 = wstar.copy()
-    w0[0] += math.sqrt(p.V0 / family.mu) if p.V0 > 0 else 0.0
-    # All noise for the run is drawn up front from one sub-stream (row t is
-    # the step-t sample); this is equivalent to per-step draws but avoids
-    # deriving T generators.
-    if p.sigma > 0.0:
-        noise = stream.child("noise").generator().normal(
-            0.0, p.sigma / math.sqrt(8.0 * dim), size=(p.T, dim))
-    else:
-        noise = np.zeros((p.T, dim))
-    return bound_fn, w0, noise, moves
+    w0[..., 0] += math.sqrt(p.V0 / family.mu) if p.V0 > 0 else 0.0
+    return bound_fn, w0, p.sigma / math.sqrt(8.0 * family.dim)
 
 
 def run_tracking_experiment(
@@ -235,7 +257,13 @@ def run_tracking_experiment(
     """
     dim = family.dim
     wstar = np.zeros(dim) if wstar0 is None else np.asarray(wstar0, dtype=float)
-    bound_fn, w_default, noise, moves = _run_inputs(family, drift, p, stream, wstar)
+    moves = drift.displacements(p.T, dim, stream)
+    bound_fn, w_default, scale = _cell_inputs(family, p, bool(moves.any()), wstar)
+    # All noise for the run is drawn up front from one sub-stream (row t is
+    # the step-t sample); this is equivalent to per-step draws but avoids
+    # deriving T generators.
+    noise = (_noise_rows(scale, _unit_tape(stream, _NOISE, p.T, dim))
+             if p.sigma > 0.0 else np.zeros((p.T, dim)))
     H = family.matrix()
     state = SnagState.initial(
         w_default if w0 is None else np.asarray(w0, dtype=float), p.alpha, family.mu)
@@ -270,6 +298,97 @@ def run_tracking_experiment(
     return logs
 
 
+def mc_tracking_grid(
+    cells: Sequence[tuple[TrackingBoundParams, DriftProcess]],
+    n_seeds: int,
+    dim: int = 2,
+    base_seed: int = 0,
+    mu_hessian: Sequence[Sequence[float]] | None = None,
+) -> list[float]:
+    """Violation rate of each (params, drift) cell: the fraction of its
+    independent runs whose potential ever exceeds the cell's bound.
+
+    Seed k of every cell reproduces run_tracking_experiment with the default
+    start on the stream (base_seed, "mc", k). Cells may differ in sigma, drift,
+    delta_drift, delta_prob and V0, and each keeps its own bound, V0 and
+    isotropy check; they must share mu, alpha and T. One SNAG state carries
+    every (cell, seed) row as (n_cells, n_seeds, dim) arrays. Per seed, one
+    unit noise tape and one unit direction tape are drawn (each only if some
+    cell needs it) and every cell scales the same rows step by step.
+    """
+    if n_seeds < 1:
+        raise ConstraintViolation("n_seeds must be >= 1")
+    if not cells:
+        raise ConstraintViolation("a tracking grid needs at least one cell")
+    first = cells[0][0]
+    mu, alpha, T = first.mu, first.alpha, first.T
+    if any((p.mu, p.alpha, p.T) != (mu, alpha, T) for p, _ in cells):
+        raise ConstraintViolation("the cells of a tracking grid must share mu, alpha and T")
+    family = QuadraticFamily(
+        mu=mu, dim=dim,
+        hessian=None if mu_hessian is None else tuple(map(tuple, mu_hessian)),
+    )
+    H = family.matrix()
+    root = RandomStream(base_seed)
+    n_cells = len(cells)
+    # Seed-independent inputs of each cell. Random-walk cells have their drift
+    # size in `walk` and zero `still` rows; every other cell has walk 0.
+    wstar = np.zeros((n_cells, n_seeds, dim))
+    w = np.empty_like(wstar)
+    still = np.zeros((T, n_cells, 1, dim))
+    walk = np.zeros((n_cells, 1, 1))
+    scale = np.empty((n_cells, 1, 1))
+    bound_fns = []
+    for c, (p, drift) in enumerate(cells):
+        if drift.walks:
+            walk[c] = drift.delta
+        else:
+            still[:, c, 0] = drift.displacements(T, dim, root)
+        bound_fn, w[c], scale[c] = _cell_inputs(
+            family, p, drift.walks or bool(still[:, c].any()), wstar[c])
+        bound_fns.append(bound_fn)
+    walking = walk > 0.0
+
+    # Unit tapes laid out (T, n_seeds, dim), so step t reads contiguous rows.
+    noise = np.empty((T, n_seeds, dim)) if any(p.sigma > 0.0 for p, _ in cells) else None
+    steps = np.empty((T, n_seeds, dim)) if walking.any() else None
+    for k in range(n_seeds):
+        stream = root.child("mc", k)
+        if noise is not None:
+            noise[:, k] = _unit_tape(stream, _NOISE, T, dim)
+        if steps is not None:
+            steps[:, k] = _unit_tape(stream, _DRIFT, T, dim)
+
+    state = SnagState.initial(w, alpha, mu)
+    s = math.sqrt(mu * alpha)
+
+    def potentials(state: SnagState, wstar: np.ndarray) -> np.ndarray:
+        e = state.w - wstar
+        u = e + (s - 1.0) * (state.w_prev - wstar)
+        gap = 0.5 * np.sum((e @ H.T) * e, axis=-1)
+        return np.sum(u * u, axis=-1) / (2.0 * alpha) + gap
+
+    V = potentials(state, wstar)
+    bounds = np.empty((n_cells, T + 1))  # row c: cell c's bound at every t
+    for c, (fn, (p, _)) in enumerate(zip(bound_fns, cells)):
+        params = replace(p, V0=float(V[c, 0]))
+        bounds[c] = [fn(params, t) for t in range(T + 1)]
+    violated = V > bounds[:, :1]
+    for t in range(T):
+        eps = 0.0 if noise is None else _noise_rows(scale, noise[t])
+
+        def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
+            return (z - wstar) @ H.T + eps
+
+        state = snag_step(state, grad, root)
+        moves = still[t]
+        if steps is not None:
+            moves = np.where(walking, _walk_rows(walk, steps[t]), moves)
+        wstar = wstar + moves
+        violated |= potentials(state, wstar) > bounds[:, t + 1, None]
+    return [float(np.count_nonzero(v)) / n_seeds for v in violated]
+
+
 def mc_tracking_violation_rate(
     p: TrackingBoundParams,
     drift: DriftProcess,
@@ -278,44 +397,6 @@ def mc_tracking_violation_rate(
     base_seed: int = 0,
     mu_hessian: Sequence[Sequence[float]] | None = None,
 ) -> float:
-    """Fraction of independent runs where the potential ever exceeds its bound.
-
-    Seed k reproduces run_tracking_experiment with the default start on the
-    stream (base_seed, "mc", k); one SNAG state carries all seeds as rows of
-    (n_seeds, dim) arrays so large Monte-Carlo grids stay fast.
-    """
-    if n_seeds < 1:
-        raise ConstraintViolation("n_seeds must be >= 1")
-    family = QuadraticFamily(
-        mu=p.mu, dim=dim,
-        hessian=None if mu_hessian is None else tuple(map(tuple, mu_hessian)),
-    )
-    T = p.T
-    root = RandomStream(base_seed)
-    wstar = np.zeros((n_seeds, dim))
-    w = np.empty((n_seeds, dim))
-    noise = np.empty((n_seeds, T, dim))
-    moves = np.empty((n_seeds, T, dim))
-    for k in range(n_seeds):
-        bound_fn, w[k], noise[k], moves[k] = _run_inputs(
-            family, drift, p, root.child("mc", k), wstar[k])
-    H = family.matrix()
-    state = SnagState.initial(w, p.alpha, family.mu)
-    s = math.sqrt(family.mu * p.alpha)
-
-    def potentials(state: SnagState, wstar: np.ndarray) -> np.ndarray:
-        e = state.w - wstar
-        u = e + (s - 1.0) * (state.w_prev - wstar)
-        gap = 0.5 * np.sum((e @ H.T) * e, axis=1)
-        return np.sum(u * u, axis=1) / (2.0 * p.alpha) + gap
-
-    params = replace(p, V0=float(potentials(state, wstar)[0]))
-    violated = potentials(state, wstar) > bound_fn(params, 0)
-    for t in range(T):
-        def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
-            return (z - wstar) @ H.T + noise[:, t]
-
-        state = snag_step(state, grad, root)
-        wstar = wstar + moves[:, t]
-        violated |= potentials(state, wstar) > bound_fn(params, t + 1)
-    return float(np.count_nonzero(violated)) / n_seeds
+    """Fraction of independent runs where the potential ever exceeds its bound:
+    the one-cell mc_tracking_grid."""
+    return mc_tracking_grid([(p, drift)], n_seeds, dim, base_seed, mu_hessian)[0]

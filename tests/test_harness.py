@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,36 @@ class TestCommands:
         assert not (tmp_path / "out").exists()
 
 
+class TestInfoLog:
+    """ACCBO_LOG=info logs one line per finished unit and changes no output."""
+
+    def run(self, caplog, tmp_path, cmd, command, doc, n_seeds, level):
+        out = tmp_path / logging.getLevelName(level)
+        caplog.clear()
+        with caplog.at_level(level, logger="accbo"):
+            cmd(ExperimentConfig(command, doc, out, n_seeds=n_seeds))
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        return [r.getMessage() for r in caplog.records if r.name == "accbo"], files
+
+    @pytest.mark.parametrize("cmd, command, doc, n_seeds, units, text", [
+        (cmd_snag_track, "snag-track", SNAG_DOC, 2, 2, "violation rate"),
+        (cmd_accbo, "accbo", ACCBO_DOC, 2, 2, "running average grad norm"),
+        (cmd_sweep, "sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                              "schedule": ACCBO_DOC["schedule"]}, 2, 4,
+         "oracle calls to target"),
+    ], ids=["snag-track", "accbo", "sweep"])
+    def test_one_line_per_unit(self, caplog, tmp_path, cmd, command, doc, n_seeds,
+                               units, text):
+        info, files = self.run(caplog, tmp_path, cmd, command, doc, n_seeds,
+                               logging.INFO)
+        assert len(info) == units
+        assert all(text in msg for msg in info)
+        quiet, quiet_files = self.run(caplog, tmp_path, cmd, command, doc, n_seeds,
+                                      logging.WARNING)
+        assert quiet == []
+        assert files == quiet_files
+
+
 class TestCallsToTarget:
     def make_log(self, t, grad_norm, calls):
         return IterationLog(t=t, grad_norm_true=grad_norm, m_norm=0.0,
@@ -310,6 +341,23 @@ class TestCli:
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
                    "schedule": ACCBO_DOC["schedule"], "x0": [1.0, "b"]}, "sweep.x0"),
         ("bias", {"instance": ISO_DOC, "Q_grid": [0], "n_samples": 10}, "bias.Q_grid"),
+        ("accbo", dict(ACCBO_DOC, option="three"), "accbo.option"),
+        ("accbo", dict(ACCBO_DOC, option="three", algorithm="plain_momentum"),
+         "accbo.option"),
+        ("accbo", dict(ACCBO_DOC, instance={"kind": "fixture_ridge"}, x0=[0.0] * 8),
+         "accbo.option"),
+        ("sweep", {"instance": ISO_DOC, "option": "three", "epsilons": [0.2],
+                   "schedule": ACCBO_DOC["schedule"]}, "sweep.option"),
+        ("sweep", {"instance": {"kind": "fixture_ridge"}, "option": "one",
+                   "epsilons": [0.2], "schedule": ACCBO_DOC["schedule"]},
+         "sweep.option"),
+        ("snag-track", dict(SNAG_DOC, mu=-1), "snag-track.mu"),
+        ("snag-track", dict(SNAG_DOC, alpha=0), "snag-track.alpha"),
+        ("snag-track", dict(SNAG_DOC, delta_prob=1.5), "snag-track.delta_prob"),
+        ("snag-track", dict(SNAG_DOC, V0=-1), "snag-track.V0"),
+        ("snag-track", dict(SNAG_DOC, sigma=[0.1, -0.5]), "snag-track.sigma"),
+        ("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk", "delta": -0.1}),
+         "snag-track.drift.delta"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):
@@ -321,6 +369,15 @@ class TestCli:
         assert field in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_info_log_goes_to_stderr(self, tmp_path):
+        path = write_config(tmp_path, SNAG_DOC)
+        res = self.run_cli(["snag-track", "--config", str(path),
+                            "--out", str(tmp_path / "out"), "--seeds", "2"],
+                           env_extra={"ACCBO_LOG": "info"})
+        assert res.returncode in (0, 3)
+        assert res.stdout == ""
+        assert res.stderr.count("violation rate") == len(SNAG_DOC["sigma"])
 
     def test_main_callable_directly(self, tmp_path):
         path = write_config(tmp_path, dict(SNAG_DOC, sigma=[0.0]))

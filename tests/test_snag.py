@@ -13,6 +13,7 @@ from accbo.snag import (
     QuadraticFamily,
     SnagState,
     TrackingBoundParams,
+    mc_tracking_grid,
     mc_tracking_violation_rate,
     potential,
     run_tracking_experiment,
@@ -298,19 +299,79 @@ class TestTrackingExperiment:
         rate = mc_tracking_violation_rate(p, DriftProcess(), n_seeds=5)
         assert rate == 0.0
 
-    def test_batched_rate_matches_scalar_runs(self):
-        # Seed k of the batched kernel is the scalar run on stream
-        # (base_seed, "mc", k); this cell's rate lies strictly inside (0, 1).
-        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, delta_drift=0.0,
-                                T=300, delta_prob=0.05, V0=1.0)
-        drift = DriftProcess(kind="fixed_direction", delta=0.2,
-                             direction=(1.0, 0.0))
+
+def _grid_params(**kw):
+    base = dict(mu=1.0, alpha=0.04, sigma=0.5, delta_drift=0.0, T=300,
+                delta_prob=0.05, V0=1.0)
+    base.update(kw)
+    return TrackingBoundParams(**base)
+
+
+class TestMonteCarloGrid:
+    # Four cells with one shared mu, alpha and T; delta_drift = 0 throughout,
+    # so a moving minimizer is judged against a bound without a drift term.
+    CELLS = [
+        (_grid_params(), DriftProcess()),
+        (_grid_params(), DriftProcess(kind="fixed_direction", delta=0.2,
+                                      direction=(1.0, 0.0))),
+        (_grid_params(), DriftProcess(kind="random_walk", delta=0.4)),
+        (_grid_params(sigma=1.0), DriftProcess(kind="random_walk", delta=0.2)),
+    ]
+    RATES = [0.0, 0.025, 0.925, 0.0]
+
+    def test_rates_match_scalar_runs_and_one_cell_calls(self):
+        # Seed k of every cell is the scalar run on stream (base_seed, "mc", k).
         n_seeds = 40
-        rate = mc_tracking_violation_rate(p, drift, n_seeds, dim=2, base_seed=5)
-        exceeded = 0
-        for k in range(n_seeds):
-            logs = run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
-                                           RandomStream(5).child("mc", k))
-            exceeded += any(rec["V"] > rec["bound"] for rec in logs)
-        assert 0.0 < rate < 1.0
-        assert rate == exceeded / n_seeds
+        rates = mc_tracking_grid(self.CELLS, n_seeds, dim=2, base_seed=5)
+        assert rates == self.RATES
+        for (p, drift), rate in zip(self.CELLS, rates):
+            exceeded = 0
+            for k in range(n_seeds):
+                logs = run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+                                               RandomStream(5).child("mc", k))
+                exceeded += any(rec["V"] > rec["bound"] for rec in logs)
+            assert rate == exceeded / n_seeds
+            assert rate == mc_tracking_violation_rate(p, drift, n_seeds, dim=2,
+                                                      base_seed=5)
+
+    def test_each_cell_keeps_its_own_inputs(self):
+        # Reordered, and with cells that differ from cell 1 in V0 or delta_prob
+        # alone, every cell still reads what its one-cell call reads.
+        drift = self.CELLS[1][1]
+        cells = self.CELLS[::-1] + [(_grid_params(V0=0.0), drift),
+                                    (_grid_params(delta_prob=0.2), drift)]
+        rates = mc_tracking_grid(cells, 40, dim=2, base_seed=5)
+        assert rates == self.RATES[::-1] + [0.075, 1.0]
+        assert rates == [mc_tracking_violation_rate(p, drift, 40, dim=2, base_seed=5)
+                         for p, drift in cells]
+
+    def test_each_unit_tape_drawn_once_per_seed(self, monkeypatch):
+        generator = RandomStream.generator
+        drawn = []
+
+        def counted(stream):
+            drawn.append(stream.path)
+            return generator(stream)
+
+        monkeypatch.setattr(RandomStream, "generator", counted)
+        mc_tracking_grid(self.CELLS, 3, dim=2, base_seed=5)
+        assert sorted(drawn) == sorted(
+            (("mc", k), (label, 0)) for k in range(3) for label in ("noise", "drift"))
+        # A block no cell needs is not drawn.
+        drawn.clear()
+        mc_tracking_grid([(_grid_params(sigma=0.0), DriftProcess(
+            kind="fixed_direction", delta=0.2, direction=(0.0, 1.0)))], 3)
+        assert drawn == []
+
+    @pytest.mark.parametrize("other", [
+        _grid_params(mu=2.0), _grid_params(alpha=0.05), _grid_params(T=200)])
+    def test_cells_must_share_mu_alpha_and_T(self, other):
+        with pytest.raises(ConstraintViolation):
+            mc_tracking_grid([self.CELLS[0], (other, DriftProcess())], 2)
+
+    def test_drifting_cell_refused_on_anisotropic_hessian(self):
+        hessian = ((2.0, 0.0), (0.0, 1.0))
+        # Without drift the anisotropic grid runs; one drifting cell refuses it.
+        assert mc_tracking_grid([self.CELLS[0]], 2, mu_hessian=hessian) == [0.0]
+        with pytest.raises(ConstraintViolation):
+            mc_tracking_grid(self.CELLS[:2], 2, mu_hessian=hessian)
