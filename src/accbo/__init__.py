@@ -7,11 +7,9 @@ instances and verification harnesses for the theoretical guarantees.
 
 from .constants import (
     ConstraintViolation,
-    DerivedConstants,
     ProblemConstants,
     Schedule,
     averaging_theta,
-    derive_constants,
     derive_schedule,
     derive_sigma_bar,
     derive_smoothness_constants,

@@ -16,14 +16,13 @@ from typing import Any
 __all__ = [
     "ConstraintViolation",
     "ProblemConstants",
-    "DerivedConstants",
     "Schedule",
+    "PRACTICAL_OVERRIDES",
     "nesterov_momentum",
     "derive_smoothness_constants",
     "derive_sigma_bar",
     "derive_bias_lipschitz",
     "derive_estimator_lipschitz",
-    "derive_constants",
     "derive_schedule",
     "averaging_theta",
     "epsilon_ceiling",
@@ -126,31 +125,6 @@ def derive_estimator_lipschitz(
     return Lbar0, Lbar1
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """All closed-form constants derived from one ProblemConstants bundle."""
-
-    L0: float
-    L1: float
-    Lbar: float
-    sigma_bar: float
-    Lbar0: float
-    Lbar1: float
-
-
-def derive_constants(c: ProblemConstants, Q: int = 1, r: float = 0.0) -> DerivedConstants:
-    L0, L1 = derive_smoothness_constants(c)
-    Lbar0, Lbar1 = derive_estimator_lipschitz(c, Q, r)
-    return DerivedConstants(
-        L0=L0,
-        L1=L1,
-        Lbar=derive_bias_lipschitz(c),
-        sigma_bar=derive_sigma_bar(c),
-        Lbar0=Lbar0,
-        Lbar1=Lbar1,
-    )
-
-
 def nesterov_momentum(mu: float, alpha: float) -> float:
     """Momentum gamma = (1 - sqrt(mu*alpha)) / (1 + sqrt(mu*alpha))."""
     if mu <= 0.0 or alpha <= 0.0:
@@ -192,7 +166,8 @@ class Schedule:
             raise ConstraintViolation(f"tau must be in (0, 1], got {self.tau!r}")
         if not (0.0 <= self.beta < 1.0):
             raise ConstraintViolation(f"beta must be in [0, 1), got {self.beta!r}")
-        if self.eta <= 0.0 or self.alpha <= 0.0 or self.alpha_init <= 0.0:
+        # Written as "not x > 0" so that a NaN is refused too.
+        if not (self.eta > 0.0 and self.alpha > 0.0 and self.alpha_init > 0.0):
             raise ConstraintViolation("eta, alpha and alpha_init must be positive")
         for name in ("T", "T0", "I", "N", "S", "Q"):
             if getattr(self, name) < 1:
@@ -331,6 +306,16 @@ def _theorem_schedule(
     )
 
 
+# The practical-mode overrides by name, with the kind of value each takes:
+# "count" (a whole number), "positive" (a number > 0) or "real".
+PRACTICAL_OVERRIDES: dict[str, str] = {
+    "alpha": "positive", "alpha_init": "positive", "eta": "positive",
+    "beta": "real", "tau": "real", "sigma_g1_tilde": "real", "sigma_g1": "real",
+    "T": "count", "T0": "count", "I": "count", "N": "count", "S": "count",
+    "Q": "count",
+}
+
+
 def _practical_schedule(
     c: ProblemConstants,
     epsilon: float,
@@ -338,12 +323,21 @@ def _practical_schedule(
     d0: float,
     overrides: dict[str, Any],
 ) -> Schedule:
+    unknown = sorted(set(overrides) - set(PRACTICAL_OVERRIDES))
+    if unknown:
+        raise ConstraintViolation(f"unknown schedule overrides: {unknown}")
+    for name, value in overrides.items():
+        kind = PRACTICAL_OVERRIDES[name]
+        if kind == "count" and not (isinstance(value, int) or float(value).is_integer()):
+            raise ConstraintViolation(
+                f"override {name} must be a whole number, got {value!r}")
+        # Written as "not x > 0" so that a NaN is refused too.
+        if kind == "positive" and not float(value) > 0.0:
+            raise ConstraintViolation(f"override {name} must be positive, got {value!r}")
     ov = dict(overrides)
     if "alpha" not in ov:
         raise ConstraintViolation("practical mode requires an explicit alpha")
     alpha = float(ov.pop("alpha"))
-    if alpha <= 0.0:
-        raise ConstraintViolation(f"alpha must be positive, got {alpha!r}")
     beta = float(ov.pop("beta", 1.0 - c.mu * alpha))
     eta = float(ov.pop("eta", alpha))
     tau = float(ov.pop("tau", math.sqrt(c.mu * alpha)))
@@ -356,8 +350,6 @@ def _practical_schedule(
     S = int(ov.pop("S", 1))
     Q = int(ov.pop("Q", 1))
     alpha_init = float(ov.pop("alpha_init", alpha))
-    if ov:
-        raise ConstraintViolation(f"unknown schedule overrides: {sorted(ov)}")
     return Schedule(
         alpha=alpha,
         alpha_init=alpha_init,

@@ -1,4 +1,4 @@
-"""Experiment orchestration: config loading, result serialization, commands.
+"""Experiment orchestration: config checking, result serialization, commands.
 
 Every command is a pure function of (config, seeds, output directory): the
 same inputs produce byte-identical output files. Numbers are written with 17
@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, hypergrad, optimizer, problems, snag
-from .constants import derive_schedule
+from .constants import PRACTICAL_OVERRIDES, derive_schedule
 from .rng import RandomStream
 
 __all__ = [
@@ -35,7 +36,12 @@ log = logging.getLogger("accbo")
 
 
 class ConfigError(ValueError):
-    """A configuration document is malformed; the message names the field."""
+    """A configuration document is malformed.
+
+    The message starts with the path of the field at fault, as in
+    ``accbo.schedule.delta: must be a number in (0, 1), got 1.5`` or
+    ``sweep.algorithms[1]: must be one of 'accbo', 'plain_momentum', got 'acbo'``.
+    """
 
 
 @dataclass(frozen=True)
@@ -53,38 +59,85 @@ class ExperimentConfig:
             raise ConfigError("seeds: must be >= 1")
 
 
-def _check_fields(doc: dict, required: set[str], optional: set[str], ctx: str) -> None:
-    for name in required:
-        if name not in doc:
-            raise ConfigError(f"{ctx}: missing required field '{name}'")
+# ---------------------------------------------------------------------------
+# Config schema: each command's fields live in one table (SNAG_TRACK, BIAS,
+# ACCBO and SWEEP below) mapping a name to (check, default). A check takes
+# (value, path), raises ConfigError naming the path, and returns the value
+# to use.
+
+REQUIRED = object()  # no default: the field must be given
+OPTIONAL = object()  # no default: an absent field stays absent
+
+
+def parse(doc, schema: dict, ctx: str) -> dict:
+    """Check doc against schema; return it with every default filled in."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{ctx}: must be an object, got {doc!r}")
     for name in doc:
-        if name not in required and name not in optional:
+        if name not in schema:
             raise ConfigError(f"{ctx}: unknown field '{name}'")
+    out = {}
+    for name, (check, default) in schema.items():
+        if name in doc:
+            out[name] = check(doc[name], f"{ctx}.{name}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{ctx}: missing required field '{name}'")
+        elif default is not OPTIONAL:
+            # A default goes through its check as well, so that it takes the
+            # checked form (a bare sigma becomes a list, an object gets its
+            # own defaults); None means "not given" and is kept as is.
+            out[name] = None if default is None else check(default, f"{ctx}.{name}")
+    return out
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    return (isinstance(value, int if integer else (int, float))
-            and not isinstance(value, bool))
+def _check(what: str, ok):
+    def check(value, ctx: str):
+        if not ok(value):
+            raise ConfigError(f"{ctx}: must be {what}, got {value!r}")
+        return value
+    return check
 
 
-def _is_int(value, low: int = 1) -> bool:
-    return _is_number(value, integer=True) and value >= low
+def _real(value) -> bool:
+    # The comparison is exact for ints, so it refuses NaN, the infinities
+    # and integers too large for a double, without converting any of them.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _point(value, dim: int, ctx: str) -> np.ndarray:
-    """A list of dim numbers, as a float array."""
-    if not (isinstance(value, list) and len(value) == dim
-            and all(_is_number(v) for v in value)):
-        raise ConfigError(f"{ctx}: must be a list of {dim} numbers")
-    return np.asarray(value, dtype=float)
+def _integer(low: int):
+    """A JSON integer >= low (never a bool or a float)."""
+    return _check(f"an integer >= {low}", lambda v: isinstance(v, int)
+                  and not isinstance(v, bool) and v >= low)
 
 
-def _numbers(value, ctx: str) -> list:
-    """A number or a list of numbers, as a list."""
-    values = value if isinstance(value, list) else [value]
-    if not all(_is_number(v) for v in values):
-        raise ConfigError(f"{ctx}: must be a number or a list of numbers")
-    return values
+finite = _check("a finite number", _real)
+positive = _check("a positive number", lambda v: _real(v) and v > 0)
+nonnegative = _check("a number >= 0", lambda v: _real(v) and v >= 0)
+fraction = _check("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1)
+count = _integer(1)
+flag = _check("true or false", lambda v: isinstance(v, bool))
+
+
+def one_of(*names: str):
+    return _check("one of " + ", ".join(map(repr, names)),
+                  lambda v: isinstance(v, str) and v in names)
+
+
+def list_of(item, bare: bool = False):
+    """A non-empty list whose entries pass item; with bare, one entry alone too."""
+    def check(value, ctx: str):
+        if bare and not isinstance(value, list):
+            return [item(value, ctx)]
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"{ctx}: must be a non-empty list, got {value!r}")
+        return [item(v, f"{ctx}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+def table(schema: dict):
+    """An object whose fields are checked against schema."""
+    return lambda value, ctx: parse(value, schema, ctx)
 
 
 def load_config(path: str | Path) -> dict:
@@ -147,33 +200,89 @@ def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
             return problems.instance_from_dict(spec)
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
-    raise ConfigError(f"{ctx}: instance must be a path or an inline object")
+    raise ConfigError(f"{ctx}: must be a path or an inline object, got {spec!r}")
 
 
-def _schedule_from_config(doc, inst, ctx: str, **fixed):
-    """Derive the schedule of a config's schedule object; keywords set fields over it."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{ctx}: must be an object")
-    doc = dict(doc, **fixed)
-    _check_fields(
-        doc,
-        required={"mode", "epsilon", "delta", "d0"},
-        optional={"sigma_g1_tilde", "y0_gap", "overrides"},
-        ctx=ctx,
-    )
-    for name in ("epsilon", "delta", "d0", "sigma_g1_tilde", "y0_gap"):
-        if name in doc and not _is_number(doc[name]):
-            raise ConfigError(f"{ctx}.{name}: must be a number")
-    return derive_schedule(
-        inst.constants,
-        epsilon=doc["epsilon"],
-        delta=doc["delta"],
-        d0=doc["d0"],
-        mode=doc["mode"],
-        sigma_g1_tilde=doc.get("sigma_g1_tilde", 1.0),
-        y0_gap=doc.get("y0_gap", 1.0),
-        overrides=doc.get("overrides"),
-    )
+def _point(value, inst: problems.BilevelInstance, ctx: str):
+    """A checked list of numbers as a float array of inst.dim_x entries."""
+    if value is None:
+        return None
+    if len(value) != inst.dim_x:
+        raise ConfigError(f"{ctx}: must be a list of {inst.dim_x} numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
+def _check_option(option: str, inst, algorithms: list[str], ctx: str) -> None:
+    """Refuse option one where run_accbo would, before any output is written."""
+    if (option == "one" and "accbo" in algorithms
+            and inst.kind not in optimizer.OPTION_ONE_KINDS):
+        raise ConfigError(f"{ctx}: option one requires an isotropic quadratic "
+                          f"lower level, not {inst.kind!r}")
+
+
+# Runners by algorithm name, each called as (inst, schedule, option, stream,
+# x0). The library functions are looked up on their modules at call time.
+_RUNNERS = {
+    "accbo": lambda inst, schedule, option, stream, x0:
+        optimizer.run_accbo(inst, schedule, option, stream, x0=x0),
+    "plain_momentum": lambda inst, schedule, option, stream, x0:
+        baselines.run_plain_momentum_bilevel(inst, schedule, stream, x0=x0),
+}
+
+# The schedule object of accbo and sweep, without its epsilon; its fields are
+# the keyword arguments of derive_schedule.
+_SCHEDULE = {
+    "mode": (one_of("theorem", "practical"), REQUIRED),
+    "delta": (fraction, REQUIRED),
+    "d0": (positive, REQUIRED),
+    "sigma_g1_tilde": (positive, 1.0),
+    "y0_gap": (positive, 1.0),
+    "overrides": (table({
+        name: ({"count": count, "positive": positive, "real": finite}[kind], OPTIONAL)
+        for name, kind in PRACTICAL_OVERRIDES.items()
+    }), {}),
+}
+
+SNAG_TRACK = {
+    "mu": (positive, REQUIRED),
+    "alpha": (positive, REQUIRED),
+    "T": (count, REQUIRED),
+    "delta_prob": (fraction, REQUIRED),
+    "V0": (nonnegative, REQUIRED),
+    "dim": (count, REQUIRED),
+    "sigma": (list_of(nonnegative, bare=True), 0.0),
+    "drift": (table({
+        "kind": (one_of("none", "fixed_direction", "random_walk"), "none"),
+        "delta": (list_of(nonnegative, bare=True), 0.0),
+    }), {}),
+    "write_trajectories": (flag, True),
+}
+
+BIAS = {
+    "instance": (_load_instance, REQUIRED),
+    "Q_grid": (list_of(count), REQUIRED),
+    "n_samples": (_integer(2), REQUIRED),
+    "S": (count, 1),
+    "x": (list_of(finite), None),
+}
+
+ACCBO = {
+    "instance": (_load_instance, REQUIRED),
+    "schedule": (table({**_SCHEDULE, "epsilon": (positive, REQUIRED)}), REQUIRED),
+    "option": (one_of("one", "two"), REQUIRED),
+    "x0": (list_of(finite), None),
+    "algorithm": (one_of(*_RUNNERS), "accbo"),
+}
+
+SWEEP = {
+    "instance": (_load_instance, REQUIRED),
+    "epsilons": (list_of(positive), REQUIRED),
+    # Each run takes its epsilon from epsilons; one given here is not used.
+    "schedule": (table({**_SCHEDULE, "epsilon": (finite, None)}), REQUIRED),
+    "option": (one_of("one", "two"), REQUIRED),
+    "x0": (list_of(finite), None),
+    "algorithms": (list_of(one_of(*_RUNNERS)), ["accbo", "plain_momentum"]),
+}
 
 
 TRAJECTORY_COLUMNS = ["t", "V", "bound", "dist", "phi_gap"]
@@ -206,44 +315,8 @@ def _run_log_records(logs: list[optimizer.IterationLog]) -> list[dict]:
 
 
 def cmd_snag_track(config: ExperimentConfig) -> int:
-    doc = config.params
-    _check_fields(
-        doc,
-        required={"mu", "alpha", "T", "delta_prob", "V0", "dim"},
-        optional={"sigma", "drift", "write_trajectories"},
-        ctx="snag-track",
-    )
-    for name in ("mu", "alpha", "delta_prob", "V0"):
-        if not _is_number(doc[name]):
-            raise ConfigError(f"snag-track.{name}: must be a number")
-    for name in ("T", "dim"):
-        if not _is_int(doc[name]):
-            raise ConfigError(f"snag-track.{name}: must be a positive integer")
-    if not isinstance(doc.get("write_trajectories", True), bool):
-        raise ConfigError("snag-track.write_trajectories: must be true or false")
-    sigmas = _numbers(doc.get("sigma", 0.0), "snag-track.sigma")
-    drift_doc = doc.get("drift", {})
-    if not isinstance(drift_doc, dict):
-        raise ConfigError("snag-track.drift: must be an object")
-    _check_fields(drift_doc, required=set(), optional={"kind", "delta"},
-                  ctx="snag-track.drift")
-    deltas = _numbers(drift_doc.get("delta", 0.0), "snag-track.drift.delta")
-    kind = drift_doc.get("kind", "none")
-    if kind not in ("none", "fixed_direction", "random_walk"):
-        raise ConfigError(
-            "snag-track.drift.kind: must be none, fixed_direction or random_walk")
-    # Written as "not (x > 0)" so that a NaN is refused too.
-    for name in ("mu", "alpha"):
-        if not doc[name] > 0:
-            raise ConfigError(f"snag-track.{name}: must be positive")
-    if not 0 < doc["delta_prob"] < 1:
-        raise ConfigError("snag-track.delta_prob: must be in (0, 1)")
-    for name, values in (("V0", [doc["V0"]]), ("sigma", sigmas),
-                         ("drift.delta", deltas)):
-        if not all(v >= 0 for v in values):
-            raise ConfigError(f"snag-track.{name}: must be >= 0")
-
-    dim = doc["dim"]
+    doc = parse(config.params, SNAG_TRACK, "snag-track")
+    dim, kind = doc["dim"], doc["drift"]["kind"]
     cells = [(
         snag.TrackingBoundParams(
             mu=doc["mu"], alpha=doc["alpha"], sigma=sigma, delta_drift=delta,
@@ -254,7 +327,7 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
             direction=(1.0,) + (0.0,) * (dim - 1)
             if kind == "fixed_direction" else None,
         ),
-    ) for sigma in sigmas for delta in deltas]
+    ) for sigma in doc["sigma"] for delta in doc["drift"]["delta"]]
     rates = snag.mc_tracking_grid(cells, config.n_seeds, dim=dim,
                                   base_seed=config.base_seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,7 +335,7 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
     results = []
     for (p, drift), rate in zip(cells, rates):
         sigma, delta = p.sigma, p.delta_drift
-        if doc.get("write_trajectories", True):
+        if doc["write_trajectories"]:
             family = snag.QuadraticFamily(mu=doc["mu"], dim=dim)
             logs = snag.run_tracking_experiment(
                 family, drift, p, RandomStream(config.base_seed).child("mc", 0)
@@ -291,23 +364,11 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
 
 
 def cmd_bias(config: ExperimentConfig) -> int:
-    doc = config.params
-    _check_fields(
-        doc,
-        required={"instance", "Q_grid", "n_samples"},
-        optional={"S", "x"},
-        ctx="bias",
-    )
-    if not (isinstance(doc["Q_grid"], list)
-            and all(_is_int(Q) for Q in doc["Q_grid"])):
-        raise ConfigError("bias.Q_grid: must be a list of positive integers")
-    if not _is_int(doc.get("S", 1)):
-        raise ConfigError("bias.S: must be a positive integer")
-    if not _is_int(doc["n_samples"], low=2):
-        raise ConfigError("bias.n_samples: must be an integer >= 2")
-    inst = _load_instance(doc["instance"], "bias.instance")
-    x = _point(doc["x"], inst.dim_x, "bias.x") if "x" in doc else np.zeros(inst.dim_x)
-    S = doc.get("S", 1)
+    doc = parse(config.params, BIAS, "bias")
+    inst, S = doc["instance"], doc["S"]
+    x = _point(doc["x"], inst, "bias.x")
+    if x is None:
+        x = np.zeros(inst.dim_x)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
@@ -347,46 +408,13 @@ def _summarize_run(logs: list[optimizer.IterationLog]) -> dict:
     }
 
 
-# Runners by algorithm name, each called as (inst, schedule, option, stream,
-# x0). The library functions are looked up on their modules at call time.
-_RUNNERS = {
-    "accbo": lambda inst, schedule, option, stream, x0:
-        optimizer.run_accbo(inst, schedule, option, stream, x0=x0),
-    "plain_momentum": lambda inst, schedule, option, stream, x0:
-        baselines.run_plain_momentum_bilevel(inst, schedule, stream, x0=x0),
-}
-
-
-def _runner(algorithm, ctx: str):
-    if not isinstance(algorithm, str) or algorithm not in _RUNNERS:
-        raise ConfigError(f"{ctx}: unknown algorithm {algorithm!r}")
-    return _RUNNERS[algorithm]
-
-
-def _check_option(option, inst, algorithms: list[str], ctx: str) -> None:
-    """Refuse what run_accbo would refuse, before any output is written."""
-    if option not in ("one", "two"):
-        raise ConfigError(f"{ctx}: must be 'one' or 'two', got {option!r}")
-    if (option == "one" and "accbo" in algorithms
-            and inst.kind not in optimizer.OPTION_ONE_KINDS):
-        raise ConfigError(f"{ctx}: option one requires an isotropic quadratic "
-                          f"lower level, not {inst.kind!r}")
-
-
 def cmd_accbo(config: ExperimentConfig) -> int:
-    doc = config.params
-    _check_fields(
-        doc,
-        required={"instance", "schedule", "option"},
-        optional={"x0", "algorithm"},
-        ctx="accbo",
-    )
-    inst = _load_instance(doc["instance"], "accbo.instance")
-    schedule = _schedule_from_config(doc["schedule"], inst, "accbo.schedule")
-    x0 = _point(doc["x0"], inst.dim_x, "accbo.x0") if "x0" in doc else None
-    algorithm = doc.get("algorithm", "accbo")
-    run = _runner(algorithm, "accbo.algorithm")
+    doc = parse(config.params, ACCBO, "accbo")
+    inst, algorithm = doc["instance"], doc["algorithm"]
+    schedule = derive_schedule(inst.constants, **doc["schedule"])
+    x0 = _point(doc["x0"], inst, "accbo.x0")
     _check_option(doc["option"], inst, [algorithm], "accbo.option")
+    run = _RUNNERS[algorithm]
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     per_seed = []
@@ -428,25 +456,13 @@ def calls_to_target(logs: list[optimizer.IterationLog], target: float) -> float:
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
-    doc = config.params
-    _check_fields(
-        doc,
-        required={"instance", "epsilons", "option", "schedule"},
-        optional={"x0", "algorithms"},
-        ctx="sweep",
-    )
-    if not (isinstance(doc["epsilons"], list) and doc["epsilons"]):
-        raise ConfigError("sweep.epsilons: must be a non-empty list of numbers")
-    epsilons = _numbers(doc["epsilons"], "sweep.epsilons")
-    inst = _load_instance(doc["instance"], "sweep.instance")
-    x0 = _point(doc["x0"], inst.dim_x, "sweep.x0") if "x0" in doc else None
-    algorithms = doc.get("algorithms", ["accbo", "plain_momentum"])
-    if not isinstance(algorithms, list):
-        raise ConfigError("sweep.algorithms: must be a list of algorithm names")
-    runners = [_runner(a, "sweep.algorithms") for a in algorithms]
+    doc = parse(config.params, SWEEP, "sweep")
+    inst, epsilons, algorithms = doc["instance"], doc["epsilons"], doc["algorithms"]
+    x0 = _point(doc["x0"], inst, "sweep.x0")
     _check_option(doc["option"], inst, algorithms, "sweep.option")
-    schedules = [_schedule_from_config(doc["schedule"], inst, "sweep.schedule",
-                                       epsilon=eps) for eps in epsilons]
+    runners = [_RUNNERS[a] for a in algorithms]
+    schedules = [derive_schedule(inst.constants, **dict(doc["schedule"], epsilon=eps))
+                 for eps in epsilons]
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     table = []

@@ -72,13 +72,3 @@ class RandomStream:
     def integers(self, low: int, high: int) -> int:
         """One integer uniform on {low, ..., high-1}."""
         return int(self.generator().integers(low, high))
-
-    def unit_vector(self, dim: int) -> np.ndarray:
-        """Uniform direction on the unit sphere."""
-        v = self.generator().normal(0.0, 1.0, size=dim)
-        n = np.linalg.norm(v)
-        if n == 0.0:  # probability zero, but keep the contract total
-            v = np.zeros(dim)
-            v[0] = 1.0
-            return v
-        return v / n

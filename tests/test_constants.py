@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -138,6 +139,23 @@ class TestSchedule:
         with pytest.raises(ConstraintViolation):
             derive_schedule(c, 0.05, 0.05, 1.0, mode="practical",
                             overrides={"alpha": 0.25, "bogus": 1})
+
+    @pytest.mark.parametrize("name", ["alpha", "alpha_init", "eta"])
+    def test_nan_step_size_refused(self, name):
+        c = ProblemConstants(mu=1.0, l_g1=1.0, Lx0=1.0)
+        s = derive_schedule(c, 0.05, 0.05, 1.0, mode="practical",
+                            overrides={"alpha": 0.04, "T": 10})
+        with pytest.raises(ConstraintViolation):
+            dataclasses.replace(s, **{name: math.nan})
+
+    @pytest.mark.parametrize("name, value", [
+        ("alpha_init", math.nan), ("T", 2.5), ("Q", 1.9), ("eta", 0),
+    ])
+    def test_practical_mode_refuses_bad_override(self, name, value):
+        c = ProblemConstants(mu=1.0, l_g1=1.0, Lx0=1.0)
+        with pytest.raises(ConstraintViolation, match=f"override {name} "):
+            derive_schedule(c, 0.05, 0.05, 1.0, mode="practical",
+                            overrides={"alpha": 0.04, "T": 10, name: value})
 
     def test_theorem_mode_alpha_beta_identity(self):
         c = ProblemConstants(mu=1.0, l_g1=2.0, l_f0=1.0, Lx0=1.0, Ly0=1.0,

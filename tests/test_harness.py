@@ -1,11 +1,16 @@
+import copy
 import json
 import logging
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accbo.harness import (
     ConfigError,
@@ -53,6 +58,13 @@ ACCBO_DOC = {
     },
     "x0": [1.0, 1.0],
 }
+
+
+def with_overrides(**overrides):
+    """ACCBO_DOC with its schedule overrides updated."""
+    schedule = ACCBO_DOC["schedule"]
+    return dict(ACCBO_DOC, schedule=dict(
+        schedule, overrides=dict(schedule["overrides"], **overrides)))
 
 
 class TestConfigLoading:
@@ -358,6 +370,25 @@ class TestCli:
         ("snag-track", dict(SNAG_DOC, sigma=[0.1, -0.5]), "snag-track.sigma"),
         ("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk", "delta": -0.1}),
          "snag-track.drift.delta"),
+        ("accbo", with_overrides(alpha="abc"), "accbo.schedule.overrides.alpha"),
+        ("accbo", dict(ACCBO_DOC, schedule=dict(ACCBO_DOC["schedule"], overrides=[1])),
+         "accbo.schedule.overrides"),
+        ("accbo", with_overrides(T="30"), "accbo.schedule.overrides.T"),
+        ("accbo", with_overrides(T=2.5), "accbo.schedule.overrides.T"),
+        ("accbo", dict(ACCBO_DOC, schedule=dict(ACCBO_DOC["schedule"], mode="fast")),
+         "accbo.schedule.mode"),
+        ("accbo", dict(ACCBO_DOC, schedule=dict(ACCBO_DOC["schedule"], delta=1.5)),
+         "accbo.schedule.delta"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [-0.2],
+                   "schedule": ACCBO_DOC["schedule"]}, "sweep.epsilons"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                   "schedule": ACCBO_DOC["schedule"], "algorithms": []},
+         "sweep.algorithms"),
+        ("bias", {"instance": ISO_DOC, "Q_grid": [], "n_samples": 10}, "bias.Q_grid"),
+        ("snag-track", dict(SNAG_DOC, sigma=[]), "snag-track.sigma"),
+        ("accbo", dict(ACCBO_DOC, x0=[1.0, float("nan")]), "accbo.x0"),
+        ("snag-track", dict(SNAG_DOC, mu=float("inf")), "snag-track.mu"),
+        ("accbo", with_overrides(eta=0), "accbo.schedule.overrides.eta"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):
@@ -399,3 +430,60 @@ class TestInstanceFixtureLoading:
         for inst in analytic_instances():
             text = instance_to_json(inst)
             assert json.loads(text)["kind"] == inst.kind
+
+
+# The fuzz test's base documents, one per command, each running in well
+# under a second.
+FUZZ_DOCS = {
+    "snag-track": dict(SNAG_DOC, drift={"kind": "random_walk", "delta": 0.01}),
+    "bias": {"instance": ISO_DOC, "Q_grid": [1, 2], "n_samples": 20},
+    "accbo": ACCBO_DOC,
+    "sweep": {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+              "schedule": ACCBO_DOC["schedule"]},
+}
+# Replacement values; no large numbers, so that no run outgrows its base doc.
+FUZZ_VALUES = [None, True, "x", [], {}, [1, "a"], -1, 0, 1.5, math.nan, math.inf]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A base doc with one field deleted, added or replaced, at the top level
+    or in its schedule, overrides or drift object."""
+    command = draw(st.sampled_from(sorted(FUZZ_DOCS)))
+    doc = copy.deepcopy(FUZZ_DOCS[command])
+    schedule = doc.get("schedule", {})
+    objects = [("top", doc), ("schedule", schedule),
+               ("overrides", schedule.get("overrides")), ("drift", doc.get("drift"))]
+    where, target = draw(st.sampled_from([o for o in objects if o[1]]))
+    # Deleting an override would fall back to a derived count (T = 8000 for
+    # ACCBO_DOC), so overrides are only added or replaced.
+    kinds = ["add", "replace"] + (["delete"] if where != "overrides" else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "add":
+        target["unknown"] = draw(st.sampled_from(FUZZ_VALUES))
+    else:
+        name = draw(st.sampled_from(sorted(target)))
+        if kind == "delete":
+            del target[name]
+        else:
+            target[name] = draw(st.sampled_from(FUZZ_VALUES))
+    return command, doc
+
+
+# The four docs admit 559 distinct mutations; Hypothesis stops once it has
+# tried them all, so this bound makes the search exhaustive.
+@settings(max_examples=1000, deadline=None)
+@given(mutated_configs())
+def test_fuzzed_config_exits_cleanly(case):
+    """Any one-field mutation of a valid config ends in a documented exit code,
+    never a traceback, and a config error leaves no output directory."""
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), doc)
+        out = Path(tmp) / "out"
+        rc = cli.main([command, "--config", str(path), "--out", str(out),
+                       "--seeds", "2"])
+        assert rc in (0, 2, 3, 4)
+        if rc == 2:
+            assert not out.exists()
+

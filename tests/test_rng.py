@@ -69,16 +69,6 @@ class TestDrawHelpers:
         assert np.std(draws) == pytest.approx(0.5, rel=0.02)
         assert np.mean(draws) == pytest.approx(0.0, abs=0.01)
 
-    def test_unit_vector_norm(self):
-        for k in range(50):
-            v = RandomStream(9).child("u", k).unit_vector(6)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unit_vector_direction_varies(self):
-        a = RandomStream(9).child("u", 0).unit_vector(3)
-        b = RandomStream(9).child("u", 1).unit_vector(3)
-        assert not np.allclose(a, b)
-
 
 class TestValueSemantics:
     def test_equality_and_hash(self):
