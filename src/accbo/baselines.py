@@ -54,11 +54,9 @@ def run_plain_momentum_bilevel(
 
     x = np.zeros(inst.dim_x) if x0 is None else np.asarray(x0, dtype=float)
     y = np.zeros(inst.dim_y)
-    for t in range(s.T0):
+    for st in stream.child("init").children("warm", s.T0):
         y = sgd_tracking_step(
-            y, lambda w, st: oracles.stoch_grad_y_g(x, w, st),
-            s.alpha_init, stream.child("init").child("warm", t),
-        )
+            y, lambda w, sw: oracles.stoch_grad_y_g(x, w, sw), s.alpha_init, st)
 
     def lower(x, y, t, st):
         return sgd_tracking_step(

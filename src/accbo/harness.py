@@ -187,20 +187,54 @@ def write_json(obj, path: str | Path) -> None:
         fh.write("\n")
 
 
+# An instance is a path to a JSON file or an inline object: either the
+# fixture (FIXTURE_RIDGE) or an instance document (INSTANCE). Array params go
+# to the constructors as given; the scalar ones are checked by name.
+_NOISE = {name: (nonnegative, OPTIONAL) for name in ("sigma_f1", "sigma_g1", "sigma_g2")}
+_SCALAR_PARAMS = {"mu": positive, "c_reg": positive, "l_f0": nonnegative,
+                  "w_radius": positive}
+
+
+def _params(value, ctx: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{ctx}: must be an object, got {value!r}")
+    return {name: _SCALAR_PARAMS[name](v, f"{ctx}.{name}") if name in _SCALAR_PARAMS
+            else v for name, v in value.items()}
+
+
+FIXTURE_RIDGE = {
+    "kind": (one_of("fixture_ridge"), REQUIRED),
+    "seed": (_integer(0), OPTIONAL),
+    "c_reg": (positive, OPTIONAL),
+    **_NOISE,
+}
+
+INSTANCE = {
+    "kind": (one_of(*problems.INSTANCE_KINDS), REQUIRED),
+    "params": (_params, REQUIRED),
+    "noise": (table(_NOISE), OPTIONAL),
+}
+
+
 def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
-    # A missing file, an unknown keyword (TypeError) and a rejected value
-    # (ConstraintViolation is a ValueError) are all config errors.
+    if isinstance(spec, str):
+        try:
+            spec = json.loads(Path(spec).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{ctx}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{ctx}: must be a path or an inline object, got {spec!r}")
+    fixture = spec.get("kind") == "fixture_ridge"
+    doc = parse(spec, FIXTURE_RIDGE if fixture else INSTANCE, ctx)
+    # An unknown params keyword (TypeError) or a rejected array (a
+    # ConstraintViolation is a ValueError) is a config error too.
     try:
-        if isinstance(spec, str):
-            return problems.instance_from_json(Path(spec).read_text(encoding="utf-8"))
-        if isinstance(spec, dict):
-            if spec.get("kind") == "fixture_ridge":
-                kwargs = {k: v for k, v in spec.items() if k != "kind"}
-                return problems.make_fixture_ridge(**kwargs)
-            return problems.instance_from_dict(spec)
-    except (OSError, TypeError, ValueError) as exc:
+        if fixture:
+            return problems.make_fixture_ridge(
+                **{k: v for k, v in doc.items() if k != "kind"})
+        return problems.instance_from_dict(doc)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
-    raise ConfigError(f"{ctx}: must be a path or an inline object, got {spec!r}")
 
 
 def _point(value, inst: problems.BilevelInstance, ctx: str):

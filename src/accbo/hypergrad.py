@@ -144,8 +144,8 @@ def empirical_bias_and_variance(
     ystar = inst.lower_minimizer(x)
     single = EstimatorConfig(Q=cfg.Q, S=1, l_g1=cfg.l_g1)
     draws = np.empty((n_samples, inst.dim_x))
-    for k in range(n_samples):
-        draws[k] = estimate_hypergradient(inst, x, ystar, single, stream.child("mc", k))
+    for k, st in enumerate(stream.children("mc", n_samples)):
+        draws[k] = estimate_hypergradient(inst, x, ystar, single, st)
     mean = draws.mean(axis=0)
     var_est = float(np.mean(np.sum((draws - mean) ** 2, axis=1)))
     bias_est = float(np.linalg.norm(mean - inst.true_hypergradient(x)))

@@ -103,8 +103,8 @@ def warm_start(inst, x0, alpha_init: float, T0: int, stream: RandomStream,
     def grad(z, s):
         return inst.stoch_grad_y_g(x0, z, s)
 
-    for t in range(T0):
-        state = snag_step(state, grad, stream.child("warm", t))
+    for st in stream.children("warm", T0):
+        state = snag_step(state, grad, st)
     return state.w
 
 
@@ -178,16 +178,18 @@ def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
     yhat_prev: np.ndarray | None = None
     m: np.ndarray | None = None
     logs: list[IterationLog] = []
+    lowers = stream.children("lower", schedule.T)
+    uppers = stream.children("upper", schedule.T)
     try:
         for t in range(schedule.T):
             ystar = inst.lower_minimizer(x)
             y_err = float(np.linalg.norm(y - ystar))
             yhat_err = float(np.linalg.norm(y_hat - ystar))
 
-            y = lower(x, y, t, stream.child("lower", t))
+            y = lower(x, y, t, lowers[t])
             yhat_next = average_step(y_hat, y, tau)
 
-            m = direction(m, x, x_prev, y_hat, yhat_prev, stream.child("upper", t))
+            m = direction(m, x, x_prev, y_hat, yhat_prev, uppers[t])
             if not np.all(np.isfinite(m)):
                 raise NumericalAbort(f"non-finite momentum at t={t}")
             x_next, zero_event = upper_step(x, m, schedule.eta)

@@ -38,6 +38,7 @@ __all__ = [
     "GeneralQuadratic",
     "RidgeWeighting",
     "ExpUpperToy",
+    "INSTANCE_KINDS",
     "instance_to_json",
     "instance_from_json",
     "make_fixture_ridge",
@@ -523,7 +524,7 @@ class ExpUpperToy(BilevelInstance):
         }
 
 
-_KINDS = {
+INSTANCE_KINDS = {
     cls.kind: cls
     for cls in (IsotropicQuadratic, GeneralQuadratic, RidgeWeighting, ExpUpperToy)
 }
@@ -535,10 +536,10 @@ def instance_from_dict(doc: dict) -> BilevelInstance:
         params = dict(doc["params"])
     except KeyError as exc:
         raise ConstraintViolation(f"instance document missing field {exc}") from exc
-    if kind not in _KINDS:
+    if kind not in INSTANCE_KINDS:
         raise ConstraintViolation(f"unknown instance kind {kind!r}")
     params.update(doc.get("noise", {}))
-    return _KINDS[kind](**params)
+    return INSTANCE_KINDS[kind](**params)
 
 
 def instance_to_json(inst: BilevelInstance, indent: int = 2) -> str:

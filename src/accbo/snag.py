@@ -352,8 +352,7 @@ def mc_tracking_grid(
     # Unit tapes laid out (T, n_seeds, dim), so step t reads contiguous rows.
     noise = np.empty((T, n_seeds, dim)) if any(p.sigma > 0.0 for p, _ in cells) else None
     steps = np.empty((T, n_seeds, dim)) if walking.any() else None
-    for k in range(n_seeds):
-        stream = root.child("mc", k)
+    for k, stream in enumerate(root.children("mc", n_seeds)):
         if noise is not None:
             noise[:, k] = _unit_tape(stream, _NOISE, T, dim)
         if steps is not None:

@@ -389,6 +389,16 @@ class TestCli:
         ("accbo", dict(ACCBO_DOC, x0=[1.0, float("nan")]), "accbo.x0"),
         ("snag-track", dict(SNAG_DOC, mu=float("inf")), "snag-track.mu"),
         ("accbo", with_overrides(eta=0), "accbo.schedule.overrides.eta"),
+        ("bias", {"instance": {"kind": "fixture_ridge", "seed": 1.5},
+                  "Q_grid": [1], "n_samples": 10}, "bias.instance.seed"),
+        ("accbo", dict(ACCBO_DOC, instance=dict(
+            ISO_DOC, params=dict(ISO_DOC["params"], mu=None))),
+         "accbo.instance.params.mu"),
+        ("sweep", {"instance": dict(ISO_DOC, noise={"sigma_g1": "x"}), "option": "one",
+                   "epsilons": [0.2], "schedule": ACCBO_DOC["schedule"]},
+         "sweep.instance.noise.sigma_g1"),
+        ("bias", {"instance": {"kind": "fixture_ridge", "c_reg": float("inf")},
+                  "Q_grid": [1], "n_samples": 10}, "bias.instance.c_reg"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):
