@@ -4,10 +4,11 @@
 #
 #   scripts/check_identical.sh <rev>
 #
-# Extracts <rev> with `git archive` into a temporary directory, runs the five
+# Extracts <rev> with `git archive` into a temporary directory, runs the six
 # CLI commands below on both trees (accbo option one and option two at 2
-# seeds, sweep at 1 seed, bias, snag-track at 400 seeds), each into its own
-# output directory, and compares the two output trees with `diff -r`. Every
+# seeds, sweep at 1 seed, bias, snag-track at 400 seeds on tracking.json, and
+# snag-track at 300 seeds and base seed 9 with a fixed-direction drift, dim 3
+# and mu 0.7), each into its own output directory, and compares the two output trees with `diff -r`. Every
 # command's exit code is written next to its outputs, so a changed exit code
 # is a difference too. Prints `byte-identical` and exits 0 when nothing
 # differs; otherwise prints the differences and exits non-zero.
@@ -36,11 +37,15 @@ for side in parent change; do
   c=$tree/scripts/configs
   python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); d["option"] = "two"; json.dump(d, open(sys.argv[2], "w"))' \
     "$c/convergence.json" "$work/convergence_two_$side.json"
+  python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); d.update(mu=0.7, dim=3, sigma=[0, 0.3], drift={"kind": "fixed_direction", "delta": [0, 0.002]}); json.dump(d, open(sys.argv[2], "w"))' \
+    "$c/tracking.json" "$work/tracking_fixed_$side.json"
   run "$tree" "$out" conv_one accbo --config "$c/convergence.json" --seeds 2
   run "$tree" "$out" conv_two accbo --config "$work/convergence_two_$side.json" --seeds 2
   run "$tree" "$out" sweep sweep --config "$c/comparison_sweep.json" --seeds 1
   run "$tree" "$out" bias bias --config "$c/bias.json"
   run "$tree" "$out" track snag-track --config "$c/tracking.json" --seeds 400
+  run "$tree" "$out" track_fixed snag-track --config "$work/tracking_fixed_$side.json" \
+    --seeds 300 --base-seed 9
 done
 
 diff -r "$work/out_parent" "$work/out_change"

@@ -57,6 +57,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_seeds < 1:
             raise ConfigError("seeds: must be >= 1")
+        # RandomStream refuses seeds outside the 64 bits SeedSequence reads;
+        # say so here, naming the field, before any output is written.
+        if not 0 <= self.base_seed < 2**64:
+            raise ConfigError(f"base_seed: must be an integer in [0, 2**64), "
+                              f"got {self.base_seed!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +367,17 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
             if kind == "fixed_direction" else None,
         ),
     ) for sigma in doc["sigma"] for delta in doc["drift"]["delta"]]
-    rates = snag.mc_tracking_grid(cells, config.n_seeds, dim=dim,
-                                  base_seed=config.base_seed)
+    rates, trajectories = snag.mc_tracking_grid(cells, config.n_seeds, dim=dim,
+                                                base_seed=config.base_seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for (p, drift), rate in zip(cells, rates):
+    for (p, _), rate, trajectory in zip(cells, rates, trajectories):
         sigma, delta = p.sigma, p.delta_drift
         if doc["write_trajectories"]:
-            family = snag.QuadraticFamily(mu=doc["mu"], dim=dim)
-            logs = snag.run_tracking_experiment(
-                family, drift, p, RandomStream(config.base_seed).child("mc", 0)
-            )
+            # Seed 0 of the grid: run_tracking_experiment on (base_seed, "mc", 0).
             name = f"track_sigma{_fmt(float(sigma))}_delta{_fmt(float(delta))}.csv"
-            write_csv(logs, config.out_dir / name, TRAJECTORY_COLUMNS)
+            write_csv(trajectory(), config.out_dir / name, TRAJECTORY_COLUMNS)
         log.info("snag-track sigma=%s delta=%s: violation rate %s over %d seeds",
                  sigma, delta, rate, config.n_seeds)
         results.append({"sigma": sigma, "delta": delta, "violation_rate": rate,

@@ -28,6 +28,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .constants import ConstraintViolation
+
 __all__ = ["RandomStream"]
 
 _M32 = 0xFFFFFFFF
@@ -155,7 +157,12 @@ class _Family:
 
 
 class RandomStream:
-    """Immutable handle for one deterministic random sub-stream."""
+    """Immutable handle for one deterministic random sub-stream.
+
+    The seed and the path indices of a stream built directly must lie in
+    [0, 2**64), the integers SeedSequence reads as at most two words;
+    outside it, distinct seeds would alias (-1 and 2**64 - 1, 2**64 and 0).
+    """
 
     __slots__ = ("seed", "path", "_entropy", "_family", "_row")
 
@@ -165,8 +172,13 @@ class RandomStream:
         self.seed = seed
         self.path = path
         if _entropy is None:
+            if not 0 <= seed <= _M64:
+                raise ConstraintViolation(f"seed must be in [0, 2**64), got {seed!r}")
             _entropy = _int_words(seed)
             for label, index in path:
+                if not 0 <= index <= _M64:
+                    raise ConstraintViolation(
+                        f"stream index must be in [0, 2**64), got {index!r}")
                 _entropy += _label_words(label) + _int_words(index)
         self._entropy = _entropy  # SeedSequence's entropy, as uint32 words
         self._family = _family    # None, or the family of which this is row _row

@@ -10,12 +10,16 @@ of a grid of cells in one SNAG state. Seed k of every cell reads the same
 two unit tapes, drawn once from the sub-streams "noise" and "drift" of
 (base_seed, "mc", k); each cell scales them to its own sigma and drift
 size step by step, so memory holds one unit tape per source, not one tape
-per cell. ``run_tracking_experiment`` is the scalar reference: seed k of a
-cell is that run on stream (base_seed, "mc", k).
+per cell. The grid also keeps seed 0's rows, from which it builds each
+cell's trajectory records: the snag-track CSVs are seed 0 of the grid.
+``run_tracking_experiment`` is the scalar reference that the tests hold the
+grid to: seed k of a cell is that run on stream (base_seed, "mc", k), and
+seed 0's records equal its records bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -149,11 +153,29 @@ def _noise_rows(scale, z: np.ndarray) -> np.ndarray:
     return 0.0 + scale * z
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1), bit for bit. numpy adds fewer than 8 terms in
+    order, starting from 0.0, so short rows are summed column by column in
+    that order, which costs less than the reduction; longer rows (summed
+    pairwise) go to np.sum. Which NaN (sign and payload) an add passes on
+    depends on numpy's loop, so a sum with a NaN in it goes to np.sum too."""
+    n = a.shape[-1]
+    if n >= 8:
+        return np.sum(a, axis=-1)
+    acc = 0.0 + a[..., 0]
+    for j in range(1, n):
+        acc += a[..., j]
+    if np.isnan(acc).any():
+        return np.sum(a, axis=-1)
+    return acc
+
+
 def _walk_rows(delta, v: np.ndarray) -> np.ndarray:
     """Random-walk displacements from unit rows v: uniform sphere directions, so
     ||displacement|| = delta exactly and the squared drift is deterministic
     (trivially sub-exponential)."""
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    # np.linalg.norm(v, axis=-1, keepdims=True), bit for bit.
+    norms = np.sqrt(_row_sum(v * v))[..., None]
     norms[norms == 0.0] = 1.0
     return delta * v / norms
 
@@ -298,15 +320,46 @@ def run_tracking_experiment(
     return logs
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot(a[i], b[i]) for every row i, with np.dot's rounding: each core
+    of the stacked (1, dim) @ (dim, 1) product is one BLAS dot, as np.dot
+    is (the reduction of a * b rounds differently where BLAS uses FMA)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _record_terms(w, w_prev, wstar, H: np.ndarray, s: float, alpha: float):
+    """(V, phi_gap, dist) of run_tracking_experiment's records for stacked
+    rows of w, w_prev and w*, with the scalar record's arithmetic."""
+    e = w - wstar
+    # The record's e @ H @ e, row by row: a gemv, then a dot.
+    gap = 0.5 * (e[..., None, :] @ H @ e[..., :, None])[..., 0, 0]
+    if np.any(gap < -1e-12):
+        raise ConstraintViolation(f"phi_gap must be >= 0, got {gap.min()!r}")
+    u = e + (s - 1.0) * (w_prev - wstar)
+    V = _row_dots(u, u) / (2.0 * alpha) + np.maximum(gap, 0.0)
+    return V, gap, np.sqrt(_row_dots(e, e))
+
+
+def _trajectory(rows: np.ndarray, bounds: np.ndarray, H: np.ndarray, s: float,
+                alpha: float) -> list[dict]:
+    """Records of one run from its (T+1, 3, dim) rows of w, w_prev and w*,
+    and its bound at every t."""
+    V, gap, dist = _record_terms(rows[:, 0], rows[:, 1], rows[:, 2], H, s, alpha)
+    return [{"t": t, "V": v, "bound": b, "dist": d, "phi_gap": g}
+            for t, (v, b, d, g) in enumerate(zip(
+                V.tolist(), bounds.tolist(), dist.tolist(), gap.tolist()))]
+
+
 def mc_tracking_grid(
     cells: Sequence[tuple[TrackingBoundParams, DriftProcess]],
     n_seeds: int,
     dim: int = 2,
     base_seed: int = 0,
     mu_hessian: Sequence[Sequence[float]] | None = None,
-) -> list[float]:
+) -> tuple[list[float], list[Callable[[], list[dict]]]]:
     """Violation rate of each (params, drift) cell: the fraction of its
-    independent runs whose potential ever exceeds the cell's bound.
+    independent runs whose potential ever exceeds the cell's bound; and seed
+    0's trajectory of each cell.
 
     Seed k of every cell reproduces run_tracking_experiment with the default
     start on the stream (base_seed, "mc", k). Cells may differ in sigma, drift,
@@ -315,6 +368,11 @@ def mc_tracking_grid(
     every (cell, seed) row as (n_cells, n_seeds, dim) arrays. Per seed, one
     unit noise tape and one unit direction tape are drawn (each only if some
     cell needs it) and every cell scales the same rows step by step.
+
+    The grid keeps seed 0's w, w_prev and w* rows at every step, a
+    (T+1, 3, n_cells, dim) array. Trajectory c, when called, builds from them
+    the records run_tracking_experiment returns for cell c on stream
+    (base_seed, "mc", 0), with that function's arithmetic, bit for bit.
     """
     if n_seeds < 1:
         raise ConstraintViolation("n_seeds must be >= 1")
@@ -364,15 +422,21 @@ def mc_tracking_grid(
     def potentials(state: SnagState, wstar: np.ndarray) -> np.ndarray:
         e = state.w - wstar
         u = e + (s - 1.0) * (state.w_prev - wstar)
-        gap = 0.5 * np.sum((e @ H.T) * e, axis=-1)
-        return np.sum(u * u, axis=-1) / (2.0 * alpha) + gap
+        gap = 0.5 * _row_sum((e @ H.T) * e)
+        return _row_sum(u * u) / (2.0 * alpha) + gap
 
-    V = potentials(state, wstar)
+    # Seed 0's rows of w, w_prev and w* at every t, for the trajectories.
+    seed0 = np.empty((T + 1, 3, n_cells, dim))
+    seed0[0] = state.w[:, 0], state.w_prev[:, 0], wstar[:, 0]
+    # Each cell's V0 is its records' V at t = 0, as in run_tracking_experiment.
+    # w - w* has one nonzero coordinate at the start, so potentials() gives
+    # the same bits there; from t = 1 on, the two roundings differ.
+    V0 = _record_terms(*seed0[0], H, s, alpha)[0]
     bounds = np.empty((n_cells, T + 1))  # row c: cell c's bound at every t
     for c, (fn, (p, _)) in enumerate(zip(bound_fns, cells)):
-        params = replace(p, V0=float(V[c, 0]))
+        params = replace(p, V0=float(V0[c]))
         bounds[c] = [fn(params, t) for t in range(T + 1)]
-    violated = V > bounds[:, :1]
+    violated = potentials(state, wstar) > bounds[:, :1]
     for t in range(T):
         eps = 0.0 if noise is None else _noise_rows(scale, noise[t])
 
@@ -384,8 +448,11 @@ def mc_tracking_grid(
         if steps is not None:
             moves = np.where(walking, _walk_rows(walk, steps[t]), moves)
         wstar = wstar + moves
+        seed0[t + 1] = state.w[:, 0], state.w_prev[:, 0], wstar[:, 0]
         violated |= potentials(state, wstar) > bounds[:, t + 1, None]
-    return [float(np.count_nonzero(v)) / n_seeds for v in violated]
+    rates = [float(np.count_nonzero(v)) / n_seeds for v in violated]
+    return rates, [functools.partial(_trajectory, seed0[:, :, c], bounds[c], H, s, alpha)
+                   for c in range(n_cells)]
 
 
 def mc_tracking_violation_rate(
@@ -398,4 +465,4 @@ def mc_tracking_violation_rate(
 ) -> float:
     """Fraction of independent runs where the potential ever exceeds its bound:
     the one-cell mc_tracking_grid."""
-    return mc_tracking_grid([(p, drift)], n_seeds, dim, base_seed, mu_hessian)[0]
+    return mc_tracking_grid([(p, drift)], n_seeds, dim, base_seed, mu_hessian)[0][0]

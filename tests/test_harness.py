@@ -411,6 +411,24 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("base_seed", [-1, 2**64])
+    def test_base_seed_outside_64_bits_exit_code(self, tmp_path, capsys, base_seed):
+        # Masked to 64 bits, -1 would write the outputs of 2**64 - 1, and 2**64
+        # those of 0.
+        path = write_config(tmp_path, dict(SNAG_DOC, sigma=[0.0]))
+        rc = cli.main(["snag-track", "--config", str(path), "--out",
+                       str(tmp_path / "out"), "--base-seed", str(base_seed)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "base_seed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_base_seed_at_64_bit_edge_runs(self, tmp_path):
+        path = write_config(tmp_path, dict(SNAG_DOC, sigma=[0.0]))
+        assert cli.main(["snag-track", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--base-seed", str(2**64 - 1)]) == 0
+
     def test_info_log_goes_to_stderr(self, tmp_path):
         path = write_config(tmp_path, SNAG_DOC)
         res = self.run_cli(["snag-track", "--config", str(path),

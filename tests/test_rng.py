@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from accbo import rng, snag
 from accbo.baselines import run_plain_momentum_bilevel
-from accbo.constants import derive_schedule
+from accbo.constants import ConstraintViolation, derive_schedule
 from accbo.hypergrad import EstimatorConfig, empirical_bias_and_variance
 from accbo.optimizer import run_accbo
 from accbo.problems import make_fixture_ridge
@@ -48,6 +48,19 @@ class TestDeterminism:
     def test_repeated_generator_calls_restart(self):
         s = RandomStream(1).child("x")
         np.testing.assert_array_equal(s.normal(8), s.normal(8))
+
+    @pytest.mark.parametrize("seed, path", [
+        (-1, ()), (2**64, ()), (0, (("a", -1),)), (0, (("a", 1), ("b", 2**64)))])
+    def test_root_outside_64_bits_refused(self, seed, path):
+        # Masked to 64 bits, -1 would alias 2**64 - 1, and 2**64 would alias 0.
+        with pytest.raises(ConstraintViolation):
+            RandomStream(seed, path)
+
+    def test_root_at_64_bit_edges_accepted(self):
+        top = RandomStream(2**64 - 1, (("a", 2**64 - 1),))
+        np.testing.assert_array_equal(top.generator().random(3), numpy_draws(top))
+        assert not np.array_equal(RandomStream(2**64 - 1).normal(3),
+                                  RandomStream(0).normal(3))
 
 
 class TestIndependence:
@@ -273,9 +286,10 @@ class TestBatchedMatchesScalarReference:
 
         def run():
             tapes.clear()
-            rates = mc_tracking_grid(cells, self.T, dim=2, base_seed=3)
+            rates, trajectories = mc_tracking_grid(cells, self.T, dim=2, base_seed=3)
             # A rate counts seeds, so one seed's changed tape could leave it as is.
-            return rates, [tape.tobytes() for tape in tapes]
+            return (rates, [trajectory() for trajectory in trajectories],
+                    [tape.tobytes() for tape in tapes])
 
         batched, scalar = _runs(monkeypatch, run)
         assert batched == scalar

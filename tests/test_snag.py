@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from accbo.constants import ConstraintViolation, nesterov_momentum
+from accbo.harness import TRAJECTORY_COLUMNS, ExperimentConfig, cmd_snag_track, write_csv
 from accbo.rng import RandomStream
 from accbo.snag import (
     DriftProcess,
@@ -21,6 +23,7 @@ from accbo.snag import (
     tracking_bound_no_drift,
     tracking_bound_with_drift,
 )
+from accbo.snag import _row_sum, _walk_rows
 
 NULL = RandomStream(0)
 
@@ -322,7 +325,7 @@ class TestMonteCarloGrid:
     def test_rates_match_scalar_runs_and_one_cell_calls(self):
         # Seed k of every cell is the scalar run on stream (base_seed, "mc", k).
         n_seeds = 40
-        rates = mc_tracking_grid(self.CELLS, n_seeds, dim=2, base_seed=5)
+        rates, _ = mc_tracking_grid(self.CELLS, n_seeds, dim=2, base_seed=5)
         assert rates == self.RATES
         for (p, drift), rate in zip(self.CELLS, rates):
             exceeded = 0
@@ -340,7 +343,7 @@ class TestMonteCarloGrid:
         drift = self.CELLS[1][1]
         cells = self.CELLS[::-1] + [(_grid_params(V0=0.0), drift),
                                     (_grid_params(delta_prob=0.2), drift)]
-        rates = mc_tracking_grid(cells, 40, dim=2, base_seed=5)
+        rates, _ = mc_tracking_grid(cells, 40, dim=2, base_seed=5)
         assert rates == self.RATES[::-1] + [0.075, 1.0]
         assert rates == [mc_tracking_violation_rate(p, drift, 40, dim=2, base_seed=5)
                          for p, drift in cells]
@@ -372,6 +375,86 @@ class TestMonteCarloGrid:
     def test_drifting_cell_refused_on_anisotropic_hessian(self):
         hessian = ((2.0, 0.0), (0.0, 1.0))
         # Without drift the anisotropic grid runs; one drifting cell refuses it.
-        assert mc_tracking_grid([self.CELLS[0]], 2, mu_hessian=hessian) == [0.0]
+        assert mc_tracking_grid([self.CELLS[0]], 2, mu_hessian=hessian)[0] == [0.0]
         with pytest.raises(ConstraintViolation):
             mc_tracking_grid(self.CELLS[:2], 2, mu_hessian=hessian)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestSeedZeroTrajectories:
+    """The grid's seed-0 trajectories are run_tracking_experiment's records,
+    bit for bit, and snag-track writes them as that function's CSVs."""
+
+    @staticmethod
+    def cells(mu, dim, T):
+        drifts = [DriftProcess(),
+                  DriftProcess(kind="fixed_direction", delta=0.01,
+                               direction=tuple(range(1, dim + 1))),
+                  DriftProcess(kind="random_walk", delta=0.01)]
+        return [(TrackingBoundParams(mu=mu, alpha=0.04, sigma=sigma,
+                                     delta_drift=drift.delta, T=T, delta_prob=0.05,
+                                     V0=V0), drift)
+                for sigma in (0.0, 0.3) for drift in drifts for V0 in (0.0, 1.0)]
+
+    # T on both sides of a stream family's block of rows.
+    @pytest.mark.parametrize("dim, mu, T", [
+        (1, 1.0, 30), (2, 0.7, 1030), (3, 0.7, 30), (5, 1.0, 1030)])
+    def test_records_equal_scalar_reference(self, dim, mu, T):
+        cells = self.cells(mu, dim, T)
+        _, trajectories = mc_tracking_grid(cells, 3, dim=dim, base_seed=4)
+        for (p, drift), trajectory in zip(cells, trajectories):
+            expected = run_tracking_experiment(QuadraticFamily(mu, dim), drift, p,
+                                               RandomStream(4).child("mc", 0))
+            records = trajectory()
+            assert records == expected
+            for key in ("V", "bound", "dist", "phi_gap"):  # signed zeros too
+                assert _bits([r[key] for r in records]) == _bits([r[key] for r in expected])
+
+    @pytest.mark.parametrize("kind", ["none", "fixed_direction", "random_walk"])
+    def test_snag_track_csvs_are_the_reference_records(self, tmp_path, kind):
+        doc = {"mu": 0.7, "alpha": 0.04, "T": 40, "delta_prob": 0.05, "V0": 1.0,
+               "dim": 3, "sigma": [0.0, 0.3], "drift": {"kind": kind, "delta": [0.0, 0.002]}}
+        cmd_snag_track(ExperimentConfig("snag-track", doc, tmp_path / "out", 3, 9))
+        for sigma in doc["sigma"]:
+            for delta in doc["drift"]["delta"]:
+                p = TrackingBoundParams(mu=0.7, alpha=0.04, sigma=sigma, delta_drift=delta,
+                                        T=40, delta_prob=0.05, V0=1.0)
+                drift = DriftProcess(kind=kind if delta > 0 else "none", delta=delta,
+                                     direction=(1.0, 0.0, 0.0))
+                records = run_tracking_experiment(QuadraticFamily(0.7, 3), drift, p,
+                                                  RandomStream(9).child("mc", 0))
+                name = f"track_sigma{float(sigma):.17g}_delta{float(delta):.17g}.csv"
+                write_csv(records, tmp_path / name, TRAJECTORY_COLUMNS)
+                assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+# Drawn one by one (no fill value): any float64; values of like magnitude,
+# whose sums round differently in another order; and the special values,
+# often enough that rows made of them alone (an all -0.0 row sums to +0.0)
+# turn up.
+floats64 = st.one_of(st.floats(width=64), st.floats(min_value=-10.0, max_value=10.0),
+                     st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]))
+
+
+class TestOrderedRowSums:
+    @given(rows=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 10)),
+                       elements=floats64, fill=st.nothing()))
+    @example(rows=np.array([[-0.0], [0.0]]))
+    @example(rows=np.full((2, 3), -0.0))
+    @settings(max_examples=300)
+    def test_row_sum_is_np_sum(self, rows):
+        with np.errstate(all="ignore"):
+            assert _bits(_row_sum(rows)) == _bits(np.sum(rows, axis=-1))
+
+    @given(v=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 10)),
+                    elements=floats64, fill=st.nothing()),
+           delta=st.floats(min_value=0.0, max_value=10.0))
+    @settings(max_examples=300)
+    def test_walk_norms_are_np_linalg_norm(self, v, delta):
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(v, axis=-1, keepdims=True)
+            norms[norms == 0.0] = 1.0
+            assert _bits(_walk_rows(delta, v)) == _bits(delta * v / norms)
