@@ -4,11 +4,13 @@
 #
 #   scripts/check_identical.sh <rev>
 #
-# Extracts <rev> with `git archive` into a temporary directory, runs the six
+# Extracts <rev> with `git archive` into a temporary directory, runs the seven
 # CLI commands below on both trees (accbo option one and option two at 2
-# seeds, sweep at 1 seed, bias, snag-track at 400 seeds on tracking.json, and
+# seeds, sweep at 1 seed, bias, snag-track at 400 seeds on tracking.json,
 # snag-track at 300 seeds and base seed 9 with a fixed-direction drift, dim 3
-# and mu 0.7), each into its own output directory, and compares the two output trees with `diff -r`. Every
+# and mu 0.7, and accbo option two at 2 seeds on the noisy fixture ridge toy,
+# whose diagnostics need a linear solve), each into its own output directory,
+# and compares the two output trees with `diff -r`. Every
 # command's exit code is written next to its outputs, so a changed exit code
 # is a difference too. Prints `byte-identical` and exits 0 when nothing
 # differs; otherwise prints the differences and exits non-zero.
@@ -30,6 +32,9 @@ run() {  # run <tree> <out> <name> <cli arguments...>
   echo "$rc" > "$out/$name.rc"
 }
 
+python3 -c 'import json, sys; json.dump({"instance": {"kind": "fixture_ridge", "sigma_f1": 0.1, "sigma_g1": 0.05, "sigma_g2": 0.05}, "schedule": {"mode": "practical", "epsilon": 0.1, "delta": 0.05, "d0": 1.0, "overrides": {"alpha": 1e-3, "beta": 0.95, "eta": 0.005, "T": 1500, "T0": 200, "S": 2, "Q": 15, "I": 2, "N": 12}}, "option": "two"}, open(sys.argv[1], "w"))' \
+  "$work/ridge_two.json"
+
 for side in parent change; do
   tree=$work/parent
   [ "$side" = change ] && tree=$repo
@@ -46,6 +51,7 @@ for side in parent change; do
   run "$tree" "$out" track snag-track --config "$c/tracking.json" --seeds 400
   run "$tree" "$out" track_fixed snag-track --config "$work/tracking_fixed_$side.json" \
     --seeds 300 --base-seed 9
+  run "$tree" "$out" ridge_two accbo --config "$work/ridge_two.json" --seeds 2
 done
 
 diff -r "$work/out_parent" "$work/out_change"

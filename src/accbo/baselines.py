@@ -29,7 +29,7 @@ def sgd_tracking_step(
     stream: RandomStream,
 ) -> np.ndarray:
     g = grad(w, stream)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalAbort("non-finite gradient in sgd_tracking_step")
     return w - alpha * g
 

@@ -94,7 +94,7 @@ def estimate_hypergradient(
         term = gx - inst.stoch_jvp_xy_g(x, y_hat, chain, stream.child("jvp", s))
         acc = term if acc is None else acc + term
     est = acc / cfg.S
-    if not np.all(np.isfinite(est)):
+    if not np.isfinite(est).all():
         raise NumericalAbort("non-finite hypergradient estimate")
     return est
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .constants import ConstraintViolation, Schedule
 from .hypergrad import EstimatorConfig, estimate_hypergradient
+from .problems import _dot
 from .rng import RandomStream
 from .snag import NumericalAbort, SnagState, snag_step
 
@@ -34,6 +35,9 @@ __all__ = [
 
 # Instance kinds whose lower level option one can track (isotropic quadratic).
 OPTION_ONE_KINDS = ("isotropic_quadratic", "exp_upper_toy")
+
+# Most iterations whose diagnostics are computed in one pass.
+_BLOCK = 1024
 
 
 class CountingOracles:
@@ -160,6 +164,35 @@ def _lower_round(inst, x, y, alpha, gamma, N, stream) -> np.ndarray:
     return state.w
 
 
+def _norms(rows: np.ndarray) -> list[float]:
+    """np.linalg.norm of each row, bit for bit: the square root of one BLAS dot."""
+    return np.sqrt(_dot(rows, rows)).tolist()
+
+
+def _diagnose(inst, t0: int, x, y, yhat, yhat_next, m, calls, zero) -> list[IterationLog]:
+    """IterationLogs of iterations t0, t0 + 1, ... from one row each.
+
+    Row i holds iteration t0 + i's x_t, y_t (before the lower step), y_hat_t,
+    y_hat_{t+1} and m_t, its oracle counters (g1, jvp, hvp, f) after the
+    iteration, and its zero-momentum flag. Every value equals the one the
+    1-D formulas give: y*(x_t), the true hypergradient and the norms are
+    computed for all rows at once by the instance's stacked methods.
+    """
+    ystar = inst.lower_minimizer(x)
+    g1, jvp, hvp, f = calls.T.tolist()
+    columns = {
+        "grad_norm_true": _norms(inst.true_hypergradient(x)),
+        "m_norm": _norms(m),
+        "y_track_err": _norms(y - ystar),
+        "yhat_track_err": _norms(yhat - ystar),
+        "yhat_step": _norms(yhat_next - yhat),
+        "calls_g1": g1, "calls_jvp": jvp, "calls_hvp": hvp, "calls_f": f,
+        "zero_momentum": zero.tolist(),
+    }
+    return [IterationLog(t=t0 + i, **dict(zip(columns, row)))
+            for i, row in enumerate(zip(*columns.values()))]
+
+
 def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
                 schedule: Schedule, tau: float, lower, direction,
                 stream: RandomStream) -> list[IterationLog]:
@@ -170,49 +203,64 @@ def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
     weight tau, and steps x a distance eta along
     ``direction(m, x, x_prev, y_hat, yhat_prev, stream.child("upper", t))``,
     which is formed at the current y_hat. A NumericalAbort carries the logs
-    collected so far as its ``logs`` attribute.
+    of the iterations completed so far as its ``logs`` attribute.
+
+    The recursion never reads its diagnostics, so the loop only records each
+    iteration's x_t, y_t, y_hat_t, y_hat_{t+1}, m_t, oracle counters and
+    zero-momentum flag in buffers of _BLOCK rows. ``_diagnose`` turns a full
+    buffer into IterationLogs in one pass (y*(x_t), the true hypergradient
+    and the norms), as do the end of the run and an abort for the rows
+    filled so far. Nothing in the loop reads y*(x_t) any more, which is why
+    the ridge toy's per-x cache holds only its sigmoid weights and H_yy(x).
     """
     inst = oracles.inst
+    calls = oracles.calls
     y_hat = y.copy()
     x_prev: np.ndarray | None = None
     yhat_prev: np.ndarray | None = None
     m: np.ndarray | None = None
     logs: list[IterationLog] = []
+    rows = min(schedule.T, _BLOCK)
+    xs, ms = np.empty((rows, x.size)), np.empty((rows, x.size))
+    ys, yhats, yhat_nexts = (np.empty((rows, y.size)) for _ in range(3))
+    counts = np.empty((rows, 4), dtype=np.int64)
+    zeros = np.empty(rows, dtype=bool)
+    n = 0  # buffered iterations: t - n .. t - 1
+
+    def flush(t: int) -> None:
+        nonlocal n
+        if n:
+            logs.extend(_diagnose(inst, t - n, xs[:n], ys[:n], yhats[:n],
+                                  yhat_nexts[:n], ms[:n], counts[:n], zeros[:n]))
+            n = 0
+
     lowers = stream.children("lower", schedule.T)
     uppers = stream.children("upper", schedule.T)
     try:
         for t in range(schedule.T):
-            ystar = inst.lower_minimizer(x)
-            y_err = float(np.linalg.norm(y - ystar))
-            yhat_err = float(np.linalg.norm(y_hat - ystar))
+            xs[n], ys[n], yhats[n] = x, y, y_hat
 
             y = lower(x, y, t, lowers[t])
             yhat_next = average_step(y_hat, y, tau)
 
             m = direction(m, x, x_prev, y_hat, yhat_prev, uppers[t])
-            if not np.all(np.isfinite(m)):
+            if not np.isfinite(m).all():
                 raise NumericalAbort(f"non-finite momentum at t={t}")
             x_next, zero_event = upper_step(x, m, schedule.eta)
 
-            logs.append(IterationLog(
-                t=t,
-                grad_norm_true=float(np.linalg.norm(inst.true_hypergradient(x))),
-                m_norm=float(np.linalg.norm(m)),
-                y_track_err=y_err,
-                yhat_track_err=yhat_err,
-                yhat_step=float(np.linalg.norm(yhat_next - y_hat)),
-                calls_g1=oracles.calls["g1"],
-                calls_jvp=oracles.calls["jvp"],
-                calls_hvp=oracles.calls["hvp"],
-                calls_f=oracles.calls["f"],
-                zero_momentum=zero_event,
-            ))
+            yhat_nexts[n], ms[n], zeros[n] = yhat_next, m, zero_event
+            counts[n] = calls["g1"], calls["jvp"], calls["hvp"], calls["f"]
+            n += 1
+            if n == rows:
+                flush(t + 1)
 
             x_prev, x = x, x_next
             yhat_prev, y_hat = y_hat, yhat_next
     except NumericalAbort as exc:
+        flush(t)
         exc.logs = logs
         raise
+    flush(schedule.T)
     return logs
 
 

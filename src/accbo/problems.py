@@ -11,15 +11,25 @@ Conventions: x has dim_x entries, y has dim_y entries; the mixed second
 derivative of g is stored as a (dim_x, dim_y) matrix so the hypergradient is
 grad_x f - J_xy @ H_yy^{-1} @ grad_y f.
 
+``lower_minimizer``, ``true_hypergradient`` and the exact pieces they call
+(``grad_x_f``, ``grad_y_f``, ``hess_yy_g``, ``jac_xy_g``) also take a stack
+of points, x of shape (K, dim_x) (and y of shape (K, dim_y)), and return one
+row per point, each bit-equal to the call on that row alone: products are
+stacked so that every row is the same BLAS gemv, dot or LAPACK solve as the
+1-D call. The optimizer's diagnostics use this to evaluate a block of
+iterations at once, after the iterations have run. A 1-D x takes the 1-D
+code path.
+
 The ridge toy computes the quantities that depend on x alone (its sigmoid
-weights, H_yy(x) and y*(x)) once per upper-level point. It keeps them in a
-cache of two entries keyed on the bytes of ``np.asarray(x, float)``: two,
-because each outer iteration alternates between x_t and x_{t-1}. A cached
-entry is bit-equal to recomputing it, its arrays are read-only, and
-``lower_minimizer`` returns a copy the caller owns. The cache draws no noise,
-so oracle outputs, draws and call counts are what they would be without it.
-Curvature that does not depend on x (mu*I, 2*c_reg*I, the general quadratic's
-H) is built once, read-only, when the instance is made.
+weights s and H_yy(x)) once per upper-level point. It keeps them in a cache
+of two entries keyed on the bytes of a 1-D ``np.asarray(x, float)``: two,
+because each outer iteration alternates between x_t and x_{t-1}. y*(x) is
+not cached: only the diagnostics read it, and they run outside the loop. A
+cached entry is bit-equal to recomputing it and its arrays are read-only.
+The cache draws no noise, so oracle outputs, draws and call counts are what
+they would be without it. Curvature that does not depend on x (mu*I,
+2*c_reg*I, the general quadratic's H) is built once, read-only, when the
+instance is made.
 """
 
 from __future__ import annotations
@@ -48,6 +58,38 @@ __all__ = [
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _is_stack(v) -> bool:
+    """True for a stack of points (batch axes first), False for one point."""
+    return getattr(v, "ndim", 1) > 1
+
+
+def _stacked(M: np.ndarray, x) -> np.ndarray:
+    """M for one point; M broadcast (read-only) over the batch axes of a stack."""
+    return np.broadcast_to(M, x.shape[:-1] + M.shape) if _is_stack(x) else M
+
+
+def _mv(M, v):
+    """M @ v for one vector or row by row for a stack: each row is one gemv,
+    as in the 1-D product, so rows are bit-equal to it."""
+    if not _is_stack(v):
+        return M @ v
+    return (M @ v[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each one BLAS dot as in the 1-D
+    ``np.dot``; ``a @ b`` over a stack is a gemv and rounds differently."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _solve(H, rhs):
+    """np.linalg.solve(H, rhs) for one vector or row by row for a stack
+    (numpy 2 reads a 2-D rhs as a matrix, not as a stack of vectors)."""
+    if not _is_stack(rhs):
+        return np.linalg.solve(H, rhs)
+    return np.linalg.solve(H, rhs[..., None])[..., 0]
 
 
 def _as_vec(v, dim: int, name: str) -> np.ndarray:
@@ -102,7 +144,7 @@ class BilevelInstance:
     def true_hypergradient(self, x: np.ndarray) -> np.ndarray:
         y = self.lower_minimizer(x)
         H = self.hess_yy_g(x, y)
-        correction = self.jac_xy_g(x, y) @ np.linalg.solve(H, self.grad_y_f(x, y))
+        correction = _mv(self.jac_xy_g(x, y), _solve(H, self.grad_y_f(x, y)))
         return self.grad_x_f(x, y) - correction
 
     # -- stochastic oracles --------------------------------------------------
@@ -215,17 +257,17 @@ class IsotropicQuadratic(BilevelInstance):
         return self.mu * self._residual(x, y)
 
     def hess_yy_g(self, x, y):
-        return self._hess
+        return _stacked(self._hess, x)
 
     def jac_xy_g(self, x, y):
-        return -self.mu * self.A.T
+        return _stacked(-self.mu * self.A.T, x)
 
     def lower_minimizer(self, x):
-        return self.A @ x + self.b
+        return _mv(self.A, x) + self.b
 
     def true_hypergradient(self, x):
         ystar = self.lower_minimizer(x)
-        return (x - self.c) + self.A.T @ (ystar - self.d)
+        return (x - self.c) + _mv(self.A.T, ystar - self.d)
 
     def argmin_phi(self) -> np.ndarray:
         lhs = np.eye(self.dim_x) + self.A.T @ self.A
@@ -305,13 +347,13 @@ class GeneralQuadratic(BilevelInstance):
         return self.H @ y - self.C @ x - self.b
 
     def hess_yy_g(self, x, y):
-        return self.H
+        return _stacked(self.H, x)
 
     def jac_xy_g(self, x, y):
-        return -self.C.T
+        return _stacked(-self.C.T, x)
 
     def lower_minimizer(self, x):
-        return np.linalg.solve(self.H, self.C @ x + self.b)
+        return _solve(self.H, _mv(self.C, x) + self.b)
 
     def argmin_phi(self) -> np.ndarray:
         M = np.linalg.solve(self.H, self.C)
@@ -399,50 +441,52 @@ class RidgeWeighting(BilevelInstance):
         return 0.5 * float(np.mean((self.V @ y - self.y_val) ** 2))
 
     def g_value(self, x, y):
-        s = self._at(x)["s"]
+        s, _ = self._at(x)
         r = self.Z @ y - self.y_tr
         return float(np.mean(s * 0.5 * r**2) + self.c_reg * np.sum(y**2))
 
     def grad_x_f(self, x, y):
-        return np.zeros(self.dim_x)
+        return np.zeros(x.shape) if _is_stack(x) else np.zeros(self.dim_x)
 
     def grad_y_f(self, x, y):
-        return self.V.T @ (self.V @ y - self.y_val) / self.n_val
+        return _mv(self.V.T, _mv(self.V, y) - self.y_val) / self.n_val
 
     def grad_y_g(self, x, y):
-        s = self._at(x)["s"]
+        s, _ = self._at(x)
         r = self.Z @ y - self.y_tr
         return self.Z.T @ (s * r) / self.n_tr + 2.0 * self.c_reg * y
 
     def hess_yy_g(self, x, y):
-        return self._at(x)["H"]
+        return self._at(x)[1]
 
     def jac_xy_g(self, x, y):
-        s = self._at(x)["s"]
-        r = self.Z @ y - self.y_tr
+        s, _ = self._at(x)
+        r = _mv(self.Z, y) - self.y_tr
         # Row i is d(grad_w g)/d lam_i = sigmoid'(lam_i) * r_i * z_i / n_tr.
-        return (s * (1.0 - s) * r)[:, None] * self.Z / self.n_tr
+        return (s * (1.0 - s) * r)[..., :, None] * self.Z / self.n_tr
 
-    def _at(self, x) -> dict:
-        """Read-only sigmoid weights, H_yy(x) and y*(x), cached on x's bytes."""
+    def _at(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Sigmoid weights s and H_yy(x): for one point read-only and cached
+        on x's bytes, for a stack computed afresh, one row per point."""
         x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return self._weights(x)
         key = x.tobytes()
         terms = self._x_cache.get(key)
         if terms is None:
             if len(self._x_cache) == 2:
                 del self._x_cache[next(iter(self._x_cache))]  # the older point
-            s = _sigmoid(x)
-            H = (self.Z.T * s) @ self.Z / self.n_tr + self._reg
-            rhs = self.Z.T @ (s * self.y_tr) / self.n_tr
-            terms = self._x_cache[key] = {
-                "s": _read_only(s),
-                "H": _read_only(H),
-                "ystar": _read_only(np.linalg.solve(H, rhs)),
-            }
+            s, H = self._weights(x)
+            terms = self._x_cache[key] = (_read_only(s), _read_only(H))
         return terms
 
+    def _weights(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = _sigmoid(x)
+        return s, (self.Z.T * s[..., None, :]) @ self.Z / self.n_tr + self._reg
+
     def lower_minimizer(self, x):
-        return self._at(x)["ystar"].copy()
+        s, H = self._at(x)
+        return _solve(H, _mv(self.Z.T, s * self.y_tr) / self.n_tr)
 
     def _params(self):
         return {
@@ -494,6 +538,8 @@ class ExpUpperToy(BilevelInstance):
         return 0.5 * self.mu * float(np.sum(r**2))
 
     def grad_x_f(self, x, y):
+        if _is_stack(x):
+            return np.exp(_dot(x, self.u))[..., None] * self.u
         return float(np.exp(x @ self.u)) * self.u
 
     def grad_y_f(self, x, y):
@@ -503,16 +549,16 @@ class ExpUpperToy(BilevelInstance):
         return self.mu * (y - self.A @ x - self.b)
 
     def hess_yy_g(self, x, y):
-        return self._hess
+        return _stacked(self._hess, x)
 
     def jac_xy_g(self, x, y):
-        return -self.mu * self.A.T
+        return _stacked(-self.mu * self.A.T, x)
 
     def lower_minimizer(self, x):
-        return self.A @ x + self.b
+        return _mv(self.A, x) + self.b
 
     def true_hypergradient(self, x):
-        return self.grad_x_f(x, None) + self.A.T @ (self.A @ x + self.b)
+        return self.grad_x_f(x, None) + _mv(self.A.T, _mv(self.A, x) + self.b)
 
     def _params(self):
         return {

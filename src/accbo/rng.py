@@ -59,9 +59,14 @@ def _label_words(label: str) -> tuple[int]:
     return words
 
 
-def _int_words(n: int) -> tuple[int, ...]:
-    """n mod 2**64 as SeedSequence splits it: little-endian uint32 words."""
-    n &= _M64
+def _int_words(n: int, name: str = "stream index") -> tuple[int, ...]:
+    """n as SeedSequence splits it: little-endian uint32 words.
+
+    n must lie in [0, 2**64), the integers SeedSequence reads as at most two
+    words; outside it, distinct integers would alias (-1 and 2**64 - 1,
+    2**64 and 0)."""
+    if not 0 <= n <= _M64:
+        raise ConstraintViolation(f"{name} must be in [0, 2**64), got {n!r}")
     return (n & _M32, n >> 32) if n >> 32 else (n,)
 
 
@@ -159,9 +164,10 @@ class _Family:
 class RandomStream:
     """Immutable handle for one deterministic random sub-stream.
 
-    The seed and the path indices of a stream built directly must lie in
-    [0, 2**64), the integers SeedSequence reads as at most two words;
-    outside it, distinct seeds would alias (-1 and 2**64 - 1, 2**64 and 0).
+    The seed and every path index, whether given to the constructor or to
+    ``child``, must lie in [0, 2**64), the integers SeedSequence reads as at
+    most two words; outside it, distinct streams would alias (-1 and
+    2**64 - 1, 2**64 and 0), so such a value raises ConstraintViolation.
     """
 
     __slots__ = ("seed", "path", "_entropy", "_family", "_row")
@@ -172,13 +178,8 @@ class RandomStream:
         self.seed = seed
         self.path = path
         if _entropy is None:
-            if not 0 <= seed <= _M64:
-                raise ConstraintViolation(f"seed must be in [0, 2**64), got {seed!r}")
-            _entropy = _int_words(seed)
+            _entropy = _int_words(seed, "seed")
             for label, index in path:
-                if not 0 <= index <= _M64:
-                    raise ConstraintViolation(
-                        f"stream index must be in [0, 2**64), got {index!r}")
                 _entropy += _label_words(label) + _int_words(index)
         self._entropy = _entropy  # SeedSequence's entropy, as uint32 words
         self._family = _family    # None, or the family of which this is row _row

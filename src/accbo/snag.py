@@ -79,7 +79,7 @@ def snag_step(
 ) -> SnagState:
     z = state.z
     g = grad(z, stream)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericalAbort(f"non-finite gradient at iteration {state.t}")
     w_next = z - state.alpha * g
     return SnagState(w=w_next, w_prev=state.w, alpha=state.alpha,

@@ -4,8 +4,10 @@ import pytest
 from accbo.baselines import run_plain_momentum_bilevel
 from accbo.constants import ConstraintViolation, ProblemConstants, derive_schedule
 from accbo.hypergrad import EstimatorConfig, estimate_hypergradient
+from accbo import optimizer
 from accbo.optimizer import (
     CountingOracles,
+    IterationLog,
     average_step,
     momentum_update,
     run_accbo,
@@ -17,7 +19,7 @@ from accbo.problems import IsotropicQuadratic, instance_from_dict
 from accbo.rng import RandomStream
 from accbo.snag import NumericalAbort
 
-from conftest import scaled_ridge
+from conftest import analytic_instances, scaled_ridge
 
 
 def practical_schedule(inst, *, alpha=0.04, eta=0.01, T=20, epsilon=0.05,
@@ -273,3 +275,96 @@ class TestRunAccbo:
     def test_running_average_requires_logs(self):
         with pytest.raises(ConstraintViolation):
             running_average_grad_norm([])
+
+
+def per_iteration_logs(inst, t0, x, y, yhat, yhat_next, m, calls, zero):
+    """The diagnostics as the loop once computed them, one iteration at a time."""
+    logs = []
+    for i in range(len(x)):
+        ystar = inst.lower_minimizer(x[i])
+        logs.append(IterationLog(
+            t=t0 + i,
+            grad_norm_true=float(np.linalg.norm(inst.true_hypergradient(x[i]))),
+            m_norm=float(np.linalg.norm(m[i])),
+            y_track_err=float(np.linalg.norm(y[i] - ystar)),
+            yhat_track_err=float(np.linalg.norm(yhat[i] - ystar)),
+            yhat_step=float(np.linalg.norm(yhat_next[i] - yhat[i])),
+            calls_g1=int(calls[i, 0]),
+            calls_jvp=int(calls[i, 1]),
+            calls_hvp=int(calls[i, 2]),
+            calls_f=int(calls[i, 3]),
+            zero_momentum=bool(zero[i]),
+        ))
+    return logs
+
+
+def same_logs(got, want):
+    """Equal field by field, with equal Python types (the CSVs format by type)."""
+    assert [vars(r) for r in got] == [vars(r) for r in want]
+    assert ([[type(v) for v in vars(r).values()] for r in got]
+            == [[type(v) for v in vars(r).values()] for r in want])
+
+
+class TestDiagnosticsPostPass:
+    T = optimizer._BLOCK + 3  # crosses a block boundary
+
+    @pytest.mark.parametrize("inst", analytic_instances(noise=True), ids=lambda i: i.kind)
+    def test_block_equals_per_iteration_formulas(self, inst):
+        gen = RandomStream(1).child("rows").generator()
+        n = 300
+        x = gen.normal(0.0, 1.0, size=(n, inst.dim_x)) * 10.0 ** gen.integers(-4, 3, (n, 1))
+        y, yhat, yhat_next = (gen.normal(0.0, 1.0, size=(n, inst.dim_y)) for _ in range(3))
+        m = gen.normal(0.0, 1.0, size=(n, inst.dim_x))
+        calls = np.cumsum(gen.integers(0, 5, size=(n, 4)), axis=0)
+        zero = gen.random(n) < 0.1
+        rows = (x, y, yhat, yhat_next, m, calls, zero)
+        same_logs(optimizer._diagnose(inst, 17, *rows),
+                  per_iteration_logs(inst, 17, *rows))
+
+    @pytest.mark.parametrize("inst, run", [
+        (noisy_iso(sigma_g2=0.1), lambda i, s, st: run_accbo(i, s, "one", st)),
+        (noisy_iso(sigma_g2=0.1), lambda i, s, st: run_accbo(i, s, "two", st)),
+        (scaled_ridge(), lambda i, s, st: run_accbo(i, s, "two", st)),
+        (scaled_ridge(), lambda i, s, st: run_plain_momentum_bilevel(i, s, st)),
+        (noisy_iso(sigma_g2=0.1), lambda i, s, st: run_plain_momentum_bilevel(i, s, st)),
+    ], ids=["accbo_one", "accbo_two", "accbo_two_ridge", "plain_ridge", "plain"])
+    def test_full_run_equals_per_iteration_formulas(self, monkeypatch, inst, run):
+        sched = practical_schedule(inst, alpha=0.01, eta=0.002, T=self.T, Q=3, S=1,
+                                   I=2, N=2)
+        blocks, diagnose = [], optimizer._diagnose
+
+        def spy(inst, t0, x, *rows):
+            blocks.append((t0, len(x)))
+            return diagnose(inst, t0, x, *rows)
+
+        monkeypatch.setattr(optimizer, "_diagnose", spy)
+        logs = run(inst, sched, RandomStream(5))
+        assert blocks == [(0, optimizer._BLOCK), (optimizer._BLOCK, 3)]
+        monkeypatch.setattr(optimizer, "_diagnose", per_iteration_logs)
+        same_logs(logs, run(inst, sched, RandomStream(5)))
+        assert [r.t for r in logs] == list(range(self.T))
+
+    @pytest.mark.parametrize("fail_at", [optimizer._BLOCK, optimizer._BLOCK + 2])
+    @pytest.mark.parametrize("run", [
+        lambda inst, sched, stream: run_accbo(inst, sched, "one", stream),
+        lambda inst, sched, stream: run_plain_momentum_bilevel(inst, sched, stream),
+    ], ids=["accbo", "plain_momentum"])
+    def test_abort_in_second_block_keeps_the_completed_prefix(self, run, fail_at):
+        class NanAfter(IsotropicQuadratic):
+            """Lower-level oracle that returns nan from iteration fail_at on."""
+
+            n = 50 + fail_at  # warm start, then fail_at outer iterations
+
+            def stoch_grad_y_g(self, x, y, stream):
+                self.n -= 1
+                g = super().stoch_grad_y_g(x, y, stream)
+                return g if self.n >= 0 else np.full_like(g, np.nan)
+
+        inst = NanAfter(1.0, 0.5 * np.eye(2), [0.1, 0.0], [0.5, -0.5],
+                        [0.2, 0.3], sigma_f1=0.05, sigma_g1=0.1)
+        sched = practical_schedule(inst, T=self.T, Q=2, S=1)
+        with pytest.raises(NumericalAbort) as info:
+            run(inst, sched, RandomStream(4))
+        reference = run(noisy_iso(), sched, RandomStream(4))
+        assert len(info.value.logs) == fail_at
+        same_logs(info.value.logs, reference[:fail_at])

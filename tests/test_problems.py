@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from accbo.constants import ConstraintViolation
+from accbo.optimizer import CountingOracles
 from accbo.problems import (
     GeneralQuadratic,
     IsotropicQuadratic,
@@ -285,3 +286,65 @@ class TestXCache:
         x, y = next(random_points(inst, 1))
         with pytest.raises(ValueError):
             inst.hess_yy_g(x, y)[0, 0] = 0.0
+
+
+def subclassed(inst):
+    """A copy of inst built as an instance of a subclass of its class, the
+    way tests patch an oracle (tests/test_optimizer.py's NanAfter)."""
+    cls = type("Sub" + type(inst).__name__, (type(inst),), {})
+    doc = inst.to_dict()
+    return cls(**doc["params"], **doc["noise"])
+
+
+def stacked_points(inst, K, seed=0):
+    """K points (x, y) whose rows span magnitudes 1e-6 .. 1e3; the first rows
+    saturate the ridge's sigmoid (exp overflows) and the exp toy's exp (to
+    inf and to 0)."""
+    gen = RandomStream(seed).child("stack").generator()
+    scale = 10.0 ** gen.integers(-6, 4, size=(K, 1))
+    X = gen.normal(0.0, 1.0, size=(K, inst.dim_x)) * scale
+    Y = gen.normal(0.0, 1.0, size=(K, inst.dim_y)) * scale
+    for i, v in enumerate((800.0, -800.0, 3000.0, -3000.0)[:K]):
+        X[i] = 0.0
+        X[i, 0] = v
+    return X, Y
+
+
+class TestStackedMethodsMatchScalarCalls:
+    """A stack of K points gives, row by row, the bytes of the 1-D calls."""
+
+    X_METHODS = ("lower_minimizer", "true_hypergradient")
+    XY_METHODS = ("grad_x_f", "grad_y_f", "hess_yy_g", "jac_xy_g")
+
+    @pytest.mark.parametrize("K", [1, 2, 1025])
+    @pytest.mark.parametrize("wrap", [lambda i: i, CountingOracles, subclassed],
+                             ids=["plain", "counting", "subclass"])
+    @pytest.mark.parametrize("inst", analytic_instances(noise=True), ids=lambda i: i.kind)
+    def test_rows_are_bit_equal(self, inst, wrap, K):
+        X, Y = stacked_points(inst, K)
+        stacked, scalar = wrap(inst), fresh(inst)
+        with np.errstate(over="ignore"):
+            for name in self.X_METHODS + self.XY_METHODS:
+                args = (X,) if name in self.X_METHODS else (X, Y)
+                got = getattr(stacked, name)(*args)
+                want = np.stack([getattr(scalar, name)(*row) for row in zip(*args)])
+                assert got.shape == want.shape, name
+                assert got.dtype == want.dtype, name
+                assert got.tobytes() == want.tobytes(), name
+
+    def test_saturated_rows_are_reached(self):
+        _, _, ridge, exp = analytic_instances()
+        with np.errstate(over="ignore"):
+            s, _ = ridge._at(stacked_points(ridge, 2)[0])
+            g = exp.grad_x_f(stacked_points(exp, 4)[0], None)
+        assert (s[0, 0], s[1, 0]) == (1.0, 0.0)
+        assert np.isinf(g[2]).all() and not g[3].any()
+
+    def test_a_stack_leaves_the_ridge_cache_alone(self, ridge_toy):
+        x = np.linspace(-1.0, 1.0, ridge_toy.dim_x)
+        ridge_toy.hess_yy_g(x, None)
+        before = dict(ridge_toy._x_cache)
+        # A one-row stack has the bytes of x, but it is not a cache entry.
+        ridge_toy.lower_minimizer(x[None, :])
+        ridge_toy.hess_yy_g(2.0 * x[None, :], None)
+        assert ridge_toy._x_cache == before

@@ -56,6 +56,17 @@ class TestDeterminism:
         with pytest.raises(ConstraintViolation):
             RandomStream(seed, path)
 
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    @pytest.mark.parametrize("parent", [
+        RandomStream(5), RandomStream(5).children("upper", 3)[2]], ids=["plain", "family_row"])
+    def test_child_outside_64_bits_refused(self, parent, index):
+        # Masked to 64 bits, child("a", -1) would draw child("a", 2**64 - 1)'s
+        # numbers and child("a", 2**64) child("a", 0)'s.
+        with pytest.raises(ConstraintViolation, match=r"stream index must be in \[0, 2\*\*64\)"):
+            parent.child("a", index)
+        edge = parent.child("a", 2**64 - 1)
+        np.testing.assert_array_equal(edge.generator().random(3), numpy_draws(edge))
+
     def test_root_at_64_bit_edges_accepted(self):
         top = RandomStream(2**64 - 1, (("a", 2**64 - 1),))
         np.testing.assert_array_equal(top.generator().random(3), numpy_draws(top))
