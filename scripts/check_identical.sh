@@ -4,12 +4,14 @@
 #
 #   scripts/check_identical.sh <rev>
 #
-# Extracts <rev> with `git archive` into a temporary directory, runs the seven
+# Extracts <rev> with `git archive` into a temporary directory, runs the nine
 # CLI commands below on both trees (accbo option one and option two at 2
 # seeds, sweep at 1 seed, bias, snag-track at 400 seeds on tracking.json,
 # snag-track at 300 seeds and base seed 9 with a fixed-direction drift, dim 3
-# and mu 0.7, and accbo option two at 2 seeds on the noisy fixture ridge toy,
-# whose diagnostics need a linear solve), each into its own output directory,
+# and mu 0.7, accbo option two at 2 seeds on the noisy fixture ridge toy,
+# whose diagnostics need a linear solve, and accbo at 2 seeds on the two kinds
+# no config file uses: the exp toy under option one and the general quadratic
+# under option two, both with noise), each into its own output directory,
 # and compares the two output trees with `diff -r`. Every
 # command's exit code is written next to its outputs, so a changed exit code
 # is a difference too. Prints `byte-identical` and exits 0 when nothing
@@ -34,6 +36,8 @@ run() {  # run <tree> <out> <name> <cli arguments...>
 
 python3 -c 'import json, sys; json.dump({"instance": {"kind": "fixture_ridge", "sigma_f1": 0.1, "sigma_g1": 0.05, "sigma_g2": 0.05}, "schedule": {"mode": "practical", "epsilon": 0.1, "delta": 0.05, "d0": 1.0, "overrides": {"alpha": 1e-3, "beta": 0.95, "eta": 0.005, "T": 1500, "T0": 200, "S": 2, "Q": 15, "I": 2, "N": 12}}, "option": "two"}, open(sys.argv[1], "w"))' \
   "$work/ridge_two.json"
+python3 -c 'import json, sys; noise = {"sigma_f1": 0.05, "sigma_g1": 0.05, "sigma_g2": 0.05}; schedule = {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.5, "overrides": {"alpha": 0.04, "eta": 0.002, "T": 1500, "T0": 200, "S": 2, "Q": 4}}; json.dump({"instance": {"kind": "exp_upper_toy", "params": {"u": [0.3, -0.2], "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1], "mu": 1.0, "l_f0": 1.0}, "noise": noise}, "schedule": schedule, "option": "one", "x0": [0.5, -0.5]}, open(sys.argv[1], "w")); schedule["overrides"].update(I=2, N=6); json.dump({"instance": {"kind": "general_quadratic", "params": {"H": [[2.0, 0.3], [0.3, 1.0]], "C": [[0.5, 0.1], [0.0, 0.4]], "b": [0.1, -0.1], "c": [0.4, -0.3], "d": [0.2, 0.1], "l_f0": 1.0}, "noise": noise}, "schedule": schedule, "option": "two", "x0": [0.5, -0.5]}, open(sys.argv[2], "w"))' \
+  "$work/exp_one.json" "$work/general_two.json"
 
 for side in parent change; do
   tree=$work/parent
@@ -52,6 +56,8 @@ for side in parent change; do
   run "$tree" "$out" track_fixed snag-track --config "$work/tracking_fixed_$side.json" \
     --seeds 300 --base-seed 9
   run "$tree" "$out" ridge_two accbo --config "$work/ridge_two.json" --seeds 2
+  run "$tree" "$out" exp_one accbo --config "$work/exp_one.json" --seeds 2
+  run "$tree" "$out" general_two accbo --config "$work/general_two.json" --seeds 2
 done
 
 diff -r "$work/out_parent" "$work/out_change"

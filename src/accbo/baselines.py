@@ -63,8 +63,7 @@ def run_plain_momentum_bilevel(
             y, lambda w, sw: oracles.stoch_grad_y_g(x, w, sw), s.alpha, st)
 
     def direction(m, x, x_prev, y, y_prev, st):
-        q = st.child("q").integers(0, cfg.Q)
-        g = estimate_hypergradient(oracles, x, y, cfg, st, q=q)
+        g = estimate_hypergradient(oracles, x, y, cfg, st)
         return g if m is None else s.beta * m + (1.0 - s.beta) * g
 
     # tau = 1: the averaged iterate is the last lower-level iterate.

@@ -121,7 +121,6 @@ positive = _check("a positive number", lambda v: _real(v) and v > 0)
 nonnegative = _check("a number >= 0", lambda v: _real(v) and v >= 0)
 fraction = _check("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1)
 count = _integer(1)
-flag = _check("true or false", lambda v: isinstance(v, bool))
 
 
 def one_of(*names: str):
@@ -253,8 +252,7 @@ def _point(value, inst: problems.BilevelInstance, ctx: str):
 
 def _check_option(option: str, inst, algorithms: list[str], ctx: str) -> None:
     """Refuse option one where run_accbo would, before any output is written."""
-    if (option == "one" and "accbo" in algorithms
-            and inst.kind not in optimizer.OPTION_ONE_KINDS):
+    if option == "one" and "accbo" in algorithms and not inst.isotropic_lower:
         raise ConfigError(f"{ctx}: option one requires an isotropic quadratic "
                           f"lower level, not {inst.kind!r}")
 
@@ -294,7 +292,6 @@ SNAG_TRACK = {
         "kind": (one_of("none", "fixed_direction", "random_walk"), "none"),
         "delta": (list_of(nonnegative, bare=True), 0.0),
     }), {}),
-    "write_trajectories": (flag, True),
 }
 
 BIAS = {
@@ -374,10 +371,9 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
     results = []
     for (p, _), rate, trajectory in zip(cells, rates, trajectories):
         sigma, delta = p.sigma, p.delta_drift
-        if doc["write_trajectories"]:
-            # Seed 0 of the grid: run_tracking_experiment on (base_seed, "mc", 0).
-            name = f"track_sigma{_fmt(float(sigma))}_delta{_fmt(float(delta))}.csv"
-            write_csv(trajectory(), config.out_dir / name, TRAJECTORY_COLUMNS)
+        # Seed 0 of the grid: run_tracking_experiment on (base_seed, "mc", 0).
+        name = f"track_sigma{_fmt(float(sigma))}_delta{_fmt(float(delta))}.csv"
+        write_csv(trajectory(), config.out_dir / name, TRAJECTORY_COLUMNS)
         log.info("snag-track sigma=%s delta=%s: violation rate %s over %d seeds",
                  sigma, delta, rate, config.n_seeds)
         results.append({"sigma": sigma, "delta": delta, "violation_rate": rate,

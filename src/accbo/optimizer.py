@@ -33,9 +33,6 @@ __all__ = [
     "run_accbo",
 ]
 
-# Instance kinds whose lower level option one can track (isotropic quadratic).
-OPTION_ONE_KINDS = ("isotropic_quadratic", "exp_upper_toy")
-
 # Most iterations whose diagnostics are computed in one pass.
 _BLOCK = 1024
 
@@ -279,7 +276,7 @@ def run_accbo(
     """
     if option not in ("one", "two"):
         raise ConstraintViolation(f"option must be 'one' or 'two', got {option!r}")
-    if option == "one" and inst.kind not in OPTION_ONE_KINDS:
+    if option == "one" and not inst.isotropic_lower:
         raise ConstraintViolation(
             "option one requires an isotropic quadratic lower level"
         )

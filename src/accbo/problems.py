@@ -7,6 +7,11 @@ independently of the evaluation point, so two oracle calls on the same
 stream path share the same sample realization — exactly the shared-sample
 contract the recursive-momentum update needs.
 
+Every stochastic oracle adds its noise by one rule, ``BilevelInstance._noisy``.
+``IsotropicQuadratic`` and ``ExpUpperToy`` share one lower level (the private
+``_IsotropicLower``) whose Hessian is exactly mu*I; they declare
+``isotropic_lower = True``, and option one of the optimizer runs only on them.
+
 Conventions: x has dim_x entries, y has dim_y entries; the mixed second
 derivative of g is stored as a (dim_x, dim_y) matrix so the hypergradient is
 grad_x f - J_xy @ H_yy^{-1} @ grad_y f.
@@ -106,6 +111,9 @@ class BilevelInstance:
     dim_x: int
     dim_y: int
     constants: ProblemConstants
+    # True when hess_yy_g is exactly mu*I, the lower level that option one's
+    # single Nesterov step per outer iteration can track.
+    isotropic_lower = False
 
     # -- exact quantities (subclasses implement the analytic pieces) --------
 
@@ -137,9 +145,13 @@ class BilevelInstance:
     def phi_value(self, x: np.ndarray) -> float:
         return self.f_value(x, self.lower_minimizer(x))
 
+    def argmin_phi(self) -> np.ndarray:
+        """Minimizer of the composed objective; only quadratic kinds have it."""
+        raise NotImplementedError(f"{self.kind} has no closed-form minimum")
+
     def phi_min(self) -> float:
         """Minimum of the composed objective; only quadratic kinds have it."""
-        raise NotImplementedError(f"{self.kind} has no closed-form minimum")
+        return self.phi_value(self.argmin_phi())
 
     def true_hypergradient(self, x: np.ndarray) -> np.ndarray:
         y = self.lower_minimizer(x)
@@ -149,46 +161,41 @@ class BilevelInstance:
 
     # -- stochastic oracles --------------------------------------------------
 
+    def _noisy(self, exact, sigma: float, dim: int, stream: RandomStream,
+               spread: float = 1.0, v=None) -> np.ndarray:
+        """exact plus dim entries of N(0, sigma^2/(spread*dim)) noise drawn
+        from stream, scaled by ||v|| when v is given; exact as it is, with
+        nothing drawn, when sigma is 0."""
+        if sigma == 0.0:
+            return exact
+        noise = stream.normal(dim, sigma / math.sqrt(spread * dim))
+        if v is not None:
+            # Noise scales with ||v|| so the perturbation acts as an operator
+            # with mean-square norm sigma_g2^2, and v = 0 maps to 0 exactly.
+            noise = noise * float(np.linalg.norm(v))
+        return exact + noise
+
     def stoch_grad_y_g(self, x, y, stream: RandomStream) -> np.ndarray:
-        s = self.constants.sigma_g1
-        g = self.grad_y_g(x, y)
-        if s == 0.0:
-            return g
         # per-entry std sigma_g1/sqrt(8*dim): E||eps||^2 = sigma_g1^2/8, and the
         # norm tail satisfies the sub-Gaussian bound 2*exp(-2*rho^2/sigma_g1^2).
-        return g + stream.normal(self.dim_y, s / math.sqrt(8.0 * self.dim_y))
+        return self._noisy(self.grad_y_g(x, y), self.constants.sigma_g1, self.dim_y,
+                           stream, spread=8.0)
 
     def stoch_grad_x_f(self, x, y, stream: RandomStream) -> np.ndarray:
-        s = self.constants.sigma_f1
-        g = self.grad_x_f(x, y)
-        if s == 0.0:
-            return g
-        return g + stream.normal(self.dim_x, s / math.sqrt(self.dim_x))
+        return self._noisy(self.grad_x_f(x, y), self.constants.sigma_f1, self.dim_x,
+                           stream)
 
     def stoch_grad_y_f(self, x, y, stream: RandomStream) -> np.ndarray:
-        s = self.constants.sigma_f1
-        g = self.grad_y_f(x, y)
-        if s == 0.0:
-            return g
-        return g + stream.normal(self.dim_y, s / math.sqrt(self.dim_y))
+        return self._noisy(self.grad_y_f(x, y), self.constants.sigma_f1, self.dim_y,
+                           stream)
 
     def stoch_jvp_xy_g(self, x, y, v, stream: RandomStream) -> np.ndarray:
-        out = self.jac_xy_g(x, y) @ v
-        s = self.constants.sigma_g2
-        if s == 0.0:
-            return out
-        # Noise scales with ||v|| so the perturbation acts as an operator with
-        # mean-square norm sigma_g2^2, and v = 0 maps to 0 exactly.
-        nv = float(np.linalg.norm(v))
-        return out + stream.normal(self.dim_x, s / math.sqrt(self.dim_x)) * nv
+        return self._noisy(self.jac_xy_g(x, y) @ v, self.constants.sigma_g2,
+                           self.dim_x, stream, v=v)
 
     def stoch_hvp_yy_g(self, x, y, v, stream: RandomStream) -> np.ndarray:
-        out = self.hess_yy_g(x, y) @ v
-        s = self.constants.sigma_g2
-        if s == 0.0:
-            return out
-        nv = float(np.linalg.norm(v))
-        return out + stream.normal(self.dim_y, s / math.sqrt(self.dim_y)) * nv
+        return self._noisy(self.hess_yy_g(x, y) @ v, self.constants.sigma_g2,
+                           self.dim_y, stream, v=v)
 
     # -- serialization ---------------------------------------------------------
 
@@ -204,57 +211,40 @@ class BilevelInstance:
         return {"kind": self.kind, "params": self._params(), "noise": noise}
 
 
-class IsotropicQuadratic(BilevelInstance):
-    """Lower level (mu/2)*||y - A x - b||^2; quadratic upper level.
+class _IsotropicLower(BilevelInstance):
+    """Lower level g(x, y) = (mu/2)*||y - A x - b||^2, so y*(x) = A x + b and
+    the lower-level Hessian is exactly mu*I, which option one requires.
 
-    f(x, y) = 0.5*||x - c||^2 + 0.5*||y - d||^2, so y*(x) = A x + b and every
-    derivative is closed form. The lower-level Hessian is exactly mu*I, which
-    Option I requires.
+    Subclasses add the upper level and pass its constants (l_f0, Lx0, Lx1,
+    Ly0) through to ProblemConstants.
     """
 
-    kind = "isotropic_quadratic"
+    isotropic_lower = True
 
-    def __init__(self, mu, A, b, c, d, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
-                 sigma_g2=0.0):
+    def __init__(self, mu, A, b, *, sigma_f1, sigma_g1, sigma_g2, **upper):
         if mu <= 0:
             raise ConstraintViolation(f"mu must be positive, got {mu!r}")
         self.mu = float(mu)
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.dim_y, self.dim_x = self.A.shape
         self.b = _as_vec(b, self.dim_y, "b")
-        self.c = _as_vec(c, self.dim_x, "c")
-        self.d = _as_vec(d, self.dim_y, "d")
         self._hess = _read_only(self.mu * np.eye(self.dim_y))
         op_A = float(np.linalg.norm(self.A, 2)) if self.A.size else 0.0
         self.constants = ProblemConstants(
             mu=self.mu,
             l_g1=self.mu * max(1.0, op_A),
             l_g2=0.0,
-            l_f0=float(l_f0),
-            Lx0=1.0,
-            Ly0=1.0,
             sigma_f1=float(sigma_f1),
             sigma_g1=float(sigma_g1),
             sigma_g2=float(sigma_g2),
+            **upper,
         )
 
-    def _residual(self, x, y):
-        return y - self.A @ x - self.b
-
-    def f_value(self, x, y):
-        return 0.5 * float(np.sum((x - self.c) ** 2) + np.sum((y - self.d) ** 2))
-
     def g_value(self, x, y):
-        return 0.5 * self.mu * float(np.sum(self._residual(x, y) ** 2))
-
-    def grad_x_f(self, x, y):
-        return x - self.c
-
-    def grad_y_f(self, x, y):
-        return y - self.d
+        return 0.5 * self.mu * float(np.sum((y - self.A @ x - self.b) ** 2))
 
     def grad_y_g(self, x, y):
-        return self.mu * self._residual(x, y)
+        return self.mu * (y - self.A @ x - self.b)
 
     def hess_yy_g(self, x, y):
         return _stacked(self._hess, x)
@@ -265,6 +255,30 @@ class IsotropicQuadratic(BilevelInstance):
     def lower_minimizer(self, x):
         return _mv(self.A, x) + self.b
 
+
+class IsotropicQuadratic(_IsotropicLower):
+    """Isotropic lower level with the quadratic upper level
+    f(x, y) = 0.5*||x - c||^2 + 0.5*||y - d||^2, so every derivative is
+    closed form."""
+
+    kind = "isotropic_quadratic"
+
+    def __init__(self, mu, A, b, c, d, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
+                 sigma_g2=0.0):
+        super().__init__(mu, A, b, l_f0=float(l_f0), Lx0=1.0, Ly0=1.0,
+                         sigma_f1=sigma_f1, sigma_g1=sigma_g1, sigma_g2=sigma_g2)
+        self.c = _as_vec(c, self.dim_x, "c")
+        self.d = _as_vec(d, self.dim_y, "d")
+
+    def f_value(self, x, y):
+        return 0.5 * float(np.sum((x - self.c) ** 2) + np.sum((y - self.d) ** 2))
+
+    def grad_x_f(self, x, y):
+        return x - self.c
+
+    def grad_y_f(self, x, y):
+        return y - self.d
+
     def true_hypergradient(self, x):
         ystar = self.lower_minimizer(x)
         return (x - self.c) + _mv(self.A.T, ystar - self.d)
@@ -273,9 +287,6 @@ class IsotropicQuadratic(BilevelInstance):
         lhs = np.eye(self.dim_x) + self.A.T @ self.A
         rhs = self.c + self.A.T @ (self.d - self.b)
         return np.linalg.solve(lhs, rhs)
-
-    def phi_min(self) -> float:
-        return self.phi_value(self.argmin_phi())
 
     def _params(self):
         return {
@@ -361,9 +372,6 @@ class GeneralQuadratic(BilevelInstance):
         lhs = np.eye(self.dim_x) + M.T @ M
         rhs = self.c + M.T @ (self.d - hb)
         return np.linalg.solve(lhs, rhs)
-
-    def phi_min(self) -> float:
-        return self.phi_value(self.argmin_phi())
 
     def _params(self):
         return {
@@ -499,43 +507,23 @@ class RidgeWeighting(BilevelInstance):
         }
 
 
-class ExpUpperToy(BilevelInstance):
-    """Exercises the unbounded-smoothness path: f(x,y) = exp(x.u) + 0.5*||y||^2."""
+class ExpUpperToy(_IsotropicLower):
+    """Exercises the unbounded-smoothness path: f(x,y) = exp(x.u) + 0.5*||y||^2
+    over the isotropic lower level."""
 
     kind = "exp_upper_toy"
 
     def __init__(self, u, A, b, mu=1.0, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
                  sigma_g2=0.0):
         self.u = np.asarray(u, dtype=float)
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.dim_y, self.dim_x = self.A.shape
+        super().__init__(mu, A, b, l_f0=float(l_f0), Lx0=0.0,
+                         Lx1=float(np.linalg.norm(self.u)), Ly0=1.0,
+                         sigma_f1=sigma_f1, sigma_g1=sigma_g1, sigma_g2=sigma_g2)
         if self.u.shape != (self.dim_x,):
             raise ConstraintViolation("u must have dim_x entries")
-        self.b = _as_vec(b, self.dim_y, "b")
-        if mu <= 0:
-            raise ConstraintViolation(f"mu must be positive, got {mu!r}")
-        self.mu = float(mu)
-        self._hess = _read_only(self.mu * np.eye(self.dim_y))
-        op_A = float(np.linalg.norm(self.A, 2)) if self.A.size else 0.0
-        self.constants = ProblemConstants(
-            mu=self.mu,
-            l_g1=self.mu * max(1.0, op_A),
-            l_g2=0.0,
-            l_f0=float(l_f0),
-            Lx0=0.0,
-            Lx1=float(np.linalg.norm(self.u)),
-            Ly0=1.0,
-            sigma_f1=float(sigma_f1),
-            sigma_g1=float(sigma_g1),
-            sigma_g2=float(sigma_g2),
-        )
 
     def f_value(self, x, y):
         return float(np.exp(x @ self.u) + 0.5 * np.sum(y**2))
-
-    def g_value(self, x, y):
-        r = y - self.A @ x - self.b
-        return 0.5 * self.mu * float(np.sum(r**2))
 
     def grad_x_f(self, x, y):
         if _is_stack(x):
@@ -544,18 +532,6 @@ class ExpUpperToy(BilevelInstance):
 
     def grad_y_f(self, x, y):
         return np.asarray(y, dtype=float)
-
-    def grad_y_g(self, x, y):
-        return self.mu * (y - self.A @ x - self.b)
-
-    def hess_yy_g(self, x, y):
-        return _stacked(self._hess, x)
-
-    def jac_xy_g(self, x, y):
-        return _stacked(-self.mu * self.A.T, x)
-
-    def lower_minimizer(self, x):
-        return _mv(self.A, x) + self.b
 
     def true_hypergradient(self, x):
         return self.grad_x_f(x, None) + _mv(self.A.T, _mv(self.A, x) + self.b)

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import ConstraintViolation, nesterov_momentum
+from .problems import _dot
 from .rng import RandomStream
 
 __all__ = [
@@ -182,22 +183,20 @@ def _walk_rows(delta, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriftProcess:
-    """Per-step minimizer displacement model."""
+    """Per-step minimizer displacement model: none, a fixed step of length
+    delta along direction, or a random walk of step length delta."""
 
-    kind: str = "none"  # none | fixed_direction | random_walk | external
+    kind: str = "none"
     delta: float = 0.0
     direction: tuple[float, ...] | None = None
-    sequence: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "fixed_direction", "random_walk", "external"):
+        if self.kind not in ("none", "fixed_direction", "random_walk"):
             raise ConstraintViolation(f"unknown drift kind {self.kind!r}")
         if self.delta < 0:
             raise ConstraintViolation("delta must be >= 0")
         if self.kind == "fixed_direction" and self.direction is None:
             raise ConstraintViolation("fixed_direction drift needs a direction")
-        if self.kind == "external" and self.sequence is None:
-            raise ConstraintViolation("external drift needs a sequence")
 
     @property
     def walks(self) -> bool:
@@ -210,12 +209,6 @@ class DriftProcess:
         Only a walking drift draws, one block from the "drift" sub-stream."""
         if self.walks:
             return _walk_rows(self.delta, _unit_tape(stream, _DRIFT, T, dim))
-        if self.kind == "external":
-            seq = np.asarray(self.sequence, dtype=float)
-            if T > len(seq):
-                raise ConstraintViolation(
-                    f"external drift sequence too short at t={len(seq)}")
-            return seq[:T]
         if self.kind == "none" or self.delta == 0.0:
             return np.zeros((T, dim))
         d = np.asarray(self.direction, dtype=float)
@@ -320,13 +313,6 @@ def run_tracking_experiment(
     return logs
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.dot(a[i], b[i]) for every row i, with np.dot's rounding: each core
-    of the stacked (1, dim) @ (dim, 1) product is one BLAS dot, as np.dot
-    is (the reduction of a * b rounds differently where BLAS uses FMA)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _record_terms(w, w_prev, wstar, H: np.ndarray, s: float, alpha: float):
     """(V, phi_gap, dist) of run_tracking_experiment's records for stacked
     rows of w, w_prev and w*, with the scalar record's arithmetic."""
@@ -336,8 +322,8 @@ def _record_terms(w, w_prev, wstar, H: np.ndarray, s: float, alpha: float):
     if np.any(gap < -1e-12):
         raise ConstraintViolation(f"phi_gap must be >= 0, got {gap.min()!r}")
     u = e + (s - 1.0) * (w_prev - wstar)
-    V = _row_dots(u, u) / (2.0 * alpha) + np.maximum(gap, 0.0)
-    return V, gap, np.sqrt(_row_dots(e, e))
+    V = _dot(u, u) / (2.0 * alpha) + np.maximum(gap, 0.0)
+    return V, gap, np.sqrt(_dot(e, e))
 
 
 def _trajectory(rows: np.ndarray, bounds: np.ndarray, H: np.ndarray, s: float,
@@ -355,19 +341,19 @@ def mc_tracking_grid(
     n_seeds: int,
     dim: int = 2,
     base_seed: int = 0,
-    mu_hessian: Sequence[Sequence[float]] | None = None,
 ) -> tuple[list[float], list[Callable[[], list[dict]]]]:
     """Violation rate of each (params, drift) cell: the fraction of its
     independent runs whose potential ever exceeds the cell's bound; and seed
     0's trajectory of each cell.
 
-    Seed k of every cell reproduces run_tracking_experiment with the default
-    start on the stream (base_seed, "mc", k). Cells may differ in sigma, drift,
-    delta_drift, delta_prob and V0, and each keeps its own bound, V0 and
-    isotropy check; they must share mu, alpha and T. One SNAG state carries
-    every (cell, seed) row as (n_cells, n_seeds, dim) arrays. Per seed, one
-    unit noise tape and one unit direction tape are drawn (each only if some
-    cell needs it) and every cell scales the same rows step by step.
+    Seed k of every cell reproduces run_tracking_experiment on the isotropic
+    family QuadraticFamily(mu, dim), with the default start, on the stream
+    (base_seed, "mc", k). Cells may differ in sigma, drift, delta_drift,
+    delta_prob and V0, and each keeps its own bound and V0; they must share
+    mu, alpha and T. One SNAG state carries every (cell, seed) row as
+    (n_cells, n_seeds, dim) arrays. Per seed, one unit noise tape and one unit
+    direction tape are drawn (each only if some cell needs it) and every cell
+    scales the same rows step by step.
 
     The grid keeps seed 0's w, w_prev and w* rows at every step, a
     (T+1, 3, n_cells, dim) array. Trajectory c, when called, builds from them
@@ -382,10 +368,7 @@ def mc_tracking_grid(
     mu, alpha, T = first.mu, first.alpha, first.T
     if any((p.mu, p.alpha, p.T) != (mu, alpha, T) for p, _ in cells):
         raise ConstraintViolation("the cells of a tracking grid must share mu, alpha and T")
-    family = QuadraticFamily(
-        mu=mu, dim=dim,
-        hessian=None if mu_hessian is None else tuple(map(tuple, mu_hessian)),
-    )
+    family = QuadraticFamily(mu=mu, dim=dim)
     H = family.matrix()
     root = RandomStream(base_seed)
     n_cells = len(cells)
@@ -461,8 +444,7 @@ def mc_tracking_violation_rate(
     n_seeds: int,
     dim: int = 2,
     base_seed: int = 0,
-    mu_hessian: Sequence[Sequence[float]] | None = None,
 ) -> float:
     """Fraction of independent runs where the potential ever exceeds its bound:
     the one-cell mc_tracking_grid."""
-    return mc_tracking_grid([(p, drift)], n_seeds, dim, base_seed, mu_hessian)[0][0]
+    return mc_tracking_grid([(p, drift)], n_seeds, dim, base_seed)[0][0]

@@ -167,6 +167,16 @@ class TestCommands:
             assert lines[0].startswith("t,grad_norm,m_norm")
             assert len(lines) == 31  # header + T rows
 
+    def test_accbo_option_one_on_exp_toy(self, tmp_path):
+        exp = {"kind": "exp_upper_toy",
+               "params": {"u": [0.3, -0.2], "A": [[0.5, 0.0], [0.0, 0.5]],
+                          "b": [0.1, -0.1], "mu": 1.0, "l_f0": 1.0},
+               "noise": {"sigma_f1": 0.05, "sigma_g1": 0.05, "sigma_g2": 0.05}}
+        doc = dict(ACCBO_DOC, instance=exp, x0=[0.5, -0.5])
+        assert cmd_accbo(ExperimentConfig("accbo", doc, tmp_path)) == 0
+        summary = json.loads((tmp_path / "accbo_summary.json").read_text())
+        assert summary["option"] == "one"
+
     def test_accbo_plain_momentum_algorithm(self, tmp_path):
         doc = dict(ACCBO_DOC, algorithm="plain_momentum")
         assert cmd_accbo(ExperimentConfig("accbo", doc, tmp_path)) == 0

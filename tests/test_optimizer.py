@@ -186,10 +186,16 @@ class TestRunAccbo:
         uncached = run_accbo(FreshEachCall(ridge), sched, "two", RandomStream(3), x0=x)
         assert [vars(r) for r in cached] == [vars(r) for r in uncached]
 
-    def test_option_one_rejects_anisotropic_lower(self, general_quad):
-        sched = practical_schedule(general_quad)
-        with pytest.raises(ConstraintViolation):
-            run_accbo(general_quad, sched, "one", RandomStream(0))
+    def test_option_one_rejects_anisotropic_lower(self, general_quad, ridge_toy):
+        for inst in (general_quad, ridge_toy):
+            with pytest.raises(ConstraintViolation, match="option one"):
+                run_accbo(inst, practical_schedule(inst), "one", RandomStream(0))
+
+    def test_option_one_runs_on_exp_toy(self, exp_toy):
+        logs = run_accbo(exp_toy, practical_schedule(exp_toy), "one", RandomStream(0),
+                         x0=np.array([0.5, -0.5]))
+        assert len(logs) == 20
+        assert all(np.isfinite(rec.grad_norm_true) for rec in logs)
 
     def test_unknown_option_rejected(self):
         inst = noisy_iso()

@@ -211,6 +211,111 @@ class TestStochasticOracles:
         )
 
 
+# The oracles as each was written out before they shared one noise rule: the
+# reference the shared rule is held to, bit for bit.
+def _formula_grad_y_g(inst, x, y, stream):
+    s = inst.constants.sigma_g1
+    g = inst.grad_y_g(x, y)
+    if s == 0.0:
+        return g
+    return g + stream.normal(inst.dim_y, s / math.sqrt(8.0 * inst.dim_y))
+
+
+def _formula_grad_x_f(inst, x, y, stream):
+    s = inst.constants.sigma_f1
+    g = inst.grad_x_f(x, y)
+    if s == 0.0:
+        return g
+    return g + stream.normal(inst.dim_x, s / math.sqrt(inst.dim_x))
+
+
+def _formula_grad_y_f(inst, x, y, stream):
+    s = inst.constants.sigma_f1
+    g = inst.grad_y_f(x, y)
+    if s == 0.0:
+        return g
+    return g + stream.normal(inst.dim_y, s / math.sqrt(inst.dim_y))
+
+
+def _formula_jvp_xy_g(inst, x, y, v, stream):
+    out = inst.jac_xy_g(x, y) @ v
+    s = inst.constants.sigma_g2
+    if s == 0.0:
+        return out
+    nv = float(np.linalg.norm(v))
+    return out + stream.normal(inst.dim_x, s / math.sqrt(inst.dim_x)) * nv
+
+
+def _formula_hvp_yy_g(inst, x, y, v, stream):
+    out = inst.hess_yy_g(x, y) @ v
+    s = inst.constants.sigma_g2
+    if s == 0.0:
+        return out
+    nv = float(np.linalg.norm(v))
+    return out + stream.normal(inst.dim_y, s / math.sqrt(inst.dim_y)) * nv
+
+
+FORMULAS = {
+    "stoch_grad_y_g": _formula_grad_y_g,
+    "stoch_grad_x_f": _formula_grad_x_f,
+    "stoch_grad_y_f": _formula_grad_y_f,
+    "stoch_jvp_xy_g": _formula_jvp_xy_g,
+    "stoch_hvp_yy_g": _formula_hvp_yy_g,
+}
+
+
+def all_instances():
+    return analytic_instances() + analytic_instances(noise=True)
+
+
+class TestOraclesMatchFormulas:
+    @pytest.mark.parametrize("vector", ["zero", "nonzero"])
+    @pytest.mark.parametrize("wrap", [lambda i: i, CountingOracles],
+                             ids=["plain", "counting"])
+    @pytest.mark.parametrize(
+        "inst", all_instances(),
+        ids=lambda i: f"{i.kind}-sigma{int(i.constants.sigma_g1 > 0)}")
+    def test_oracles_are_bit_equal_to_their_formulas(self, inst, wrap, vector):
+        oracles = wrap(inst)
+        root = RandomStream(21).child("formula")
+        for k, (x, y) in enumerate(random_points(inst, 3, seed=8)):
+            for name, formula in FORMULAS.items():
+                args = (x, y)
+                if name == "stoch_jvp_xy_g":
+                    args += (np.zeros(inst.dim_y) if vector == "zero" else y,)
+                elif name == "stoch_hvp_yy_g":
+                    args += (np.zeros(inst.dim_y) if vector == "zero" else 2.0 * y,)
+                stream = root.child(name, k)
+                got = getattr(oracles, name)(*args, stream)
+                want = formula(inst, *args, stream)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("inst", analytic_instances(), ids=lambda i: i.kind)
+    def test_zero_noise_builds_no_generator(self, inst, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a noiseless oracle built a generator")
+
+        x, y = next(random_points(inst, 1))
+        monkeypatch.setattr(RandomStream, "generator", refuse)
+        for name in FORMULAS:
+            args = (x, y, y) if name in ("stoch_jvp_xy_g", "stoch_hvp_yy_g") else (x, y)
+            getattr(inst, name)(*args, RandomStream(0))
+
+    @pytest.mark.parametrize("wrap", [lambda i: i, CountingOracles],
+                             ids=["plain", "counting"])
+    def test_isotropic_lower_exactly_where_hessian_is_mu_identity(self, wrap):
+        isotropic = set()
+        for inst in analytic_instances():
+            mu_eye = inst.constants.mu * np.eye(inst.dim_y)
+            is_mu_eye = all(np.array_equal(inst.hess_yy_g(x, y), mu_eye)
+                            for x, y in random_points(inst, 3, seed=9))
+            assert wrap(inst).isotropic_lower is is_mu_eye, inst.kind
+            if is_mu_eye:
+                isotropic.add(inst.kind)
+        assert isotropic == {"isotropic_quadratic", "exp_upper_toy"}
+
+
 class TestSerialization:
     @pytest.mark.parametrize("inst", analytic_instances(noise=True),
                              ids=lambda i: i.kind)

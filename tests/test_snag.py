@@ -227,14 +227,6 @@ class TestDriftProcess:
         with pytest.raises(ConstraintViolation):
             d.displacements(3, 2, NULL)
 
-    def test_external_sequence(self):
-        d = DriftProcess(kind="external", sequence=((0.1, 0.0), (0.0, 0.2)))
-        steps = d.displacements(2, 2, NULL)
-        np.testing.assert_array_equal(steps[0], [0.1, 0.0])
-        np.testing.assert_array_equal(steps[1], [0.0, 0.2])
-        with pytest.raises(ConstraintViolation):
-            d.displacements(3, 2, NULL)
-
     def test_validation(self):
         with pytest.raises(ConstraintViolation):
             DriftProcess(kind="bogus")
@@ -271,11 +263,6 @@ class TestTrackingExperiment:
             run_tracking_experiment(fam, DriftProcess(kind="random_walk",
                                                       delta=0.01),
                                     p, RandomStream(0))
-        # An external sequence moves the minimizer although its delta is 0.
-        fam = QuadraticFamily(1.0, 2, hessian=((1.0, 0.0), (0.0, 4.0)))
-        drift = DriftProcess(kind="external", sequence=((0.5, 0.0),) * 20)
-        with pytest.raises(ConstraintViolation):
-            run_tracking_experiment(fam, drift, self.make_params(T=20), RandomStream(0))
 
     def test_run_is_deterministic(self):
         p = self.make_params()
@@ -371,13 +358,6 @@ class TestMonteCarloGrid:
     def test_cells_must_share_mu_alpha_and_T(self, other):
         with pytest.raises(ConstraintViolation):
             mc_tracking_grid([self.CELLS[0], (other, DriftProcess())], 2)
-
-    def test_drifting_cell_refused_on_anisotropic_hessian(self):
-        hessian = ((2.0, 0.0), (0.0, 1.0))
-        # Without drift the anisotropic grid runs; one drifting cell refuses it.
-        assert mc_tracking_grid([self.CELLS[0]], 2, mu_hessian=hessian)[0] == [0.0]
-        with pytest.raises(ConstraintViolation):
-            mc_tracking_grid(self.CELLS[:2], 2, mu_hessian=hessian)
 
 
 def _bits(values) -> bytes:
