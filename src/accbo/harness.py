@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -166,10 +167,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _row_format(kinds: tuple[type, ...]) -> str:
+    """The %-format of a CSV row whose values have these types: with bools
+    made "true" or "false" first, it gives _fmt's bytes for every value."""
+    return ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds)
+
+
+def _rows(records: list[dict], columns: list[str]):
+    """Each record's values in column order, as a tuple."""
+    if len(columns) > 1:
+        return map(operator.itemgetter(*columns), records)
+    return (tuple(rec[c] for c in columns) for rec in records)
+
+
 def write_csv(records: list[dict], path: str | Path, columns: list[str]) -> None:
+    formats: dict[tuple[type, ...], str] = {}
     lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_fmt(rec[c]) for c in columns))
+    for row in _rows(records, columns):
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = _row_format(kinds)
+        if bool in kinds:
+            row = tuple(_fmt(v) if type(v) is bool else v for v in row)
+        lines.append(fmt % row)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

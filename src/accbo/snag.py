@@ -5,13 +5,16 @@ extrapolated point), the rank-1 potential that certifies tracking, the
 high-probability tracking bounds with and without drift, and Monte-Carlo
 verification over seeded runs.
 
-The Monte-Carlo kernel ``mc_tracking_grid`` carries every (cell, seed) row
-of a grid of cells in one SNAG state. Seed k of every cell reads the same
-two unit tapes, drawn once from the sub-streams "noise" and "drift" of
-(base_seed, "mc", k); each cell scales them to its own sigma and drift
-size step by step, so memory holds one unit tape per source, not one tape
-per cell. The grid also keeps seed 0's rows, from which it builds each
-cell's trajectory records: the snag-track CSVs are seed 0 of the grid.
+The Monte-Carlo kernel ``mc_tracking_grid`` carries every (cell, seed) run
+of a grid of cells in one SNAG state, stored coordinate-major as
+(dim, cell, seed) arrays: its step loop is the SNAG recursion with the
+gradient mu * (z - w*) + noise, and a sum over the coordinates adds
+contiguous planes. Seed k of every cell reads the same two unit tapes,
+drawn once from the sub-streams "noise" and "drift" of (base_seed, "mc", k);
+each cell scales them to its own sigma and drift size step by step, so
+memory holds one unit tape per source, not one tape per cell. The grid also
+keeps seed 0's rows, from which it builds each cell's trajectory records:
+the snag-track CSVs are seed 0 of the grid.
 ``run_tracking_experiment`` is the scalar reference that the tests hold the
 grid to: seed k of a cell is that run on stream (base_seed, "mc", k), and
 seed 0's records equal its records bit for bit.
@@ -154,29 +157,30 @@ def _noise_rows(scale, z: np.ndarray) -> np.ndarray:
     return 0.0 + scale * z
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """np.sum(a, axis=-1), bit for bit. numpy adds fewer than 8 terms in
-    order, starting from 0.0, so short rows are summed column by column in
-    that order, which costs less than the reduction; longer rows (summed
-    pairwise) go to np.sum. Which NaN (sign and payload) an add passes on
-    depends on numpy's loop, so a sum with a NaN in it goes to np.sum too."""
-    n = a.shape[-1]
-    if n >= 8:
-        return np.sum(a, axis=-1)
-    acc = 0.0 + a[..., 0]
-    for j in range(1, n):
-        acc += a[..., j]
-    if np.isnan(acc).any():
-        return np.sum(a, axis=-1)
-    return acc
+def _row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """np.sum over `axis`, bit for bit as numpy sums that axis when it is last
+    and contiguous (the rows of a row-major array). numpy adds fewer than 8
+    terms in order, starting from 0.0, so short rows are summed slice by slice
+    in that order, which costs less than the reduction. Longer rows (summed
+    pairwise) go to np.sum on a copy with the axis last, since np.sum over any
+    other layout adds in another order. Which NaN (sign and payload) an add
+    passes on depends on numpy's loop, so a sum with a NaN in it goes there too."""
+    planes = np.moveaxis(a, axis, 0) if axis else a
+    if len(planes) < 8:
+        acc = 0.0 + planes[0]
+        for plane in planes[1:]:
+            acc += plane
+        if not np.isnan(acc).any():
+            return acc
+    return np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
 
 
-def _walk_rows(delta, v: np.ndarray) -> np.ndarray:
-    """Random-walk displacements from unit rows v: uniform sphere directions, so
-    ||displacement|| = delta exactly and the squared drift is deterministic
-    (trivially sub-exponential)."""
-    # np.linalg.norm(v, axis=-1, keepdims=True), bit for bit.
-    norms = np.sqrt(_row_sum(v * v))[..., None]
+def _walk_rows(delta, v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Random-walk displacements from unit rows v along `axis`: uniform sphere
+    directions, so ||displacement|| = delta exactly and the squared drift is
+    deterministic (trivially sub-exponential)."""
+    # np.linalg.norm(v, axis=axis, keepdims=True) of row-major rows, bit for bit.
+    norms = np.expand_dims(np.sqrt(_row_sum(v * v, axis)), axis)
     norms[norms == 0.0] = 1.0
     return delta * v / norms
 
@@ -245,8 +249,8 @@ class QuadraticFamily:
 
 def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams,
                  drifting: bool, wstar: np.ndarray):
-    """Bound function, start and noise scale of one tracking cell whose runs
-    start at the minimizer wstar (a row or a stack of rows)."""
+    """Bound function, start row and noise scale of one tracking cell whose
+    runs start at the minimizer row wstar."""
     if drifting and not family.isotropic:
         raise ConstraintViolation(
             "the with-drift bound is stated for isotropic quadratics only"
@@ -254,7 +258,7 @@ def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams,
     bound_fn = tracking_bound_with_drift if drifting else tracking_bound_no_drift
     # Offset chosen so the initial potential is exactly p.V0.
     w0 = wstar.copy()
-    w0[..., 0] += math.sqrt(p.V0 / family.mu) if p.V0 > 0 else 0.0
+    w0[0] += math.sqrt(p.V0 / family.mu) if p.V0 > 0 else 0.0
     return bound_fn, w0, p.sigma / math.sqrt(8.0 * family.dim)
 
 
@@ -326,11 +330,12 @@ def _record_terms(w, w_prev, wstar, H: np.ndarray, s: float, alpha: float):
     return V, gap, np.sqrt(_dot(e, e))
 
 
-def _trajectory(rows: np.ndarray, bounds: np.ndarray, H: np.ndarray, s: float,
-                alpha: float) -> list[dict]:
-    """Records of one run from its (T+1, 3, dim) rows of w, w_prev and w*,
-    and its bound at every t."""
-    V, gap, dist = _record_terms(rows[:, 0], rows[:, 1], rows[:, 2], H, s, alpha)
+def _trajectory(w: np.ndarray, wstar: np.ndarray, bounds: np.ndarray, H: np.ndarray,
+                s: float, alpha: float) -> list[dict]:
+    """Records of one run from its (T+1, dim) rows of w and w*, and its bound
+    at every t. w_prev is w one step back (w_{-1} = w_0)."""
+    w_prev = np.concatenate([w[:1], w[:-1]])
+    V, gap, dist = _record_terms(w, w_prev, wstar, H, s, alpha)
     return [{"t": t, "V": v, "bound": b, "dist": d, "phi_gap": g}
             for t, (v, b, d, g) in enumerate(zip(
                 V.tolist(), bounds.tolist(), dist.tolist(), gap.tolist()))]
@@ -350,15 +355,26 @@ def mc_tracking_grid(
     family QuadraticFamily(mu, dim), with the default start, on the stream
     (base_seed, "mc", k). Cells may differ in sigma, drift, delta_drift,
     delta_prob and V0, and each keeps its own bound and V0; they must share
-    mu, alpha and T. One SNAG state carries every (cell, seed) row as
-    (n_cells, n_seeds, dim) arrays. Per seed, one unit noise tape and one unit
-    direction tape are drawn (each only if some cell needs it) and every cell
-    scales the same rows step by step.
+    mu, alpha and T. One SNAG state carries every (cell, seed) row, laid out
+    coordinate-major: w, w_prev and w* are (dim, n_cells, n_seeds) arrays, so
+    a sum over the coordinates adds contiguous planes. Per seed, one unit
+    noise tape and one unit direction tape are drawn (each only if some cell
+    needs it) into a (T, dim, 1, n_seeds) array, and every cell scales the
+    same rows step by step.
 
-    The grid keeps seed 0's w, w_prev and w* rows at every step, a
-    (T+1, 3, n_cells, dim) array. Trajectory c, when called, builds from them
-    the records run_tracking_experiment returns for cell c on stream
-    (base_seed, "mc", 0), with that function's arithmetic, bit for bit.
+    H = mu*I, so the step's gradient is mu * (z - w*) plus noise, and the
+    potential's gap term sums (mu * e) * e. Each entry of the reference's
+    (z - w*) @ H equals mu times the entry up to the sign of a zero, which
+    adding the noise (0.0 or 0.0 + scale * unit, never -0.0) clears; in the
+    gap a zero's sign changes no sum. Where a vector has an infinity (dim > 1),
+    the reference's product has NaNs where this one has infinities: the
+    gradient aborts the run either way, and a run whose w overflows on the
+    last step, with no gradient after it, gets the reference's NaN potential.
+
+    The grid keeps seed 0's w and w* rows at every step. Trajectory c, when
+    called, builds from them the records run_tracking_experiment returns for
+    cell c on stream (base_seed, "mc", 0), with that function's arithmetic,
+    bit for bit.
     """
     if n_seeds < 1:
         raise ConstraintViolation("n_seeds must be >= 1")
@@ -372,49 +388,62 @@ def mc_tracking_grid(
     H = family.matrix()
     root = RandomStream(base_seed)
     n_cells = len(cells)
-    # Seed-independent inputs of each cell. Random-walk cells have their drift
-    # size in `walk` and zero `still` rows; every other cell has walk 0.
-    wstar = np.zeros((n_cells, n_seeds, dim))
-    w = np.empty_like(wstar)
-    still = np.zeros((T, n_cells, 1, dim))
-    walk = np.zeros((n_cells, 1, 1))
-    scale = np.empty((n_cells, 1, 1))
+    # Seed-independent inputs of each cell: its start row w0 (w* starts at 0).
+    # Random-walk cells have their drift size in `walk` and zero `still` rows;
+    # every other cell has walk 0.
+    w0 = np.empty((n_cells, dim))
+    still = np.zeros((T, dim, n_cells, 1))
+    walk = np.zeros((n_cells, 1))
+    scale = np.empty((n_cells, 1))
     bound_fns = []
     for c, (p, drift) in enumerate(cells):
         if drift.walks:
             walk[c] = drift.delta
         else:
-            still[:, c, 0] = drift.displacements(T, dim, root)
-        bound_fn, w[c], scale[c] = _cell_inputs(
-            family, p, drift.walks or bool(still[:, c].any()), wstar[c])
+            still[:, :, c, 0] = drift.displacements(T, dim, root)
+        bound_fn, w0[c], scale[c] = _cell_inputs(
+            family, p, drift.walks or bool(still[:, :, c].any()), np.zeros(dim))
         bound_fns.append(bound_fn)
-    walking = walk > 0.0
+    fixed = still.any()
 
-    # Unit tapes laid out (T, n_seeds, dim), so step t reads contiguous rows.
-    noise = np.empty((T, n_seeds, dim)) if any(p.sigma > 0.0 for p, _ in cells) else None
-    steps = np.empty((T, n_seeds, dim)) if walking.any() else None
+    # Unit tapes laid out (T, dim, 1, n_seeds): step t reads contiguous planes
+    # that broadcast over the cells. Seed k's (T, dim) block fills column k.
+    noise = np.empty((T, dim, 1, n_seeds)) if any(p.sigma > 0.0 for p, _ in cells) else None
+    steps = np.empty((T, dim, 1, n_seeds)) if walk.any() else None
     for k, stream in enumerate(root.children("mc", n_seeds)):
         if noise is not None:
-            noise[:, k] = _unit_tape(stream, _NOISE, T, dim)
+            noise[:, :, 0, k] = _unit_tape(stream, _NOISE, T, dim)
         if steps is not None:
-            steps[:, k] = _unit_tape(stream, _DRIFT, T, dim)
+            steps[:, :, 0, k] = _unit_tape(stream, _DRIFT, T, dim)
 
-    state = SnagState.initial(w, alpha, mu)
+    wstar = np.zeros((dim, n_cells, n_seeds))
+    state = SnagState.initial(np.repeat(w0.T[:, :, None], n_seeds, axis=2), alpha, mu)
     s = math.sqrt(mu * alpha)
 
     def potentials(state: SnagState, wstar: np.ndarray) -> np.ndarray:
+        # e = w - w*, u = e + (s - 1) * (w_prev - w*) and the gap's (mu * e) * e,
+        # computed in place.
         e = state.w - wstar
-        u = e + (s - 1.0) * (state.w_prev - wstar)
-        gap = 0.5 * _row_sum((e @ H.T) * e)
-        return _row_sum(u * u) / (2.0 * alpha) + gap
+        u = state.w_prev - wstar
+        u *= s - 1.0
+        u += e
+        u *= u
+        gap = mu * e
+        gap *= e
+        V = _row_sum(u, axis=0) / (2.0 * alpha) + 0.5 * _row_sum(gap, axis=0)
+        if dim > 1 and not np.isfinite(V).all():
+            # Where e has an infinity, the reference's e @ H has 0 * inf = NaN.
+            V[~np.isfinite(e).all(axis=0)] = np.nan
+        return V
 
-    # Seed 0's rows of w, w_prev and w* at every t, for the trajectories.
-    seed0 = np.empty((T + 1, 3, n_cells, dim))
-    seed0[0] = state.w[:, 0], state.w_prev[:, 0], wstar[:, 0]
+    # Seed 0's rows of w and w* at every t, for the trajectories.
+    w_rows = np.empty((T + 1, dim, n_cells))
+    wstar_rows = np.empty((T + 1, dim, n_cells))
+    w_rows[0], wstar_rows[0] = state.w[..., 0], wstar[..., 0]
     # Each cell's V0 is its records' V at t = 0, as in run_tracking_experiment.
     # w - w* has one nonzero coordinate at the start, so potentials() gives
     # the same bits there; from t = 1 on, the two roundings differ.
-    V0 = _record_terms(*seed0[0], H, s, alpha)[0]
+    V0 = _record_terms(w0, w0, np.zeros_like(w0), H, s, alpha)[0]
     bounds = np.empty((n_cells, T + 1))  # row c: cell c's bound at every t
     for c, (fn, (p, _)) in enumerate(zip(bound_fns, cells)):
         params = replace(p, V0=float(V0[c]))
@@ -424,17 +453,27 @@ def mc_tracking_grid(
         eps = 0.0 if noise is None else _noise_rows(scale, noise[t])
 
         def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
-            return (z - wstar) @ H.T + eps
+            g = z - wstar  # mu * (z - w*) + eps, in place
+            g *= mu
+            g += eps
+            return g
 
         state = snag_step(state, grad, root)
-        moves = still[t]
+        # w* starts at +0.0 and a sum is -0.0 only when both terms are, so w*
+        # is never -0.0 and adding a zero (a still cell's walk, a walking
+        # cell's still row) leaves it as it is: one add per source, no select.
         if steps is not None:
-            moves = np.where(walking, _walk_rows(walk, steps[t]), moves)
-        wstar = wstar + moves
-        seed0[t + 1] = state.w[:, 0], state.w_prev[:, 0], wstar[:, 0]
+            wstar += _walk_rows(walk, steps[t], axis=0)
+        if fixed:
+            wstar += still[t]
+        w_rows[t + 1], wstar_rows[t + 1] = state.w[..., 0], wstar[..., 0]
         violated |= potentials(state, wstar) > bounds[:, t + 1, None]
     rates = [float(np.count_nonzero(v)) / n_seeds for v in violated]
-    return rates, [functools.partial(_trajectory, seed0[:, :, c], bounds[c], H, s, alpha)
+    # Each cell's rows contiguous, laid out as run_tracking_experiment's.
+    w_rows, wstar_rows = (np.ascontiguousarray(a.transpose(2, 0, 1))
+                          for a in (w_rows, wstar_rows))
+    return rates, [functools.partial(_trajectory, w_rows[c], wstar_rows[c], bounds[c],
+                                     H, s, alpha)
                    for c in range(n_cells)]
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accbo.harness import (
+    _fmt,
     ConfigError,
     ExperimentConfig,
     calls_to_target,
@@ -106,6 +107,16 @@ class TestConfigLoading:
             ExperimentConfig("bias", {}, tmp_path, n_seeds=0)
 
 
+# Values of every type a CSV record holds, and the floats whose text is
+# special: signed zeros, infinities, NaN and subnormals.
+csv_values = st.one_of(
+    st.booleans(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+                     np.float64(-0.0), np.float64(1e-320)]),
+    st.text(max_size=3).filter(lambda text: not set(text) & set(",\n\r")))
+
+
 class TestSerialization:
     def test_csv_floats_round_trip_exactly(self, tmp_path):
         vals = [0.1, 1.0 / 3.0, np.pi, 1e-300, 12345.6789e17]
@@ -117,6 +128,20 @@ class TestSerialization:
         for i, v in enumerate(vals):
             parsed = float(lines[i + 1].split(",")[1])
             assert parsed == v  # exact, thanks to 17 significant digits
+
+    # Each row is formatted with one %-format chosen by its value types; every
+    # value must come out as _fmt writes it alone.
+    @given(rows=st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.tuples(*[csv_values] * n), min_size=1, max_size=4)))
+    @settings(max_examples=300)
+    def test_csv_cells_are_fmt_of_each_value(self, rows):
+        columns = [f"c{j}" for j in range(len(rows[0]))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.csv"
+            write_csv([dict(zip(columns, row)) for row in rows], path, columns)
+            lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines == [",".join(columns)] + [
+            ",".join(_fmt(v) for v in row) for row in rows] + [""]
 
     def test_csv_uses_lf_endings(self, tmp_path):
         path = tmp_path / "out.csv"

@@ -353,11 +353,67 @@ class TestMonteCarloGrid:
             kind="fixed_direction", delta=0.2, direction=(0.0, 1.0)))], 3)
         assert drawn == []
 
+    # dim 8: the coordinate sums take np.sum's pairwise branch.
+    CELLS_8 = [
+        (_grid_params(), DriftProcess()),
+        (_grid_params(), DriftProcess(kind="fixed_direction", delta=0.2,
+                                      direction=tuple(range(1, 9)))),
+        (_grid_params(), DriftProcess(kind="random_walk", delta=0.5)),
+        (_grid_params(sigma=1.0), DriftProcess(kind="random_walk", delta=1.0)),
+    ]
+    RATES_8 = [0.0, 0.0, 0.75, 0.75]
+
+    def test_dim_8_rates_match_scalar_runs(self):
+        n_seeds = 40
+        rates, _ = mc_tracking_grid(self.CELLS_8, n_seeds, dim=8, base_seed=5)
+        assert rates == self.RATES_8
+        for (p, drift), rate in zip(self.CELLS_8, rates):
+            exceeded = sum(
+                any(rec["V"] > rec["bound"] for rec in run_tracking_experiment(
+                    QuadraticFamily(1.0, 8), drift, p, RandomStream(5).child("mc", k)))
+                for k in range(n_seeds))
+            assert rate == exceeded / n_seeds
+
     @pytest.mark.parametrize("other", [
         _grid_params(mu=2.0), _grid_params(alpha=0.05), _grid_params(T=200)])
     def test_cells_must_share_mu_alpha_and_T(self, other):
         with pytest.raises(ConstraintViolation):
             mc_tracking_grid([self.CELLS[0], (other, DriftProcess())], 2)
+
+
+class TestOverflow:
+    """Runs whose iterates overflow end where run_tracking_experiment's do."""
+
+    # mu * alpha = 100, far above 4: SNAG diverges, and the iterate overflows
+    # after about 320 steps, whatever the noise and the drift.
+    @pytest.mark.parametrize("drift", [DriftProcess(),
+                                       DriftProcess(kind="random_walk", delta=0.4)])
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_grid_aborts_at_the_reference_iteration(self, dim, drift):
+        p = _grid_params(alpha=100.0, T=400)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalAbort) as reference:
+                run_tracking_experiment(QuadraticFamily(1.0, dim), drift, p,
+                                        RandomStream(5).child("mc", 0))
+            with pytest.raises(NumericalAbort) as grid:
+                mc_tracking_grid([(p, drift)], 1, dim=dim, base_seed=5)
+        assert "iteration" in str(reference.value)
+        assert str(grid.value) == str(reference.value)
+
+    def test_overflow_on_the_last_step_keeps_the_reference_rate(self):
+        # The one step overflows w, and no gradient follows to abort the run.
+        # There the reference's e @ H @ e has 0 * inf = NaN, so its V is NaN
+        # and not above the bound, which is -inf.
+        p = TrackingBoundParams(mu=1.0, alpha=1e300, sigma=0.0, delta_drift=0.0, T=1,
+                                delta_prob=0.05, V0=1e20)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logs = run_tracking_experiment(QuadraticFamily(1.0, 2), DriftProcess(), p,
+                                           RandomStream(0).child("mc", 0))
+            rates, trajectories = mc_tracking_grid([(p, DriftProcess())], 2, dim=2)
+            records = trajectories[0]()
+        assert math.isnan(logs[-1]["V"]) and logs[-1]["bound"] == -math.inf
+        assert rates == [float(any(rec["V"] > rec["bound"] for rec in logs))] == [0.0]
+        assert _bits([r["V"] for r in records]) == _bits([r["V"] for r in logs])
 
 
 def _bits(values) -> bytes:
@@ -380,8 +436,10 @@ class TestSeedZeroTrajectories:
                 for sigma in (0.0, 0.3) for drift in drifts for V0 in (0.0, 1.0)]
 
     # T on both sides of a stream family's block of rows.
+    # dim >= 8 takes np.sum's pairwise branch of the coordinate sums.
     @pytest.mark.parametrize("dim, mu, T", [
-        (1, 1.0, 30), (2, 0.7, 1030), (3, 0.7, 30), (5, 1.0, 1030)])
+        (1, 1.0, 30), (2, 0.7, 1030), (3, 0.7, 30), (5, 1.0, 1030), (8, 0.7, 1030),
+        (9, 1.0, 30)])
     def test_records_equal_scalar_reference(self, dim, mu, T):
         cells = self.cells(mu, dim, T)
         _, trajectories = mc_tracking_grid(cells, 3, dim=dim, base_seed=4)
@@ -419,22 +477,34 @@ floats64 = st.one_of(st.floats(width=64), st.floats(min_value=-10.0, max_value=1
                      st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]))
 
 
+def _laid_out(rows: np.ndarray, axis: int) -> np.ndarray:
+    """The row-major rows stored with their coordinate axis at `axis`,
+    contiguously: axis 0 is the grid's coordinate-major layout."""
+    return np.ascontiguousarray(np.moveaxis(rows, -1, axis))
+
+
 class TestOrderedRowSums:
+    # Each helper sums along the axis it is given; the references are numpy's
+    # on the row-major rows.
     @given(rows=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 10)),
-                       elements=floats64, fill=st.nothing()))
-    @example(rows=np.array([[-0.0], [0.0]]))
-    @example(rows=np.full((2, 3), -0.0))
+                       elements=floats64, fill=st.nothing()),
+           axis=st.sampled_from([0, -1]))
+    @example(rows=np.array([[-0.0], [0.0]]), axis=-1)
+    @example(rows=np.full((2, 3), -0.0), axis=-1)
+    @example(rows=np.full((2, 3), -0.0), axis=0)
     @settings(max_examples=300)
-    def test_row_sum_is_np_sum(self, rows):
+    def test_row_sum_is_np_sum(self, rows, axis):
         with np.errstate(all="ignore"):
-            assert _bits(_row_sum(rows)) == _bits(np.sum(rows, axis=-1))
+            assert _bits(_row_sum(_laid_out(rows, axis), axis)) == _bits(np.sum(rows, axis=-1))
 
     @given(v=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 10)),
                     elements=floats64, fill=st.nothing()),
-           delta=st.floats(min_value=0.0, max_value=10.0))
+           delta=st.floats(min_value=0.0, max_value=10.0),
+           axis=st.sampled_from([0, -1]))
     @settings(max_examples=300)
-    def test_walk_norms_are_np_linalg_norm(self, v, delta):
+    def test_walk_norms_are_np_linalg_norm(self, v, delta, axis):
         with np.errstate(all="ignore"):
             norms = np.linalg.norm(v, axis=-1, keepdims=True)
             norms[norms == 0.0] = 1.0
-            assert _bits(_walk_rows(delta, v)) == _bits(delta * v / norms)
+            walked = np.moveaxis(_walk_rows(delta, _laid_out(v, axis), axis), axis, -1)
+            assert _bits(walked) == _bits(delta * v / norms)
