@@ -4,19 +4,21 @@
 #
 #   scripts/check_identical.sh <rev>
 #
-# Extracts <rev> with `git archive` into a temporary directory, runs the ten
+# Extracts <rev> with `git archive` into a temporary directory, runs the eleven
 # CLI commands below on both trees (accbo option one and option two at 2
 # seeds, sweep at 1 seed, bias, snag-track at 400 seeds on tracking.json,
 # snag-track at 300 seeds and base seed 9 with a fixed-direction drift, dim 3
-# and mu 0.7, snag-track at 200 seeds and base seed 5 with a random-walk
-# drift in dim 9, where the coordinate sums are pairwise, accbo option two at
-# 2 seeds on the noisy fixture ridge toy, whose diagnostics need a linear
-# solve, and accbo at 2 seeds on the two kinds no config file uses: the exp
-# toy under option one and the general quadratic under option two, both with
-# noise), each into its own output directory, and compares the two output
-# trees with `diff -r`. Every command's exit code is written next to its
-# outputs, so a changed exit code is a difference too. Prints `byte-identical` and exits 0 when nothing
-# differs; otherwise prints the differences and exits non-zero.
+# and mu 0.7, snag-track at 150 seeds and base seed 3 with the same drift
+# from V0 = 0 (a start row with no offset) in dim 4, snag-track at 200 seeds
+# and base seed 5 with a random-walk drift in dim 9, where the coordinate sums
+# are pairwise, accbo option two at 2 seeds on the noisy fixture ridge toy,
+# whose diagnostics need a linear solve, and accbo at 2 seeds on the two kinds
+# no config file uses: the exp toy under option one and the general quadratic
+# under option two, both with noise), each into its own output directory, and
+# compares the two output trees with `diff -r`. Every command's exit code is
+# written next to its outputs, so a changed exit code is a difference too.
+# Prints `byte-identical` and exits 0 when nothing differs; otherwise prints
+# the differences and exits non-zero.
 set -euo pipefail
 
 rev=${1:?usage: scripts/check_identical.sh <rev>}
@@ -49,6 +51,8 @@ for side in parent change; do
     "$c/convergence.json" "$work/convergence_two_$side.json"
   python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); d.update(mu=0.7, dim=3, sigma=[0, 0.3], drift={"kind": "fixed_direction", "delta": [0, 0.002]}); json.dump(d, open(sys.argv[2], "w"))' \
     "$c/tracking.json" "$work/tracking_fixed_$side.json"
+  python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); d.update(mu=0.7, dim=4, V0=0.0, sigma=[0, 0.3], drift={"kind": "fixed_direction", "delta": [0, 0.002]}); json.dump(d, open(sys.argv[2], "w"))' \
+    "$c/tracking.json" "$work/tracking_v0_$side.json"
   python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); d.update(dim=9, sigma=[0, 0.3], drift={"kind": "random_walk", "delta": [0, 0.002]}); json.dump(d, open(sys.argv[2], "w"))' \
     "$c/tracking.json" "$work/tracking_dim9_$side.json"
   run "$tree" "$out" conv_one accbo --config "$c/convergence.json" --seeds 2
@@ -58,6 +62,8 @@ for side in parent change; do
   run "$tree" "$out" track snag-track --config "$c/tracking.json" --seeds 400
   run "$tree" "$out" track_fixed snag-track --config "$work/tracking_fixed_$side.json" \
     --seeds 300 --base-seed 9
+  run "$tree" "$out" track_v0 snag-track --config "$work/tracking_v0_$side.json" \
+    --seeds 150 --base-seed 3
   run "$tree" "$out" track_dim9 snag-track --config "$work/tracking_dim9_$side.json" \
     --seeds 200 --base-seed 5
   run "$tree" "$out" ridge_two accbo --config "$work/ridge_two.json" --seeds 2

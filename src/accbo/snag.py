@@ -5,19 +5,16 @@ extrapolated point), the rank-1 potential that certifies tracking, the
 high-probability tracking bounds with and without drift, and Monte-Carlo
 verification over seeded runs.
 
-The Monte-Carlo kernel ``mc_tracking_grid`` carries every (cell, seed) run
-of a grid of cells in one SNAG state, stored coordinate-major as
-(dim, cell, seed) arrays: its step loop is the SNAG recursion with the
-gradient mu * (z - w*) + noise, and a sum over the coordinates adds
-contiguous planes. Seed k of every cell reads the same two unit tapes,
-drawn once from the sub-streams "noise" and "drift" of (base_seed, "mc", k);
-each cell scales them to its own sigma and drift size step by step, so
-memory holds one unit tape per source, not one tape per cell. The grid also
-keeps seed 0's rows, from which it builds each cell's trajectory records:
-the snag-track CSVs are seed 0 of the grid.
-``run_tracking_experiment`` is the scalar reference that the tests hold the
-grid to: seed k of a cell is that run on stream (base_seed, "mc", k), and
-seed 0's records equal its records bit for bit.
+Each tracking rule is written once. ``_cell_inputs`` sets up a cell (bound
+parameters and a drift): its start row, its noise scale and its bound at
+every t, whose V0 is the start row's potential. ``_trajectory`` builds a
+run's records from its rows of w and w* with one builder, ``_record_terms``.
+``run_tracking_experiment`` is the scalar reference, one run with the
+gradient H @ (z - w*) + noise. ``mc_tracking_grid`` carries every
+(cell, seed) run of a grid in one coordinate-major SNAG state; seed k of a
+cell is the reference run on stream (base_seed, "mc", k), and the
+snag-track CSVs are the grid's seed-0 records. A run violates its bound
+when its potential is, at some t, not finite or above the bound.
 """
 
 from __future__ import annotations
@@ -128,19 +125,26 @@ def _log_factor(p: TrackingBoundParams) -> float:
     return math.log(math.e * p.T / p.delta_prob)
 
 
-def tracking_bound_with_drift(p: TrackingBoundParams, t: int) -> float:
-    """High-probability bound on V_t for isotropic quadratics under drift."""
+def _bound(p: TrackingBoundParams, t: int, drift_term: float) -> float:
     rate = 1.0 - math.sqrt(p.mu * p.alpha) / 4.0
     noise = 5.0 * math.sqrt(p.alpha) * p.sigma**2 / math.sqrt(p.mu)
-    drift = 80.0 * p.delta_drift**2 / p.alpha
-    return rate**t * p.V0 + (noise + drift) * _log_factor(p)
+    try:
+        decay = rate**t
+    except OverflowError:
+        raise NumericalAbort(f"tracking bound overflows at t={t}: "
+                             f"1 - sqrt(mu*alpha)/4 = {rate!r}") from None
+    return decay * p.V0 + (noise + drift_term) * _log_factor(p)
+
+
+def tracking_bound_with_drift(p: TrackingBoundParams, t: int) -> float:
+    """High-probability bound on V_t for isotropic quadratics under drift."""
+    return _bound(p, t, 80.0 * p.delta_drift**2 / p.alpha)
 
 
 def tracking_bound_no_drift(p: TrackingBoundParams, t: int) -> float:
     """High-probability bound on V_t for a fixed strongly convex objective."""
-    rate = 1.0 - math.sqrt(p.mu * p.alpha) / 4.0
-    noise = 5.0 * math.sqrt(p.alpha) * p.sigma**2 / math.sqrt(p.mu)
-    return rate**t * p.V0 + noise * _log_factor(p)
+    # noise >= +0.0, so noise + 0.0 is noise.
+    return _bound(p, t, 0.0)
 
 
 # Sub-stream labels of a run's two tapes, one (T, dim) block each.
@@ -242,86 +246,13 @@ class QuadraticFamily:
             raise ConstraintViolation("hessian eigenvalues below mu")
         return H
 
-    @property
-    def isotropic(self) -> bool:
-        return self.hessian is None
-
-
-def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams,
-                 drifting: bool, wstar: np.ndarray):
-    """Bound function, start row and noise scale of one tracking cell whose
-    runs start at the minimizer row wstar."""
-    if drifting and not family.isotropic:
-        raise ConstraintViolation(
-            "the with-drift bound is stated for isotropic quadratics only"
-        )
-    bound_fn = tracking_bound_with_drift if drifting else tracking_bound_no_drift
-    # Offset chosen so the initial potential is exactly p.V0.
-    w0 = wstar.copy()
-    w0[0] += math.sqrt(p.V0 / family.mu) if p.V0 > 0 else 0.0
-    return bound_fn, w0, p.sigma / math.sqrt(8.0 * family.dim)
-
-
-def run_tracking_experiment(
-    family: QuadraticFamily,
-    drift: DriftProcess,
-    p: TrackingBoundParams,
-    stream: RandomStream,
-    w0: np.ndarray | None = None,
-    wstar0: np.ndarray | None = None,
-) -> list[dict]:
-    """Run SNAG against the drifting family and log potential vs bound per step.
-
-    Returns one record per t in [0, T] with keys t, V, bound, dist, phi_gap.
-    """
-    dim = family.dim
-    wstar = np.zeros(dim) if wstar0 is None else np.asarray(wstar0, dtype=float)
-    moves = drift.displacements(p.T, dim, stream)
-    bound_fn, w_default, scale = _cell_inputs(family, p, bool(moves.any()), wstar)
-    # All noise for the run is drawn up front from one sub-stream (row t is
-    # the step-t sample); this is equivalent to per-step draws but avoids
-    # deriving T generators.
-    noise = (_noise_rows(scale, _unit_tape(stream, _NOISE, p.T, dim))
-             if p.sigma > 0.0 else np.zeros((p.T, dim)))
-    H = family.matrix()
-    state = SnagState.initial(
-        w_default if w0 is None else np.asarray(w0, dtype=float), p.alpha, family.mu)
-
-    def record(state: SnagState, wstar: np.ndarray, params: TrackingBoundParams) -> dict:
-        e = state.w - wstar
-        gap = 0.5 * float(e @ H @ e)
-        V = potential(state, wstar, gap, family.mu)
-        return {
-            "t": state.t,
-            "V": V,
-            "bound": bound_fn(params, state.t),
-            "dist": float(np.linalg.norm(e)),
-            "phi_gap": gap,
-        }
-
-    e0 = state.w - wstar
-    gap0 = 0.5 * float(e0 @ H @ e0)
-    params = replace(p, V0=potential(state, wstar, gap0, family.mu))
-
-    logs = [record(state, wstar, params)]
-    for t in range(p.T):
-        ws = wstar  # freeze the minimizer phi_t is defined with
-        eps = noise[t]
-
-        def grad(z: np.ndarray, s: RandomStream) -> np.ndarray:
-            return H @ (z - ws) + eps
-
-        state = snag_step(state, grad, stream)
-        wstar = wstar + moves[t]
-        logs.append(record(state, wstar, params))
-    return logs
-
 
 def _record_terms(w, w_prev, wstar, H: np.ndarray, s: float, alpha: float):
-    """(V, phi_gap, dist) of run_tracking_experiment's records for stacked
-    rows of w, w_prev and w*, with the scalar record's arithmetic."""
+    """(V, phi_gap, dist) of stacked rows of w, w_prev and w*, each row with
+    the arithmetic of potential(), 0.5 * float(e @ H @ e) and
+    float(np.linalg.norm(e)), e = w - w*."""
     e = w - wstar
-    # The record's e @ H @ e, row by row: a gemv, then a dot.
+    # e @ H @ e row by row: a gemv, then a dot.
     gap = 0.5 * (e[..., None, :] @ H @ e[..., :, None])[..., 0, 0]
     if np.any(gap < -1e-12):
         raise ConstraintViolation(f"phi_gap must be >= 0, got {gap.min()!r}")
@@ -341,6 +272,63 @@ def _trajectory(w: np.ndarray, wstar: np.ndarray, bounds: np.ndarray, H: np.ndar
                 V.tolist(), bounds.tolist(), dist.tolist(), gap.tolist()))]
 
 
+def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams, drifting: bool,
+                 w0: np.ndarray | None = None):
+    """Bound at every t in [0, T], start row and noise scale of one tracking
+    cell, whose minimizer starts at 0. The default start row is offset along
+    the first coordinate so that its potential is p.V0; the bound's V0 is the
+    potential of the start row as its record computes it."""
+    if drifting and family.hessian is not None:
+        raise ConstraintViolation("the with-drift bound is stated for isotropic quadratics only")
+    if w0 is None:
+        w0 = np.zeros(family.dim)
+        w0[0] = math.sqrt(p.V0 / family.mu)  # +0.0 when V0 = 0
+    V0 = _record_terms(w0, w0, np.zeros_like(w0), family.matrix(),
+                       math.sqrt(family.mu * p.alpha), p.alpha)[0]
+    bound = functools.partial(
+        tracking_bound_with_drift if drifting else tracking_bound_no_drift,
+        replace(p, V0=float(V0)))
+    return (np.array([bound(t) for t in range(p.T + 1)]), w0,
+            p.sigma / math.sqrt(8.0 * family.dim))
+
+
+def run_tracking_experiment(
+    family: QuadraticFamily,
+    drift: DriftProcess,
+    p: TrackingBoundParams,
+    stream: RandomStream,
+    w0: np.ndarray | None = None,
+) -> list[dict]:
+    """Run SNAG against the drifting family, whose minimizer starts at 0, and
+    log potential vs bound per step.
+
+    Returns one record per t in [0, T] with keys t, V, bound, dist, phi_gap.
+    """
+    dim = family.dim
+    moves = drift.displacements(p.T, dim, stream)
+    bounds, w0, scale = _cell_inputs(family, p, bool(moves.any()), w0)
+    # All noise for the run is drawn up front from one sub-stream (row t is
+    # the step-t sample); this is equivalent to per-step draws but avoids
+    # deriving T generators.
+    noise = (_noise_rows(scale, _unit_tape(stream, _NOISE, p.T, dim))
+             if p.sigma > 0.0 else np.zeros((p.T, dim)))
+    H = family.matrix()
+    state = SnagState.initial(w0, p.alpha, family.mu)
+    w = np.empty((p.T + 1, dim))
+    wstar = np.zeros((p.T + 1, dim))
+    w[0] = state.w
+    for t in range(p.T):
+        ws, eps = wstar[t], noise[t]  # the minimizer phi_t is defined with
+
+        def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
+            return H @ (z - ws) + eps
+
+        state = snag_step(state, grad, stream)
+        w[t + 1] = state.w
+        wstar[t + 1] = ws + moves[t]
+    return _trajectory(w, wstar, bounds, H, math.sqrt(family.mu * p.alpha), p.alpha)
+
+
 def mc_tracking_grid(
     cells: Sequence[tuple[TrackingBoundParams, DriftProcess]],
     n_seeds: int,
@@ -348,19 +336,21 @@ def mc_tracking_grid(
     base_seed: int = 0,
 ) -> tuple[list[float], list[Callable[[], list[dict]]]]:
     """Violation rate of each (params, drift) cell: the fraction of its
-    independent runs whose potential ever exceeds the cell's bound; and seed
-    0's trajectory of each cell.
+    independent runs whose potential is, at some t, not finite or above the
+    cell's bound; and seed 0's trajectory of each cell.
 
     Seed k of every cell reproduces run_tracking_experiment on the isotropic
     family QuadraticFamily(mu, dim), with the default start, on the stream
     (base_seed, "mc", k). Cells may differ in sigma, drift, delta_drift,
-    delta_prob and V0, and each keeps its own bound and V0; they must share
-    mu, alpha and T. One SNAG state carries every (cell, seed) row, laid out
-    coordinate-major: w, w_prev and w* are (dim, n_cells, n_seeds) arrays, so
-    a sum over the coordinates adds contiguous planes. Per seed, one unit
-    noise tape and one unit direction tape are drawn (each only if some cell
-    needs it) into a (T, dim, 1, n_seeds) array, and every cell scales the
-    same rows step by step.
+    delta_prob and V0, and each keeps the bound table and start row of
+    _cell_inputs; they must share mu, alpha and T. One SNAG state carries
+    every (cell, seed) row, laid out coordinate-major: w, w_prev and w* are
+    (dim, n_cells, n_seeds) arrays, so a sum over the coordinates adds
+    contiguous planes. Per seed, one unit noise tape and one unit direction
+    tape are drawn (each only if some cell needs it) into a
+    (T, dim, 1, n_seeds) array, and every cell scales the same rows step by
+    step. A cell that does not walk moves its minimizer by the same
+    displacement at every step, so it keeps one (dim,) row of it.
 
     H = mu*I, so the step's gradient is mu * (z - w*) plus noise, and the
     potential's gap term sums (mu * e) * e. Each entry of the reference's
@@ -368,13 +358,13 @@ def mc_tracking_grid(
     adding the noise (0.0 or 0.0 + scale * unit, never -0.0) clears; in the
     gap a zero's sign changes no sum. Where a vector has an infinity (dim > 1),
     the reference's product has NaNs where this one has infinities: the
-    gradient aborts the run either way, and a run whose w overflows on the
-    last step, with no gradient after it, gets the reference's NaN potential.
+    gradient aborts the run either way, and a potential that is NaN in the
+    reference is infinite here, a violation either way.
 
     The grid keeps seed 0's w and w* rows at every step. Trajectory c, when
-    called, builds from them the records run_tracking_experiment returns for
-    cell c on stream (base_seed, "mc", 0), with that function's arithmetic,
-    bit for bit.
+    called, builds from them with _trajectory the records that
+    run_tracking_experiment returns for cell c on stream
+    (base_seed, "mc", 0).
     """
     if n_seeds < 1:
         raise ConstraintViolation("n_seeds must be >= 1")
@@ -388,22 +378,21 @@ def mc_tracking_grid(
     H = family.matrix()
     root = RandomStream(base_seed)
     n_cells = len(cells)
-    # Seed-independent inputs of each cell: its start row w0 (w* starts at 0).
-    # Random-walk cells have their drift size in `walk` and zero `still` rows;
-    # every other cell has walk 0.
+    # Seed-independent inputs of each cell. Random-walk cells have their drift
+    # size in `walk` and a zero `still` row; every other cell has walk 0 and
+    # its per-step displacement in `still`.
     w0 = np.empty((n_cells, dim))
-    still = np.zeros((T, dim, n_cells, 1))
+    still = np.zeros((dim, n_cells, 1))
     walk = np.zeros((n_cells, 1))
     scale = np.empty((n_cells, 1))
-    bound_fns = []
+    bounds = np.empty((n_cells, T + 1))  # row c: cell c's bound at every t
     for c, (p, drift) in enumerate(cells):
         if drift.walks:
             walk[c] = drift.delta
         else:
-            still[:, :, c, 0] = drift.displacements(T, dim, root)
-        bound_fn, w0[c], scale[c] = _cell_inputs(
-            family, p, drift.walks or bool(still[:, :, c].any()), np.zeros(dim))
-        bound_fns.append(bound_fn)
+            still[:, c, 0] = drift.displacements(1, dim, root)[0]
+        bounds[c], w0[c], scale[c] = _cell_inputs(
+            family, p, drift.walks or bool(still[:, c].any()))
     fixed = still.any()
 
     # Unit tapes laid out (T, dim, 1, n_seeds): step t reads contiguous planes
@@ -420,7 +409,7 @@ def mc_tracking_grid(
     state = SnagState.initial(np.repeat(w0.T[:, :, None], n_seeds, axis=2), alpha, mu)
     s = math.sqrt(mu * alpha)
 
-    def potentials(state: SnagState, wstar: np.ndarray) -> np.ndarray:
+    def violations(state: SnagState, wstar: np.ndarray, bound: np.ndarray) -> np.ndarray:
         # e = w - w*, u = e + (s - 1) * (w_prev - w*) and the gap's (mu * e) * e,
         # computed in place.
         e = state.w - wstar
@@ -431,24 +420,13 @@ def mc_tracking_grid(
         gap = mu * e
         gap *= e
         V = _row_sum(u, axis=0) / (2.0 * alpha) + 0.5 * _row_sum(gap, axis=0)
-        if dim > 1 and not np.isfinite(V).all():
-            # Where e has an infinity, the reference's e @ H has 0 * inf = NaN.
-            V[~np.isfinite(e).all(axis=0)] = np.nan
-        return V
+        return ~(np.isfinite(V) & (V <= bound))
 
     # Seed 0's rows of w and w* at every t, for the trajectories.
     w_rows = np.empty((T + 1, dim, n_cells))
     wstar_rows = np.empty((T + 1, dim, n_cells))
     w_rows[0], wstar_rows[0] = state.w[..., 0], wstar[..., 0]
-    # Each cell's V0 is its records' V at t = 0, as in run_tracking_experiment.
-    # w - w* has one nonzero coordinate at the start, so potentials() gives
-    # the same bits there; from t = 1 on, the two roundings differ.
-    V0 = _record_terms(w0, w0, np.zeros_like(w0), H, s, alpha)[0]
-    bounds = np.empty((n_cells, T + 1))  # row c: cell c's bound at every t
-    for c, (fn, (p, _)) in enumerate(zip(bound_fns, cells)):
-        params = replace(p, V0=float(V0[c]))
-        bounds[c] = [fn(params, t) for t in range(T + 1)]
-    violated = potentials(state, wstar) > bounds[:, :1]
+    violated = violations(state, wstar, bounds[:, :1])
     for t in range(T):
         eps = 0.0 if noise is None else _noise_rows(scale, noise[t])
 
@@ -465,9 +443,9 @@ def mc_tracking_grid(
         if steps is not None:
             wstar += _walk_rows(walk, steps[t], axis=0)
         if fixed:
-            wstar += still[t]
+            wstar += still
         w_rows[t + 1], wstar_rows[t + 1] = state.w[..., 0], wstar[..., 0]
-        violated |= potentials(state, wstar) > bounds[:, t + 1, None]
+        violated |= violations(state, wstar, bounds[:, t + 1, None])
     rates = [float(np.count_nonzero(v)) / n_seeds for v in violated]
     # Each cell's rows contiguous, laid out as run_tracking_experiment's.
     w_rows, wstar_rows = (np.ascontiguousarray(a.transpose(2, 0, 1))

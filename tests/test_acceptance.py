@@ -73,7 +73,7 @@ def test_criterion_1_deterministic_contraction():
     )
     logs = run_tracking_experiment(
         family, DriftProcess(), p, RandomStream(0),
-        w0=np.ones(10), wstar0=np.zeros(10),
+        w0=np.ones(10),
     )
     V = np.array([rec["V"] for rec in logs])
     rho = 1.0 - math.sqrt(p.mu * p.alpha)

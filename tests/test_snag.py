@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from accbo import cli
 from accbo.constants import ConstraintViolation, nesterov_momentum
 from accbo.harness import TRAJECTORY_COLUMNS, ExperimentConfig, cmd_snag_track, write_csv
 from accbo.rng import RandomStream
@@ -23,7 +25,7 @@ from accbo.snag import (
     tracking_bound_no_drift,
     tracking_bound_with_drift,
 )
-from accbo.snag import _row_sum, _walk_rows
+from accbo.snag import _record_terms, _row_sum, _walk_rows
 
 NULL = RandomStream(0)
 
@@ -123,6 +125,39 @@ class TestPotential:
         eigs = np.linalg.eigvalsh(P)
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)  # singular 2x2 block
         assert eigs[-1] > 0.0
+
+
+class TestRecordTerms:
+    """_record_terms, which builds every tracking record, equals the scalar
+    formulas row by row: potential(), 0.5 * e'He and ||e||, e = w - w*."""
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 10), n=st.integers(1, 6),
+           isotropic=st.booleans(), log_scale=st.floats(-3.0, 3.0),
+           mu=st.floats(0.05, 20.0), alpha_frac=st.floats(0.01, 1.0))
+    @settings(max_examples=300)
+    def test_rows_equal_scalar_formulas(self, seed, dim, n, isotropic, log_scale, mu,
+                                        alpha_frac):
+        gen = np.random.default_rng(seed)
+        if isotropic:
+            H = mu * np.eye(dim)
+        else:
+            A = gen.normal(size=(dim, dim))
+            H = A @ A.T + mu * np.eye(dim)  # SPD, eigenvalues >= mu
+        alpha = alpha_frac / mu
+        w, w_prev, wstar = 10.0**log_scale * gen.normal(size=(3, n, dim))
+        s = math.sqrt(mu * alpha)
+        V, gap, dist = _record_terms(w, w_prev, wstar, H, s, alpha)
+        for i in range(n):
+            e = w[i] - wstar[i]
+            gap_i = 0.5 * float(e @ H @ e)
+            state = SnagState(w=w[i], w_prev=w_prev[i], alpha=alpha,
+                              gamma=nesterov_momentum(mu, alpha))
+            expected = [potential(state, wstar[i], gap_i, mu), gap_i,
+                        float(np.linalg.norm(e))]
+            assert _bits([V[i], gap[i], dist[i]]) == _bits(expected)
+            # One row alone, as a cell's start row is, gives the same bits.
+            assert _bits(_record_terms(w[i], w_prev[i], wstar[i], H, s, alpha)) \
+                == _bits(expected)
 
 
 class TestContraction:
@@ -319,7 +354,7 @@ class TestMonteCarloGrid:
             for k in range(n_seeds):
                 logs = run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
                                                RandomStream(5).child("mc", k))
-                exceeded += any(rec["V"] > rec["bound"] for rec in logs)
+                exceeded += any(map(_violates, logs))
             assert rate == exceeded / n_seeds
             assert rate == mc_tracking_violation_rate(p, drift, n_seeds, dim=2,
                                                       base_seed=5)
@@ -369,8 +404,8 @@ class TestMonteCarloGrid:
         assert rates == self.RATES_8
         for (p, drift), rate in zip(self.CELLS_8, rates):
             exceeded = sum(
-                any(rec["V"] > rec["bound"] for rec in run_tracking_experiment(
-                    QuadraticFamily(1.0, 8), drift, p, RandomStream(5).child("mc", k)))
+                any(map(_violates, run_tracking_experiment(
+                    QuadraticFamily(1.0, 8), drift, p, RandomStream(5).child("mc", k))))
                 for k in range(n_seeds))
             assert rate == exceeded / n_seeds
 
@@ -402,8 +437,8 @@ class TestOverflow:
 
     def test_overflow_on_the_last_step_keeps_the_reference_rate(self):
         # The one step overflows w, and no gradient follows to abort the run.
-        # There the reference's e @ H @ e has 0 * inf = NaN, so its V is NaN
-        # and not above the bound, which is -inf.
+        # There the reference's e @ H @ e has 0 * inf = NaN, so its V is NaN,
+        # which is not within the bound (-inf): the run is a violation.
         p = TrackingBoundParams(mu=1.0, alpha=1e300, sigma=0.0, delta_drift=0.0, T=1,
                                 delta_prob=0.05, V0=1e20)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -412,12 +447,75 @@ class TestOverflow:
             rates, trajectories = mc_tracking_grid([(p, DriftProcess())], 2, dim=2)
             records = trajectories[0]()
         assert math.isnan(logs[-1]["V"]) and logs[-1]["bound"] == -math.inf
-        assert rates == [float(any(rec["V"] > rec["bound"] for rec in logs))] == [0.0]
+        assert rates == [float(any(map(_violates, logs)))] == [1.0]
         assert _bits([r["V"] for r in records]) == _bits([r["V"] for r in logs])
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_infinite_potential_is_a_violation_under_an_infinite_bound(self, sigma):
+        # alpha * V0 overflows, so V is inf from t = 0 and the bound is inf at
+        # every t; on the last step w overflows and the reference's V is NaN,
+        # the grid's inf. Both are violations, so the rates agree.
+        p = TrackingBoundParams(mu=1.0, alpha=8.5, sigma=sigma, delta_drift=0.0, T=535,
+                                delta_prob=0.05, V0=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logs = run_tracking_experiment(QuadraticFamily(1.0, 2), DriftProcess(), p,
+                                           RandomStream(0).child("mc", 0))
+            rates, _ = mc_tracking_grid([(p, DriftProcess())], 1, dim=2)
+        assert logs[0]["V"] == logs[0]["bound"] == math.inf
+        assert math.isnan(logs[-1]["V"]) and logs[-1]["bound"] == math.inf
+        assert rates == [float(any(map(_violates, logs)))] == [1.0]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_diverged_run_fails_snag_track(self, tmp_path, dim):
+        # The records end with V = inf in dim 1 and V = NaN in dim 2: both are
+        # violations.
+        doc = {"mu": 1.0, "alpha": 1e300, "T": 1, "delta_prob": 0.05, "V0": 1e20,
+               "dim": dim, "sigma": [0.0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["snag-track", "--config", str(path),
+                           "--out", str(tmp_path / "out"), "--seeds", "2"])
+        summary = json.loads((tmp_path / "out" / "snag_track_summary.json").read_text())
+        assert rc == 3
+        assert [c["violation_rate"] for c in summary["cells"]] == [1.0]
+
+    # mu * alpha = 100: 1 - sqrt(mu*alpha)/4 = -1.5, whose powers overflow
+    # before T = 2000, so the bound table aborts the run before its first step.
+    @pytest.mark.parametrize("drift", [DriftProcess(),
+                                       DriftProcess(kind="random_walk", delta=0.4)])
+    def test_bound_overflow_aborts_grid_and_reference_alike(self, drift):
+        p = _grid_params(alpha=100.0, T=2000)
+        with pytest.raises(NumericalAbort) as reference:
+            run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+                                    RandomStream(5).child("mc", 0))
+        with pytest.raises(NumericalAbort) as grid:
+            mc_tracking_grid([(p, drift)], 1, dim=2, base_seed=5)
+        assert str(reference.value) == "tracking bound overflows at t=1751: " \
+            "1 - sqrt(mu*alpha)/4 = -1.5"
+        assert str(grid.value) == str(reference.value)
+
+    def test_bound_overflow_exits_4(self, tmp_path, capsys):
+        doc = {"mu": 1.0, "alpha": 10000.0, "T": 300, "delta_prob": 0.05, "V0": 1.0,
+               "dim": 2, "sigma": [0.0, 0.1]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["snag-track", "--config", str(path),
+                       "--out", str(tmp_path / "out"), "--seeds", "2"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "tracking bound overflows at t=224: 1 - sqrt(mu*alpha)/4 = -24.0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _violates(rec: dict) -> bool:
+    """The grid's rule on one record: V is not finite, or above the bound."""
+    return not (math.isfinite(rec["V"]) and rec["V"] <= rec["bound"])
 
 
 class TestSeedZeroTrajectories:
