@@ -4,14 +4,16 @@
 #
 #   scripts/check_identical.sh <rev>
 #
-# Extracts <rev> with `git archive` into a temporary directory, runs the eleven
+# Extracts <rev> with `git archive` into a temporary directory, runs the twelve
 # CLI commands below on both trees (accbo option one and option two at 2
 # seeds, sweep at 1 seed, bias, snag-track at 400 seeds on tracking.json,
 # snag-track at 300 seeds and base seed 9 with a fixed-direction drift, dim 3
 # and mu 0.7, snag-track at 150 seeds and base seed 3 with the same drift
 # from V0 = 0 (a start row with no offset) in dim 4, snag-track at 200 seeds
 # and base seed 5 with a random-walk drift in dim 9, where the coordinate sums
-# are pairwise, accbo option two at 2 seeds on the noisy fixture ridge toy,
+# are pairwise, snag-track at 100 seeds and base seed 7 with a random-walk
+# drift and T = 257, so that the grid's 256-step tape block ends one step
+# before the run does, accbo option two at 2 seeds on the noisy fixture ridge toy,
 # whose diagnostics need a linear solve, and accbo at 2 seeds on the two kinds
 # no config file uses: the exp toy under option one and the general quadratic
 # under option two, both with noise), each into its own output directory, and
@@ -55,6 +57,8 @@ for side in parent change; do
     "$c/tracking.json" "$work/tracking_v0_$side.json"
   python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); d.update(dim=9, sigma=[0, 0.3], drift={"kind": "random_walk", "delta": [0, 0.002]}); json.dump(d, open(sys.argv[2], "w"))' \
     "$c/tracking.json" "$work/tracking_dim9_$side.json"
+  python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); d.update(T=257, sigma=[0, 0.3], drift={"kind": "random_walk", "delta": [0, 0.002]}); json.dump(d, open(sys.argv[2], "w"))' \
+    "$c/tracking.json" "$work/tracking_block_$side.json"
   run "$tree" "$out" conv_one accbo --config "$c/convergence.json" --seeds 2
   run "$tree" "$out" conv_two accbo --config "$work/convergence_two_$side.json" --seeds 2
   run "$tree" "$out" sweep sweep --config "$c/comparison_sweep.json" --seeds 1
@@ -66,6 +70,8 @@ for side in parent change; do
     --seeds 150 --base-seed 3
   run "$tree" "$out" track_dim9 snag-track --config "$work/tracking_dim9_$side.json" \
     --seeds 200 --base-seed 5
+  run "$tree" "$out" track_block snag-track --config "$work/tracking_block_$side.json" \
+    --seeds 100 --base-seed 7
   run "$tree" "$out" ridge_two accbo --config "$work/ridge_two.json" --seeds 2
   run "$tree" "$out" exp_one accbo --config "$work/exp_one.json" --seeds 2
   run "$tree" "$out" general_two accbo --config "$work/general_two.json" --seeds 2

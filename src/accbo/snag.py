@@ -150,10 +150,32 @@ def tracking_bound_no_drift(p: TrackingBoundParams, t: int) -> float:
 # Sub-stream labels of a run's two tapes, one (T, dim) block each.
 _NOISE, _DRIFT = "noise", "drift"
 
+# Steps of unit tape the Monte-Carlo grid holds per source: it draws each
+# seed's tapes this many rows at a time, just before its step loop reads them.
+_BLOCK = 256
+
 
 def _unit_tape(stream: RandomStream, label: str, T: int, dim: int) -> np.ndarray:
     """(T, dim) standard normal block of stream's `label` sub-stream; row t is step t."""
     return stream.child(label).generator().normal(0.0, 1.0, size=(T, dim))
+
+
+def _tape_planes(streams: Sequence[RandomStream], label: str, T: int, dim: int):
+    """Step t's (dim, 1, n_seeds) plane of the `label` unit tapes of streams,
+    t = 0..T-1: column k holds row t of _unit_tape(streams[k], label, T, dim).
+
+    Each stream's generator is built once; a Generator keeps no state
+    between normal calls but its bit generator, so its rows drawn _BLOCK at
+    a time are the rows of its one (T, dim) draw. They fill one reused
+    (_BLOCK, dim, 1, n_seeds) array, so a plane is valid until the next
+    one is taken."""
+    gens = [stream.child(label).generator() for stream in streams]
+    block = np.empty((min(T, _BLOCK), dim, 1, len(gens)))
+    for lo in range(0, T, _BLOCK):
+        b = min(_BLOCK, T - lo)
+        for k, gen in enumerate(gens):
+            block[:b, :, 0, k] = gen.normal(0.0, 1.0, size=(b, dim))
+        yield from block[:b]
 
 
 def _noise_rows(scale, z: np.ndarray) -> np.ndarray:
@@ -163,19 +185,20 @@ def _noise_rows(scale, z: np.ndarray) -> np.ndarray:
 
 def _row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """np.sum over `axis`, bit for bit as numpy sums that axis when it is last
-    and contiguous (the rows of a row-major array). numpy adds fewer than 8
-    terms in order, starting from 0.0, so short rows are summed slice by slice
-    in that order, which costs less than the reduction. Longer rows (summed
-    pairwise) go to np.sum on a copy with the axis last, since np.sum over any
-    other layout adds in another order. Which NaN (sign and payload) an add
-    passes on depends on numpy's loop, so a sum with a NaN in it goes there too."""
+    and contiguous (the rows of a row-major array), except that a NaN sum may
+    be another NaN (sign and payload). numpy adds fewer than 8 terms in
+    order, starting from 0.0, so short rows are summed slice by slice in that
+    order, which costs less than the reduction. Longer rows (summed pairwise)
+    go to np.sum on a copy with the axis last, since np.sum over any other
+    layout adds in another order. Which NaN an add passes on depends on
+    numpy's loop; no caller reads it, since a NaN potential is judged by
+    np.isfinite and written as nan."""
     planes = np.moveaxis(a, axis, 0) if axis else a
     if len(planes) < 8:
         acc = 0.0 + planes[0]
         for plane in planes[1:]:
             acc += plane
-        if not np.isnan(acc).any():
-            return acc
+        return acc
     return np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
 
 
@@ -347,10 +370,12 @@ def mc_tracking_grid(
     every (cell, seed) row, laid out coordinate-major: w, w_prev and w* are
     (dim, n_cells, n_seeds) arrays, so a sum over the coordinates adds
     contiguous planes. Per seed, one unit noise tape and one unit direction
-    tape are drawn (each only if some cell needs it) into a
-    (T, dim, 1, n_seeds) array, and every cell scales the same rows step by
-    step. A cell that does not walk moves its minimizer by the same
-    displacement at every step, so it keeps one (dim,) row of it.
+    tape are drawn (each only if some cell needs it), _BLOCK steps at a time
+    into one (_BLOCK, dim, 1, n_seeds) block per source, just before the
+    steps that read them; every cell scales the same rows step by step. Tape
+    memory is thus 2 * _BLOCK * dim * n_seeds doubles at most, whatever T and
+    the number of cells. A cell that does not walk moves its minimizer by the
+    same displacement at every step, so it keeps one (dim,) row of it.
 
     H = mu*I, so the step's gradient is mu * (z - w*) plus noise, and the
     potential's gap term sums (mu * e) * e. Each entry of the reference's
@@ -395,15 +420,12 @@ def mc_tracking_grid(
             family, p, drift.walks or bool(still[:, c].any()))
     fixed = still.any()
 
-    # Unit tapes laid out (T, dim, 1, n_seeds): step t reads contiguous planes
-    # that broadcast over the cells. Seed k's (T, dim) block fills column k.
-    noise = np.empty((T, dim, 1, n_seeds)) if any(p.sigma > 0.0 for p, _ in cells) else None
-    steps = np.empty((T, dim, 1, n_seeds)) if walk.any() else None
-    for k, stream in enumerate(root.children("mc", n_seeds)):
-        if noise is not None:
-            noise[:, :, 0, k] = _unit_tape(stream, _NOISE, T, dim)
-        if steps is not None:
-            steps[:, :, 0, k] = _unit_tape(stream, _DRIFT, T, dim)
+    # Unit tape planes (dim, 1, n_seeds), step by step: each broadcasts over
+    # the cells, and seed k's rows fill column k.
+    seeds = root.children("mc", n_seeds)
+    noise = (_tape_planes(seeds, _NOISE, T, dim)
+             if any(p.sigma > 0.0 for p, _ in cells) else None)
+    steps = _tape_planes(seeds, _DRIFT, T, dim) if walk.any() else None
 
     wstar = np.zeros((dim, n_cells, n_seeds))
     state = SnagState.initial(np.repeat(w0.T[:, :, None], n_seeds, axis=2), alpha, mu)
@@ -428,7 +450,7 @@ def mc_tracking_grid(
     w_rows[0], wstar_rows[0] = state.w[..., 0], wstar[..., 0]
     violated = violations(state, wstar, bounds[:, :1])
     for t in range(T):
-        eps = 0.0 if noise is None else _noise_rows(scale, noise[t])
+        eps = 0.0 if noise is None else _noise_rows(scale, next(noise))
 
         def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
             g = z - wstar  # mu * (z - w*) + eps, in place
@@ -441,7 +463,7 @@ def mc_tracking_grid(
         # is never -0.0 and adding a zero (a still cell's walk, a walking
         # cell's still row) leaves it as it is: one add per source, no select.
         if steps is not None:
-            wstar += _walk_rows(walk, steps[t], axis=0)
+            wstar += _walk_rows(walk, next(steps), axis=0)
         if fixed:
             wstar += still
         w_rows[t + 1], wstar_rows[t + 1] = state.w[..., 0], wstar[..., 0]

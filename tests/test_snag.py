@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from accbo import cli
+from accbo import cli, snag
 from accbo.constants import ConstraintViolation, nesterov_momentum
 from accbo.harness import TRAJECTORY_COLUMNS, ExperimentConfig, cmd_snag_track, write_csv
 from accbo.rng import RandomStream
@@ -25,7 +27,7 @@ from accbo.snag import (
     tracking_bound_no_drift,
     tracking_bound_with_drift,
 )
-from accbo.snag import _record_terms, _row_sum, _walk_rows
+from accbo.snag import _record_terms, _row_sum, _tape_planes, _unit_tape, _walk_rows
 
 NULL = RandomStream(0)
 
@@ -416,6 +418,73 @@ class TestMonteCarloGrid:
             mc_tracking_grid([self.CELLS[0], (other, DriftProcess())], 2)
 
 
+class TestTapeBlocks:
+    """The grid draws its unit tapes _BLOCK steps at a time. Runs that end
+    before, on and after a block's last step are the one-block runs."""
+
+    B = 4
+    TS = [1, B - 1, B, B + 1, 2 * B + 1]
+
+    @pytest.mark.parametrize("T", TS)
+    def test_planes_are_the_unit_tapes(self, monkeypatch, T):
+        monkeypatch.setattr(snag, "_BLOCK", self.B)
+        seeds = RandomStream(5).children("mc", 3)
+        for label in ("noise", "drift"):
+            # A plane lives until the next is taken, so each is copied.
+            planes = np.stack([plane.copy() for plane in _tape_planes(seeds, label, T, 2)])
+            assert planes.shape == (T, 2, 1, 3)
+            for k, stream in enumerate(seeds):
+                assert _bits(planes[:, :, 0, k]) == _bits(_unit_tape(stream, label, T, 2))
+
+    @pytest.mark.parametrize("T", TS)
+    def test_blocked_grid_is_the_one_block_grid_and_the_reference(self, monkeypatch, T):
+        assert T < snag._BLOCK  # unpatched, the grid draws one block
+        cells = [(replace(p, T=T), drift) for p, drift in TestMonteCarloGrid.CELLS]
+        n_seeds = 6
+        rates, trajectories = mc_tracking_grid(cells, n_seeds, dim=2, base_seed=5)
+        one_block = [trajectory() for trajectory in trajectories]
+        monkeypatch.setattr(snag, "_BLOCK", self.B)
+        blocked_rates, trajectories = mc_tracking_grid(cells, n_seeds, dim=2, base_seed=5)
+        assert _bits(blocked_rates) == _bits(rates)
+        for (p, drift), rate, trajectory, expected in zip(cells, blocked_rates,
+                                                          trajectories, one_block):
+            runs = [run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+                                            RandomStream(5).child("mc", k))
+                    for k in range(n_seeds)]
+            records = trajectory()
+            for reference in (expected, runs[0]):
+                assert records == reference
+                for key in ("V", "bound", "dist", "phi_gap"):
+                    assert _bits([r[key] for r in records]) == _bits([r[key] for r in reference])
+            assert rate == sum(any(map(_violates, logs)) for logs in runs) / n_seeds
+
+    def test_tape_memory_does_not_grow_with_T(self):
+        # One noisy random-walk cell, so both tapes are drawn. Whole tapes
+        # would take 2 * T * dim * n_seeds doubles, 122 MiB here.
+        T, dim, n_seeds = 20_000, 2, 200
+        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, delta_drift=0.01, T=T,
+                                delta_prob=0.05, V0=1.0)
+        tracemalloc.start()
+        try:
+            mc_tracking_grid([(p, DriftProcess(kind="random_walk", delta=0.01))],
+                             n_seeds, dim=dim, base_seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        double = 8
+        # Seed 0's w and w* rows, held twice: in the step loop and as the
+        # trajectories' contiguous copies.
+        rows = 2 * 2 * (T + 1) * dim * double
+        # The bound table, built as a list of Python floats (24 bytes each,
+        # plus an 8-byte slot).
+        table = (T + 1) * (24 + 8)
+        # One block per tape source.
+        block = 2 * snag._BLOCK * dim * n_seeds * double
+        # The SNAG state, its temporaries and the 2 * n_seeds generators.
+        rest = 2**20
+        assert peak < rows + table + block + rest
+
+
 class TestOverflow:
     """Runs whose iterates overflow end where run_tracking_experiment's do."""
 
@@ -581,6 +650,16 @@ def _laid_out(rows: np.ndarray, axis: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(rows, -1, axis))
 
 
+def _assert_bits_or_nan(got, expected) -> None:
+    """got equals expected bit for bit where expected is not NaN, and is NaN
+    where it is: which NaN (sign and payload) a sum passes on is no contract."""
+    got, expected = np.asarray(got, dtype=float), np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert _bits(got[~nan]) == _bits(expected[~nan])
+
+
 class TestOrderedRowSums:
     # Each helper sums along the axis it is given; the references are numpy's
     # on the row-major rows.
@@ -593,7 +672,7 @@ class TestOrderedRowSums:
     @settings(max_examples=300)
     def test_row_sum_is_np_sum(self, rows, axis):
         with np.errstate(all="ignore"):
-            assert _bits(_row_sum(_laid_out(rows, axis), axis)) == _bits(np.sum(rows, axis=-1))
+            _assert_bits_or_nan(_row_sum(_laid_out(rows, axis), axis), np.sum(rows, axis=-1))
 
     @given(v=arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 10)),
                     elements=floats64, fill=st.nothing()),
@@ -605,4 +684,4 @@ class TestOrderedRowSums:
             norms = np.linalg.norm(v, axis=-1, keepdims=True)
             norms[norms == 0.0] = 1.0
             walked = np.moveaxis(_walk_rows(delta, _laid_out(v, axis), axis), axis, -1)
-            assert _bits(walked) == _bits(delta * v / norms)
+            _assert_bits_or_nan(walked, delta * v / norms)
