@@ -127,7 +127,7 @@ def derive_estimator_lipschitz(
 
 def nesterov_momentum(mu: float, alpha: float) -> float:
     """Momentum gamma = (1 - sqrt(mu*alpha)) / (1 + sqrt(mu*alpha))."""
-    if mu <= 0.0 or alpha <= 0.0:
+    if not (mu > 0.0 and alpha > 0.0):  # a NaN is refused too
         raise ConstraintViolation("mu and alpha must be positive")
     s = math.sqrt(mu * alpha)
     return (1.0 - s) / (1.0 + s)

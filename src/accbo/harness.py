@@ -343,28 +343,18 @@ SWEEP = {
 
 
 TRAJECTORY_COLUMNS = ["t", "V", "bound", "dist", "phi_gap"]
-RUN_COLUMNS = [
-    "t", "grad_norm", "m_norm", "y_err", "yhat_err", "yhat_step",
-    "calls_g1", "calls_jvp", "calls_hvp", "calls_f",
-]
+# Each run-log CSV column, in order, with the IterationLog field it holds.
+RUN_COLUMNS = {
+    "t": "t", "grad_norm": "grad_norm_true", "m_norm": "m_norm",
+    "y_err": "y_track_err", "yhat_err": "yhat_track_err", "yhat_step": "yhat_step",
+    "calls_g1": "calls_g1", "calls_jvp": "calls_jvp", "calls_hvp": "calls_hvp",
+    "calls_f": "calls_f",
+}
 
 
 def _run_log_records(logs: list[optimizer.IterationLog]) -> list[dict]:
-    return [
-        {
-            "t": rec.t,
-            "grad_norm": rec.grad_norm_true,
-            "m_norm": rec.m_norm,
-            "y_err": rec.y_track_err,
-            "yhat_err": rec.yhat_track_err,
-            "yhat_step": rec.yhat_step,
-            "calls_g1": rec.calls_g1,
-            "calls_jvp": rec.calls_jvp,
-            "calls_hvp": rec.calls_hvp,
-            "calls_f": rec.calls_f,
-        }
-        for rec in logs
-    ]
+    return [{column: getattr(rec, field) for column, field in RUN_COLUMNS.items()}
+            for rec in logs]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +465,7 @@ def cmd_accbo(config: ExperimentConfig) -> int:
         stream = RandomStream(config.base_seed).child("run", k)
         logs = run(inst, schedule, doc["option"], stream, x0)
         write_csv(_run_log_records(logs), config.out_dir / f"run_seed{k}.csv",
-                  RUN_COLUMNS)
+                  list(RUN_COLUMNS))
         per_seed.append(_summarize_run(logs))
         log.info("accbo %s seed %d: running average grad norm %s after %d iterations",
                  algorithm, k, per_seed[-1]["running_avg_grad_norm"], len(logs))

@@ -40,7 +40,7 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.Q < 1 or self.S < 1:
             raise ConstraintViolation("Q and S must be positive integers")
-        if self.l_g1 <= 0.0:
+        if not self.l_g1 > 0.0:  # a NaN is refused too
             raise ConstraintViolation("l_g1 must be positive")
 
 

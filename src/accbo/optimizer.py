@@ -100,13 +100,7 @@ def warm_start(inst, x0, alpha_init: float, T0: int, stream: RandomStream,
         raise ConstraintViolation(f"T0 must be >= 1, got {T0!r}")
     y0 = np.zeros(inst.dim_y) if y_init is None else np.asarray(y_init, dtype=float)
     state = SnagState.initial(y0, alpha_init, inst.constants.mu)
-
-    def grad(z, s):
-        return inst.stoch_grad_y_g(x0, z, s)
-
-    for st in stream.children("warm", T0):
-        state = snag_step(state, grad, st)
-    return state.w
+    return _snag_round(inst, x0, state, stream.children("warm", T0)).w
 
 
 def average_step(y_hat: np.ndarray, y_next: np.ndarray, tau: float) -> np.ndarray:
@@ -148,17 +142,24 @@ def upper_step(x: np.ndarray, m: np.ndarray, eta: float) -> tuple[np.ndarray, bo
     return x - eta * m / norm, False
 
 
-def _lower_round(inst, x, y, alpha, gamma, N, stream) -> np.ndarray:
-    """N Nesterov steps on g(x, .) at frozen x, restarting the extrapolation."""
-    state = SnagState(w=np.asarray(y, dtype=float), w_prev=np.asarray(y, dtype=float),
-                      alpha=alpha, gamma=gamma)
-
+def _snag_round(inst, x, state: SnagState, streams) -> SnagState:
+    """The lower level's Nesterov loop: snag_step on g(x, .) at frozen x from
+    state, once per stream of streams; returns the last state. warm_start,
+    option two's rounds and option one's single steps differ only in their
+    start state and streams."""
     def grad(z, s):
         return inst.stoch_grad_y_g(x, z, s)
 
-    for j in range(N):
-        state = snag_step(state, grad, stream.child("inner", j))
-    return state.w
+    for st in streams:
+        state = snag_step(state, grad, st)
+    return state
+
+
+def _lower_round(inst, x, y, alpha, gamma, N, stream) -> np.ndarray:
+    """N Nesterov steps on g(x, .) at frozen x, restarting the extrapolation."""
+    y = np.asarray(y, dtype=float)
+    state = SnagState(w=y, w_prev=y, alpha=alpha, gamma=gamma)
+    return _snag_round(inst, x, state, (stream.child("inner", j) for j in range(N))).w
 
 
 def _norms(rows: np.ndarray) -> list[float]:
@@ -293,7 +294,7 @@ def run_accbo(
 
         def lower(x, y, t, st):
             nonlocal state
-            state = snag_step(state, lambda z, sz: oracles.stoch_grad_y_g(x, z, sz), st)
+            state = _snag_round(oracles, x, state, (st,))
             return state.w
     else:
         def lower(x, y, t, st):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,38 +113,43 @@ class TrackingBoundParams:
     V0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mu <= 0 or self.alpha <= 0:
+        # Written as "not x > 0" so that a NaN is refused too.
+        if not (self.mu > 0 and self.alpha > 0):
             raise ConstraintViolation("mu and alpha must be positive")
         if not (0.0 < self.delta_prob < 1.0):
             raise ConstraintViolation("delta_prob must be in (0, 1)")
-        if self.sigma < 0 or self.delta_drift < 0 or self.V0 < 0 or self.T < 1:
+        if not (self.sigma >= 0 and self.delta_drift >= 0 and self.V0 >= 0 and self.T >= 1):
             raise ConstraintViolation("sigma, delta_drift, V0 >= 0 and T >= 1 required")
 
 
-def _log_factor(p: TrackingBoundParams) -> float:
-    return math.log(math.e * p.T / p.delta_prob)
-
-
-def _bound(p: TrackingBoundParams, t: int, drift_term: float) -> float:
-    rate = 1.0 - math.sqrt(p.mu * p.alpha) / 4.0
+def _rate_and_floor(p: TrackingBoundParams, drifting: bool) -> tuple[float, float]:
+    """(rate, floor) of the bound rate**t * V0 + floor: 1 - sqrt(mu*alpha)/4, and
+    the noise term plus (drifting) the drift term times log(e*T/delta_prob)."""
     noise = 5.0 * math.sqrt(p.alpha) * p.sigma**2 / math.sqrt(p.mu)
+    # noise >= +0.0, so noise + 0.0 is noise.
+    drift = 80.0 * p.delta_drift**2 / p.alpha if drifting else 0.0
+    return (1.0 - math.sqrt(p.mu * p.alpha) / 4.0,
+            (noise + drift) * math.log(math.e * p.T / p.delta_prob))
+
+
+def _decay(rate: float, t: int) -> float:
     try:
-        decay = rate**t
+        return rate**t
     except OverflowError:
         raise NumericalAbort(f"tracking bound overflows at t={t}: "
                              f"1 - sqrt(mu*alpha)/4 = {rate!r}") from None
-    return decay * p.V0 + (noise + drift_term) * _log_factor(p)
 
 
 def tracking_bound_with_drift(p: TrackingBoundParams, t: int) -> float:
     """High-probability bound on V_t for isotropic quadratics under drift."""
-    return _bound(p, t, 80.0 * p.delta_drift**2 / p.alpha)
+    rate, floor = _rate_and_floor(p, True)
+    return _decay(rate, t) * p.V0 + floor
 
 
 def tracking_bound_no_drift(p: TrackingBoundParams, t: int) -> float:
     """High-probability bound on V_t for a fixed strongly convex objective."""
-    # noise >= +0.0, so noise + 0.0 is noise.
-    return _bound(p, t, 0.0)
+    rate, floor = _rate_and_floor(p, False)
+    return _decay(rate, t) * p.V0 + floor
 
 
 # Sub-stream labels of a run's two tapes, one (T, dim) block each.
@@ -224,7 +229,7 @@ class DriftProcess:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "fixed_direction", "random_walk"):
             raise ConstraintViolation(f"unknown drift kind {self.kind!r}")
-        if self.delta < 0:
+        if not self.delta >= 0:  # a NaN is refused too
             raise ConstraintViolation("delta must be >= 0")
         if self.kind == "fixed_direction" and self.direction is None:
             raise ConstraintViolation("fixed_direction drift needs a direction")
@@ -243,6 +248,9 @@ class DriftProcess:
         if self.kind == "none" or self.delta == 0.0:
             return np.zeros((T, dim))
         d = np.asarray(self.direction, dtype=float)
+        if d.shape != (dim,):
+            raise ConstraintViolation(f"drift direction has {len(self.direction)} "
+                                      f"entries, but the dimension is {dim}")
         n = np.linalg.norm(d)
         if n == 0:
             raise ConstraintViolation("drift direction must be nonzero")
@@ -300,19 +308,19 @@ def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams, drifting: bool
     """Bound at every t in [0, T], start row and noise scale of one tracking
     cell, whose minimizer starts at 0. The default start row is offset along
     the first coordinate so that its potential is p.V0; the bound's V0 is the
-    potential of the start row as its record computes it."""
+    potential of the start row as its record computes it, and entry t is
+    tracking_bound_with_drift (or _no_drift) at t with that V0, bit for bit."""
     if drifting and family.hessian is not None:
         raise ConstraintViolation("the with-drift bound is stated for isotropic quadratics only")
     if w0 is None:
         w0 = np.zeros(family.dim)
         w0[0] = math.sqrt(p.V0 / family.mu)  # +0.0 when V0 = 0
-    V0 = _record_terms(w0, w0, np.zeros_like(w0), family.matrix(),
-                       math.sqrt(family.mu * p.alpha), p.alpha)[0]
-    bound = functools.partial(
-        tracking_bound_with_drift if drifting else tracking_bound_no_drift,
-        replace(p, V0=float(V0)))
-    return (np.array([bound(t) for t in range(p.T + 1)]), w0,
-            p.sigma / math.sqrt(8.0 * family.dim))
+    V0 = float(_record_terms(w0, w0, np.zeros_like(w0), family.matrix(),
+                             math.sqrt(family.mu * p.alpha), p.alpha)[0])
+    rate, floor = _rate_and_floor(p, drifting)
+    bounds = np.fromiter((_decay(rate, t) * V0 + floor for t in range(p.T + 1)),
+                         float, p.T + 1)
+    return bounds, w0, p.sigma / math.sqrt(8.0 * family.dim)
 
 
 def run_tracking_experiment(
@@ -386,10 +394,11 @@ def mc_tracking_grid(
     gradient aborts the run either way, and a potential that is NaN in the
     reference is infinite here, a violation either way.
 
-    The grid keeps seed 0's w and w* rows at every step. Trajectory c, when
-    called, builds from them with _trajectory the records that
-    run_tracking_experiment returns for cell c on stream
-    (base_seed, "mc", 0).
+    The grid keeps seed 0's w and w* rows at every step once, cell-major:
+    two (n_cells, T+1, dim) arrays, so cell c's rows are contiguous and laid
+    out as run_tracking_experiment's. Trajectory c, when called, builds from
+    them and cell c's float64 bound table with _trajectory the records that
+    run_tracking_experiment returns for cell c on stream (base_seed, "mc", 0).
     """
     if n_seeds < 1:
         raise ConstraintViolation("n_seeds must be >= 1")
@@ -444,10 +453,10 @@ def mc_tracking_grid(
         V = _row_sum(u, axis=0) / (2.0 * alpha) + 0.5 * _row_sum(gap, axis=0)
         return ~(np.isfinite(V) & (V <= bound))
 
-    # Seed 0's rows of w and w* at every t, for the trajectories.
-    w_rows = np.empty((T + 1, dim, n_cells))
-    wstar_rows = np.empty((T + 1, dim, n_cells))
-    w_rows[0], wstar_rows[0] = state.w[..., 0], wstar[..., 0]
+    # Seed 0's rows of w and w* at every t, cell-major: [c, t] is cell c's
+    # row at t, so cell c's (T+1, dim) rows are contiguous.
+    w_rows, wstar_rows = np.empty((2, n_cells, T + 1, dim))
+    w_rows[:, 0], wstar_rows[:, 0] = state.w[..., 0].T, wstar[..., 0].T
     violated = violations(state, wstar, bounds[:, :1])
     for t in range(T):
         eps = 0.0 if noise is None else _noise_rows(scale, next(noise))
@@ -466,12 +475,9 @@ def mc_tracking_grid(
             wstar += _walk_rows(walk, next(steps), axis=0)
         if fixed:
             wstar += still
-        w_rows[t + 1], wstar_rows[t + 1] = state.w[..., 0], wstar[..., 0]
+        w_rows[:, t + 1], wstar_rows[:, t + 1] = state.w[..., 0].T, wstar[..., 0].T
         violated |= violations(state, wstar, bounds[:, t + 1, None])
     rates = [float(np.count_nonzero(v)) / n_seeds for v in violated]
-    # Each cell's rows contiguous, laid out as run_tracking_experiment's.
-    w_rows, wstar_rows = (np.ascontiguousarray(a.transpose(2, 0, 1))
-                          for a in (w_rows, wstar_rows))
     return rates, [functools.partial(_trajectory, w_rows[c], wstar_rows[c], bounds[c],
                                      H, s, alpha)
                    for c in range(n_cells)]

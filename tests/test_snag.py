@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from accbo import cli, snag
 from accbo.constants import ConstraintViolation, nesterov_momentum
 from accbo.harness import TRAJECTORY_COLUMNS, ExperimentConfig, cmd_snag_track, write_csv
+from accbo.hypergrad import EstimatorConfig
 from accbo.rng import RandomStream
 from accbo.snag import (
     DriftProcess,
@@ -27,7 +28,14 @@ from accbo.snag import (
     tracking_bound_no_drift,
     tracking_bound_with_drift,
 )
-from accbo.snag import _record_terms, _row_sum, _tape_planes, _unit_tape, _walk_rows
+from accbo.snag import (
+    _cell_inputs,
+    _record_terms,
+    _row_sum,
+    _tape_planes,
+    _unit_tape,
+    _walk_rows,
+)
 
 NULL = RandomStream(0)
 
@@ -234,6 +242,70 @@ class TestBounds:
             TrackingBoundParams(mu=1.0, alpha=0.1, sigma=0.1, delta_drift=0.0,
                                 T=10, delta_prob=1.5)
 
+    # V0 = 0, moderate, and near the largest double (where the start row's
+    # recomputed potential may overflow to inf); mu * alpha up to 400, so the
+    # rate ranges over [-4, 1) and its powers may overflow the products.
+    @given(mu=st.floats(0.05, 20.0), mu_alpha=st.floats(1e-4, 400.0),
+           sigma=st.floats(0.0, 10.0), delta_drift=st.floats(0.0, 1.0),
+           delta_prob=st.floats(1e-6, 0.999), T=st.integers(1, 300),
+           V0=st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(1e307, 1.79e308)),
+           dim=st.integers(1, 4), drifting=st.booleans())
+    @settings(max_examples=300)
+    @example(mu=1.0, mu_alpha=0.04, sigma=0.1, delta_drift=0.001, delta_prob=0.01,
+             T=1000, V0=1.0, dim=2, drifting=True)
+    @example(mu=1.0, mu_alpha=1.0, sigma=0.0, delta_drift=0.0, delta_prob=0.05,
+             T=5, V0=1.7e308, dim=1, drifting=False)
+    def test_cell_table_is_the_scalar_bound(self, mu, mu_alpha, sigma, delta_drift,
+                                            delta_prob, T, V0, dim, drifting):
+        alpha = mu_alpha / mu
+        p = TrackingBoundParams(mu=mu, alpha=alpha, sigma=sigma, delta_drift=delta_drift,
+                                T=T, delta_prob=delta_prob, V0=V0)
+        family = QuadraticFamily(mu, dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table, w0, _ = _cell_inputs(family, p, drifting)
+            # The table's V0 is the start row's potential as its record computes it.
+            V0_row = float(_record_terms(w0, w0, np.zeros(dim), family.matrix(),
+                                         math.sqrt(mu * alpha), alpha)[0])
+        assume(not math.isnan(V0_row))  # an infinite start row, where V0 / mu overflows
+        bound = tracking_bound_with_drift if drifting else tracking_bound_no_drift
+        q = replace(p, V0=V0_row)
+        assert table.dtype == np.float64 and table.shape == (T + 1,)
+        assert _bits(table) == _bits([bound(q, t) for t in range(T + 1)])
+
+    @pytest.mark.parametrize("drifting", [False, True])
+    def test_cell_table_overflow_is_the_scalar_overflow(self, drifting):
+        # mu * alpha = 100: the rate -1.5's powers overflow first at t = 1751.
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.1, delta_drift=0.01,
+                                T=2000, delta_prob=0.05, V0=1.0)
+        bound = tracking_bound_with_drift if drifting else tracking_bound_no_drift
+        bound(p, 1750)
+        with pytest.raises(NumericalAbort) as scalar:
+            bound(p, 1751)
+        with pytest.raises(NumericalAbort) as table:
+            _cell_inputs(QuadraticFamily(1.0, 2), p, drifting)
+        assert str(scalar.value) == "tracking bound overflows at t=1751: " \
+            "1 - sqrt(mu*alpha)/4 = -1.5"
+        assert str(table.value) == str(scalar.value)
+
+
+_BOUND = dict(mu=1.0, alpha=0.04, sigma=0.1, delta_drift=0.0, T=10, delta_prob=0.05,
+              V0=1.0)
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda name=name: TrackingBoundParams(**{**_BOUND, name: math.nan}),
+                   id=f"TrackingBoundParams.{name}")
+      for name in ("mu", "alpha", "sigma", "delta_drift", "V0")),
+    pytest.param(lambda: DriftProcess(kind="random_walk", delta=math.nan),
+                 id="DriftProcess.delta"),
+    pytest.param(lambda: EstimatorConfig(Q=3, S=1, l_g1=math.nan), id="EstimatorConfig.l_g1"),
+    pytest.param(lambda: nesterov_momentum(math.nan, 0.04), id="nesterov_momentum.mu"),
+    pytest.param(lambda: nesterov_momentum(1.0, math.nan), id="nesterov_momentum.alpha"),
+])
+def test_nan_refused(make):
+    with pytest.raises(ConstraintViolation):
+        make()
+
 
 class TestDriftProcess:
     def test_random_walk_has_exact_length(self):
@@ -263,6 +335,20 @@ class TestDriftProcess:
         d = DriftProcess(kind="fixed_direction", delta=0.5, direction=(0.0, 0.0))
         with pytest.raises(ConstraintViolation):
             d.displacements(3, 2, NULL)
+
+    def test_fixed_direction_must_match_the_dimension(self):
+        # A length-1 direction would broadcast over both coordinates: a step
+        # of length delta * sqrt(2), not the delta the bound assumes.
+        drift = DriftProcess(kind="fixed_direction", delta=0.1, direction=(1.0,))
+        message = "drift direction has 1 entries, but the dimension is 2"
+        with pytest.raises(ConstraintViolation, match=message):
+            drift.displacements(5, 2, NULL)
+        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.0, delta_drift=0.1, T=5,
+                                delta_prob=0.05, V0=1.0)
+        with pytest.raises(ConstraintViolation, match=message):
+            run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p, RandomStream(0))
+        with pytest.raises(ConstraintViolation, match=message):
+            mc_tracking_grid([(p, drift)], 4, dim=2)
 
     def test_validation(self):
         with pytest.raises(ConstraintViolation):
@@ -459,25 +545,26 @@ class TestTapeBlocks:
             assert rate == sum(any(map(_violates, logs)) for logs in runs) / n_seeds
 
     def test_tape_memory_does_not_grow_with_T(self):
-        # One noisy random-walk cell, so both tapes are drawn. Whole tapes
-        # would take 2 * T * dim * n_seeds doubles, 122 MiB here.
+        # Two noisy random-walk cells, so both tapes are drawn, and seed 0's
+        # rows of the two cells interleave unless they are kept cell-major.
+        # Whole tapes would take 2 * T * dim * n_seeds doubles, 122 MiB here.
         T, dim, n_seeds = 20_000, 2, 200
         p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, delta_drift=0.01, T=T,
                                 delta_prob=0.05, V0=1.0)
+        walk = DriftProcess(kind="random_walk", delta=0.01)
+        cells = [(p, walk), (replace(p, sigma=0.1), walk)]
         tracemalloc.start()
         try:
-            mc_tracking_grid([(p, DriftProcess(kind="random_walk", delta=0.01))],
-                             n_seeds, dim=dim, base_seed=5)
+            mc_tracking_grid(cells, n_seeds, dim=dim, base_seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        double = 8
-        # Seed 0's w and w* rows, held twice: in the step loop and as the
-        # trajectories' contiguous copies.
-        rows = 2 * 2 * (T + 1) * dim * double
-        # The bound table, built as a list of Python floats (24 bytes each,
-        # plus an 8-byte slot).
-        table = (T + 1) * (24 + 8)
+        double, n_cells = 8, len(cells)
+        # Seed 0's w and w* rows, held once. A second, transposed copy of
+        # them (1.3 MiB) would exceed the allowance.
+        rows = 2 * n_cells * (T + 1) * dim * double
+        # The bound tables, one float64 row per cell.
+        table = n_cells * (T + 1) * double
         # One block per tape source.
         block = 2 * snag._BLOCK * dim * n_seeds * double
         # The SNAG state, its temporaries and the 2 * n_seeds generators.
