@@ -145,6 +145,13 @@ def table(schema: dict):
     return lambda value, ctx: parse(value, schema, ctx)
 
 
+def array(value, ctx: str):
+    """A finite number, or a non-empty list of arrays: nested to any depth."""
+    if isinstance(value, list):
+        return list_of(array)(value, ctx)
+    return finite(value, ctx)
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
@@ -212,20 +219,11 @@ def write_json(obj, path: str | Path) -> None:
         fh.write("\n")
 
 
-# An instance is a path to a JSON file or an inline object: either the
-# fixture (FIXTURE_RIDGE) or an instance document (INSTANCE). Array params go
-# to the constructors as given; the scalar ones are checked by name.
+# An instance is a path to a JSON file or an inline object: the fixture
+# (FIXTURE_RIDGE) or an instance document of one kind, whose params table is
+# built from the kind's own PARAMS.
 _NOISE = {name: (nonnegative, OPTIONAL) for name in ("sigma_f1", "sigma_g1", "sigma_g2")}
-_SCALAR_PARAMS = {"mu": positive, "c_reg": positive, "l_f0": nonnegative,
-                  "w_radius": positive}
-
-
-def _params(value, ctx: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{ctx}: must be an object, got {value!r}")
-    return {name: _SCALAR_PARAMS[name](v, f"{ctx}.{name}") if name in _SCALAR_PARAMS
-            else v for name, v in value.items()}
-
+_VALUES = {"positive": positive, "nonnegative": nonnegative, "array": array}
 
 FIXTURE_RIDGE = {
     "kind": (one_of("fixture_ridge"), REQUIRED),
@@ -234,11 +232,16 @@ FIXTURE_RIDGE = {
     **_NOISE,
 }
 
-INSTANCE = {
-    "kind": (one_of(*problems.INSTANCE_KINDS), REQUIRED),
-    "params": (_params, REQUIRED),
-    "noise": (table(_NOISE), OPTIONAL),
-}
+INSTANCES = {"fixture_ridge": FIXTURE_RIDGE, **{
+    kind: {
+        "kind": (one_of(kind), REQUIRED),
+        "params": (table({
+            name: (_VALUES[value], OPTIONAL if has_default else REQUIRED)
+            for name, (value, has_default) in cls.PARAMS.items()
+        }), REQUIRED),
+        "noise": (table(_NOISE), OPTIONAL),
+    } for kind, cls in problems.INSTANCE_KINDS.items()}}
+_KIND = one_of(*INSTANCES)
 
 
 def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
@@ -249,16 +252,15 @@ def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
             raise ConfigError(f"{ctx}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigError(f"{ctx}: must be a path or an inline object, got {spec!r}")
-    fixture = spec.get("kind") == "fixture_ridge"
-    doc = parse(spec, FIXTURE_RIDGE if fixture else INSTANCE, ctx)
-    # An unknown params keyword (TypeError) or a rejected array (a
-    # ConstraintViolation is a ValueError) is a config error too.
+    doc = parse(spec, INSTANCES[_KIND(spec.get("kind"), f"{ctx}.kind")], ctx)
+    # A rejected array shape (a ConstraintViolation is a ValueError) is a
+    # config error too.
     try:
-        if fixture:
+        if doc["kind"] == "fixture_ridge":
             return problems.make_fixture_ridge(
                 **{k: v for k, v in doc.items() if k != "kind"})
         return problems.instance_from_dict(doc)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 

@@ -11,6 +11,13 @@ Every stochastic oracle adds its noise by one rule, ``BilevelInstance._noisy``.
 ``IsotropicQuadratic`` and ``ExpUpperToy`` share one lower level (the private
 ``_IsotropicLower``) whose Hessian is exactly mu*I; they declare
 ``isotropic_lower = True``, and option one of the optimizer runs only on them.
+``IsotropicQuadratic`` and ``GeneralQuadratic`` share one upper level (the
+private ``_QuadraticUpper``).
+
+Each kind declares its constructor parameters, noise aside, once, in its
+``PARAMS`` table: ``BilevelInstance.to_dict`` reads them back from the
+instance, and ``accbo.harness`` checks an instance document's ``params``
+against the table. Array shapes are the constructors' check.
 
 Conventions: x has dim_x entries, y has dim_y entries; the mixed second
 derivative of g is stored as a (dim_x, dim_y) matrix so the hypergradient is
@@ -108,6 +115,11 @@ class BilevelInstance:
     """Base class: shared noise machinery and the generic hypergradient formula."""
 
     kind: str
+    # Each constructor parameter, noise aside, in order: name -> (kind of
+    # value: "positive", "nonnegative" or "array"; whether the constructor has
+    # a default). l_f0 is read back from the constants, every other parameter
+    # from the attribute of its name.
+    PARAMS: dict[str, tuple[str, bool]]
     dim_x: int
     dim_y: int
     constants: ProblemConstants
@@ -199,16 +211,17 @@ class BilevelInstance:
 
     # -- serialization ---------------------------------------------------------
 
-    def _params(self) -> dict:
-        raise NotImplementedError
-
     def to_dict(self) -> dict:
+        params = {}
+        for name, (value, _) in self.PARAMS.items():
+            v = getattr(self.constants if name == "l_f0" else self, name)
+            params[name] = v.tolist() if value == "array" else v
         noise = {
             "sigma_f1": self.constants.sigma_f1,
             "sigma_g1": self.constants.sigma_g1,
             "sigma_g2": self.constants.sigma_g2,
         }
-        return {"kind": self.kind, "params": self._params(), "noise": noise}
+        return {"kind": self.kind, "params": params, "noise": noise}
 
 
 class _IsotropicLower(BilevelInstance):
@@ -256,17 +269,11 @@ class _IsotropicLower(BilevelInstance):
         return _mv(self.A, x) + self.b
 
 
-class IsotropicQuadratic(_IsotropicLower):
-    """Isotropic lower level with the quadratic upper level
-    f(x, y) = 0.5*||x - c||^2 + 0.5*||y - d||^2, so every derivative is
-    closed form."""
+class _QuadraticUpper(BilevelInstance):
+    """Upper level f(x, y) = 0.5*||x - c||^2 + 0.5*||y - d||^2, so every
+    derivative is closed form."""
 
-    kind = "isotropic_quadratic"
-
-    def __init__(self, mu, A, b, c, d, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
-                 sigma_g2=0.0):
-        super().__init__(mu, A, b, l_f0=float(l_f0), Lx0=1.0, Ly0=1.0,
-                         sigma_f1=sigma_f1, sigma_g1=sigma_g1, sigma_g2=sigma_g2)
+    def _targets(self, c, d) -> None:
         self.c = _as_vec(c, self.dim_x, "c")
         self.d = _as_vec(d, self.dim_y, "d")
 
@@ -279,30 +286,44 @@ class IsotropicQuadratic(_IsotropicLower):
     def grad_y_f(self, x, y):
         return y - self.d
 
+    def _argmin_phi(self, M: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The minimizer of the composed objective when y*(x) = M x + h: the
+        solution of (I + M'M) x = c + M'(d - h)."""
+        lhs = np.eye(self.dim_x) + M.T @ M
+        rhs = self.c + M.T @ (self.d - h)
+        return np.linalg.solve(lhs, rhs)
+
+
+class IsotropicQuadratic(_IsotropicLower, _QuadraticUpper):
+    """Isotropic lower level with the quadratic upper level."""
+
+    kind = "isotropic_quadratic"
+    PARAMS = {"mu": ("positive", False), "A": ("array", False), "b": ("array", False),
+              "c": ("array", False), "d": ("array", False),
+              "l_f0": ("nonnegative", True)}
+
+    def __init__(self, mu, A, b, c, d, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
+                 sigma_g2=0.0):
+        super().__init__(mu, A, b, l_f0=float(l_f0), Lx0=1.0, Ly0=1.0,
+                         sigma_f1=sigma_f1, sigma_g1=sigma_g1, sigma_g2=sigma_g2)
+        self._targets(c, d)
+
     def true_hypergradient(self, x):
         ystar = self.lower_minimizer(x)
         return (x - self.c) + _mv(self.A.T, ystar - self.d)
 
     def argmin_phi(self) -> np.ndarray:
-        lhs = np.eye(self.dim_x) + self.A.T @ self.A
-        rhs = self.c + self.A.T @ (self.d - self.b)
-        return np.linalg.solve(lhs, rhs)
-
-    def _params(self):
-        return {
-            "mu": self.mu,
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "c": self.c.tolist(),
-            "d": self.d.tolist(),
-            "l_f0": self.constants.l_f0,
-        }
+        return self._argmin_phi(self.A, self.b)
 
 
-class GeneralQuadratic(BilevelInstance):
-    """Anisotropic strongly convex lower level g = 0.5*y'Hy - y'(Cx + b)."""
+class GeneralQuadratic(_QuadraticUpper):
+    """Anisotropic strongly convex lower level g = 0.5*y'Hy - y'(Cx + b) with
+    the quadratic upper level."""
 
     kind = "general_quadratic"
+    PARAMS = {"H": ("array", False), "C": ("array", False), "b": ("array", False),
+              "c": ("array", False), "d": ("array", False),
+              "l_f0": ("nonnegative", True)}
 
     def __init__(self, H, C, b, c, d, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
                  sigma_g2=0.0):
@@ -321,8 +342,7 @@ class GeneralQuadratic(BilevelInstance):
         if eigs[0] <= 0:
             raise ConstraintViolation("H must be positive definite")
         self.b = _as_vec(b, self.dim_y, "b")
-        self.c = _as_vec(c, self.dim_x, "c")
-        self.d = _as_vec(d, self.dim_y, "d")
+        self._targets(c, d)
         # Joint lower-level Hessian is [[0, C'], [C, H]]; its operator norm
         # upper-bounds the smoothness constant of g in (x, y).
         joint = np.block([
@@ -342,17 +362,8 @@ class GeneralQuadratic(BilevelInstance):
             sigma_g2=float(sigma_g2),
         )
 
-    def f_value(self, x, y):
-        return 0.5 * float(np.sum((x - self.c) ** 2) + np.sum((y - self.d) ** 2))
-
     def g_value(self, x, y):
         return float(0.5 * y @ self.H @ y - y @ (self.C @ x + self.b))
-
-    def grad_x_f(self, x, y):
-        return x - self.c
-
-    def grad_y_f(self, x, y):
-        return y - self.d
 
     def grad_y_g(self, x, y):
         return self.H @ y - self.C @ x - self.b
@@ -367,21 +378,8 @@ class GeneralQuadratic(BilevelInstance):
         return _solve(self.H, _mv(self.C, x) + self.b)
 
     def argmin_phi(self) -> np.ndarray:
-        M = np.linalg.solve(self.H, self.C)
-        hb = np.linalg.solve(self.H, self.b)
-        lhs = np.eye(self.dim_x) + M.T @ M
-        rhs = self.c + M.T @ (self.d - hb)
-        return np.linalg.solve(lhs, rhs)
-
-    def _params(self):
-        return {
-            "H": self.H.tolist(),
-            "C": self.C.tolist(),
-            "b": self.b.tolist(),
-            "c": self.c.tolist(),
-            "d": self.d.tolist(),
-            "l_f0": self.constants.l_f0,
-        }
+        return self._argmin_phi(np.linalg.solve(self.H, self.C),
+                                np.linalg.solve(self.H, self.b))
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -398,6 +396,9 @@ class RidgeWeighting(BilevelInstance):
     """
 
     kind = "ridge_weighting"
+    PARAMS = {"Z": ("array", False), "y_tr": ("array", False), "V": ("array", False),
+              "y_val": ("array", False), "c_reg": ("positive", False),
+              "w_radius": ("positive", True)}
 
     def __init__(self, Z, y_tr, V, y_val, c_reg, *, w_radius=2.0, sigma_f1=0.0,
                  sigma_g1=0.0, sigma_g2=0.0):
@@ -443,7 +444,7 @@ class RidgeWeighting(BilevelInstance):
             sigma_g1=float(sigma_g1),
             sigma_g2=float(sigma_g2),
         )
-        self._w_radius = float(w_radius)
+        self.w_radius = float(w_radius)
 
     def f_value(self, x, y):
         return 0.5 * float(np.mean((self.V @ y - self.y_val) ** 2))
@@ -496,22 +497,14 @@ class RidgeWeighting(BilevelInstance):
         s, H = self._at(x)
         return _solve(H, _mv(self.Z.T, s * self.y_tr) / self.n_tr)
 
-    def _params(self):
-        return {
-            "Z": self.Z.tolist(),
-            "y_tr": self.y_tr.tolist(),
-            "V": self.V.tolist(),
-            "y_val": self.y_val.tolist(),
-            "c_reg": self.c_reg,
-            "w_radius": self._w_radius,
-        }
-
 
 class ExpUpperToy(_IsotropicLower):
     """Exercises the unbounded-smoothness path: f(x,y) = exp(x.u) + 0.5*||y||^2
     over the isotropic lower level."""
 
     kind = "exp_upper_toy"
+    PARAMS = {"u": ("array", False), "A": ("array", False), "b": ("array", False),
+              "mu": ("positive", True), "l_f0": ("nonnegative", True)}
 
     def __init__(self, u, A, b, mu=1.0, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
                  sigma_g2=0.0):
@@ -535,15 +528,6 @@ class ExpUpperToy(_IsotropicLower):
 
     def true_hypergradient(self, x):
         return self.grad_x_f(x, None) + _mv(self.A.T, _mv(self.A, x) + self.b)
-
-    def _params(self):
-        return {
-            "u": self.u.tolist(),
-            "A": self.A.tolist(),
-            "b": self.b.tolist(),
-            "mu": self.mu,
-            "l_f0": self.constants.l_f0,
-        }
 
 
 INSTANCE_KINDS = {

@@ -309,14 +309,20 @@ def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams, drifting: bool
     cell, whose minimizer starts at 0. The default start row is offset along
     the first coordinate so that its potential is p.V0; the bound's V0 is the
     potential of the start row as its record computes it, and entry t is
-    tracking_bound_with_drift (or _no_drift) at t with that V0, bit for bit."""
+    tracking_bound_with_drift (or _no_drift) at t with that V0, bit for bit.
+    A potential that is not finite (V0 / mu overflows the start row, or the
+    potential's sums overflow) is refused."""
     if drifting and family.hessian is not None:
         raise ConstraintViolation("the with-drift bound is stated for isotropic quadratics only")
     if w0 is None:
         w0 = np.zeros(family.dim)
         w0[0] = math.sqrt(p.V0 / family.mu)  # +0.0 when V0 = 0
-    V0 = float(_record_terms(w0, w0, np.zeros_like(w0), family.matrix(),
-                             math.sqrt(family.mu * p.alpha), p.alpha)[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        V0 = float(_record_terms(w0, w0, np.zeros_like(w0), family.matrix(),
+                                 math.sqrt(family.mu * p.alpha), p.alpha)[0])
+    if not math.isfinite(V0):
+        raise ConstraintViolation(f"V0 = {p.V0!r} at mu = {family.mu!r} gives a start "
+                                  f"row or potential that is not finite")
     rate, floor = _rate_and_floor(p, drifting)
     bounds = np.fromiter((_decay(rate, t) * V0 + floor for t in range(p.T + 1)),
                          float, p.T + 1)

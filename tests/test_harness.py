@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,11 @@ ACCBO_DOC = {
     },
     "x0": [1.0, 1.0],
 }
+
+
+def with_params(**params):
+    """ACCBO_DOC with its instance's params updated."""
+    return dict(ACCBO_DOC, instance=dict(ISO_DOC, params=dict(ISO_DOC["params"], **params)))
 
 
 def with_overrides(**overrides):
@@ -434,6 +440,29 @@ class TestCli:
          "sweep.instance.noise.sigma_g1"),
         ("bias", {"instance": {"kind": "fixture_ridge", "c_reg": float("inf")},
                   "Q_grid": [1], "n_samples": 10}, "bias.instance.c_reg"),
+        # Instance params are checked against their kind's PARAMS table.
+        ("accbo", with_params(b=[math.inf, 0.0]), "accbo.instance.params.b[0]"),
+        ("accbo", with_params(c=[math.nan, 0.0]), "accbo.instance.params.c[0]"),
+        ("accbo", with_params(d=[True, 0.0]), "accbo.instance.params.d[0]"),
+        ("accbo", with_params(A=[[math.nan, 0.0], [0.0, 1.0]]),
+         "accbo.instance.params.A[0][0]"),
+        ("accbo", dict(ACCBO_DOC, option="two", x0=[0.0], instance={
+            "kind": "ridge_weighting",
+            "params": {"Z": [[1.0, 0.0]], "y_tr": [math.nan], "V": [[0.0, 1.0]],
+                       "y_val": [0.5], "c_reg": 0.1}}),
+         "accbo.instance.params.y_tr[0]"),
+        ("accbo", with_params(c_reg=0.1), "accbo.instance.params: unknown field 'c_reg'"),
+        ("accbo", dict(ACCBO_DOC, instance=dict(ISO_DOC, params={
+            k: v for k, v in ISO_DOC["params"].items() if k != "d"})),
+         "accbo.instance.params: missing required field 'd'"),
+        ("accbo", dict(ACCBO_DOC, option="two", instance={
+            "kind": "general_quadratic",
+            "params": {"H": [[2.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]],
+                       "b": [0.0, 0.0], "c": [0.0, 0.0], "d": [0.0, 0.0],
+                       "w_radius": 2.0}}),
+         "accbo.instance.params: unknown field 'w_radius'"),
+        ("accbo", with_params(A=[[]]), "accbo.instance.params.A[0]"),
+        ("accbo", dict(ACCBO_DOC, instance={"kind": "ridge"}), "accbo.instance.kind"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):
@@ -463,6 +492,20 @@ class TestCli:
         path = write_config(tmp_path, dict(SNAG_DOC, sigma=[0.0]))
         assert cli.main(["snag-track", "--config", str(path), "--out",
                          str(tmp_path / "out"), "--base-seed", str(2**64 - 1)]) == 0
+
+    def test_overflowing_V0_exit_code(self, tmp_path, capsys):
+        # V0 / mu overflows: the start row would be infinite and its potential NaN.
+        path = write_config(tmp_path, {"mu": 0.5, "alpha": 0.04, "T": 5,
+                                       "delta_prob": 0.05, "V0": 1.7e308, "dim": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["snag-track", "--config", str(path),
+                           "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "V0 = 1.7e+308" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_info_log_goes_to_stderr(self, tmp_path):
         path = write_config(tmp_path, SNAG_DOC)
@@ -510,13 +553,15 @@ FUZZ_VALUES = [None, True, "x", [], {}, [1, "a"], -1, 0, 1.5, math.nan, math.inf
 
 @st.composite
 def mutated_configs(draw):
-    """A base doc with one field deleted, added or replaced, at the top level
-    or in its schedule, overrides or drift object."""
+    """A base doc with one field deleted, added or replaced, at the top level,
+    in its schedule, overrides or drift object, or in its instance's params
+    or noise object."""
     command = draw(st.sampled_from(sorted(FUZZ_DOCS)))
     doc = copy.deepcopy(FUZZ_DOCS[command])
-    schedule = doc.get("schedule", {})
+    schedule, instance = doc.get("schedule", {}), doc.get("instance", {})
     objects = [("top", doc), ("schedule", schedule),
-               ("overrides", schedule.get("overrides")), ("drift", doc.get("drift"))]
+               ("overrides", schedule.get("overrides")), ("drift", doc.get("drift")),
+               ("params", instance.get("params")), ("noise", instance.get("noise"))]
     where, target = draw(st.sampled_from([o for o in objects if o[1]]))
     # Deleting an override would fall back to a derived count (T = 8000 for
     # ACCBO_DOC), so overrides are only added or replaced.
@@ -533,9 +578,9 @@ def mutated_configs(draw):
     return command, doc
 
 
-# The four docs admit 559 distinct mutations; Hypothesis stops once it has
+# The four docs admit 949 distinct mutations; Hypothesis stops once it has
 # tried them all, so this bound makes the search exhaustive.
-@settings(max_examples=1000, deadline=None)
+@settings(max_examples=1500, deadline=None)
 @given(mutated_configs())
 def test_fuzzed_config_exits_cleanly(case):
     """Any one-field mutation of a valid config ends in a documented exit code,

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from accbo.constants import ConstraintViolation
+from accbo.harness import _load_instance
 from accbo.optimizer import CountingOracles
 from accbo.problems import (
     GeneralQuadratic,
@@ -330,6 +332,24 @@ class TestSerialization:
         y = np.full(inst.dim_y, -0.5)
         np.testing.assert_allclose(clone.stoch_grad_y_g(x, y, s),
                                    inst.stoch_grad_y_g(x, y, s), atol=1e-15)
+
+    @pytest.mark.parametrize("inst", analytic_instances(noise=True),
+                             ids=lambda i: i.kind)
+    def test_params_are_the_declared_table(self, inst):
+        cls = type(inst)
+        doc = inst.to_dict()
+        assert list(doc["params"]) == list(cls.PARAMS)
+        # The table names the constructor's parameters, noise aside, in order,
+        # and which of them have a default.
+        signature = inspect.signature(cls).parameters
+        assert list(signature) == [*cls.PARAMS, "sigma_f1", "sigma_g1", "sigma_g2"]
+        assert {name: has_default for name, (_, has_default) in cls.PARAMS.items()} \
+            == {name: signature[name].default is not inspect.Parameter.empty
+                for name in cls.PARAMS}
+        # The document rebuilds the instance, directly and through the
+        # config check, and serializes to itself.
+        assert instance_from_dict(doc).to_dict() == doc
+        assert _load_instance(json.loads(json.dumps(doc)), "instance").to_dict() == doc
 
     def test_json_is_valid_and_tagged(self, iso_simple):
         doc = json.loads(instance_to_json(iso_simple))

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -242,9 +242,10 @@ class TestBounds:
             TrackingBoundParams(mu=1.0, alpha=0.1, sigma=0.1, delta_drift=0.0,
                                 T=10, delta_prob=1.5)
 
-    # V0 = 0, moderate, and near the largest double (where the start row's
-    # recomputed potential may overflow to inf); mu * alpha up to 400, so the
-    # rate ranges over [-4, 1) and its powers may overflow the products.
+    # V0 = 0, moderate, and near the largest double (where the start row or
+    # its recomputed potential may overflow, and the cell is refused); mu *
+    # alpha up to 400, so the rate ranges over [-4, 1) and its powers may
+    # overflow the products.
     @given(mu=st.floats(0.05, 20.0), mu_alpha=st.floats(1e-4, 400.0),
            sigma=st.floats(0.0, 10.0), delta_drift=st.floats(0.0, 1.0),
            delta_prob=st.floats(1e-6, 0.999), T=st.integers(1, 300),
@@ -255,18 +256,29 @@ class TestBounds:
              T=1000, V0=1.0, dim=2, drifting=True)
     @example(mu=1.0, mu_alpha=1.0, sigma=0.0, delta_drift=0.0, delta_prob=0.05,
              T=5, V0=1.7e308, dim=1, drifting=False)
+    # Refused: an infinite start row, and a finite one whose potential overflows.
+    @example(mu=0.5, mu_alpha=0.02, sigma=0.0, delta_drift=0.0, delta_prob=0.05,
+             T=5, V0=1.7e308, dim=2, drifting=False)
+    @example(mu=20.0, mu_alpha=400.0, sigma=0.0, delta_drift=0.0, delta_prob=0.05,
+             T=5, V0=1.79e308, dim=1, drifting=True)
     def test_cell_table_is_the_scalar_bound(self, mu, mu_alpha, sigma, delta_drift,
                                             delta_prob, T, V0, dim, drifting):
         alpha = mu_alpha / mu
         p = TrackingBoundParams(mu=mu, alpha=alpha, sigma=sigma, delta_drift=delta_drift,
                                 T=T, delta_prob=delta_prob, V0=V0)
         family = QuadraticFamily(mu, dim)
+        w0 = np.zeros(dim)
+        w0[0] = math.sqrt(V0 / mu)
         with np.errstate(over="ignore", invalid="ignore"):
-            table, w0, _ = _cell_inputs(family, p, drifting)
             # The table's V0 is the start row's potential as its record computes it.
             V0_row = float(_record_terms(w0, w0, np.zeros(dim), family.matrix(),
                                          math.sqrt(mu * alpha), alpha)[0])
-        assume(not math.isnan(V0_row))  # an infinite start row, where V0 / mu overflows
+        if not math.isfinite(V0_row):  # V0 / mu or the potential overflows
+            with pytest.raises(ConstraintViolation, match="V0 = "):
+                _cell_inputs(family, p, drifting)
+            return
+        table, w0_cell, _ = _cell_inputs(family, p, drifting)
+        assert w0_cell.tobytes() == w0.tobytes()
         bound = tracking_bound_with_drift if drifting else tracking_bound_no_drift
         q = replace(p, V0=V0_row)
         assert table.dtype == np.float64 and table.shape == (T + 1,)
@@ -592,40 +604,44 @@ class TestOverflow:
         assert str(grid.value) == str(reference.value)
 
     def test_overflow_on_the_last_step_keeps_the_reference_rate(self):
-        # The one step overflows w, and no gradient follows to abort the run.
-        # There the reference's e @ H @ e has 0 * inf = NaN, so its V is NaN,
-        # which is not within the bound (-inf): the run is a violation.
-        p = TrackingBoundParams(mu=1.0, alpha=1e300, sigma=0.0, delta_drift=0.0, T=1,
-                                delta_prob=0.05, V0=1e20)
+        # mu * alpha = 100: the last step (t = 320) overflows w, and no gradient
+        # follows to abort the run. There the reference's e @ H @ e has
+        # 0 * inf = NaN, so its V is NaN, which is not within the bound: the
+        # run is a violation.
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.0, delta_drift=0.0, T=320,
+                                delta_prob=0.05, V0=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             logs = run_tracking_experiment(QuadraticFamily(1.0, 2), DriftProcess(), p,
                                            RandomStream(0).child("mc", 0))
             rates, trajectories = mc_tracking_grid([(p, DriftProcess())], 2, dim=2)
             records = trajectories[0]()
-        assert math.isnan(logs[-1]["V"]) and logs[-1]["bound"] == -math.inf
+        assert math.isnan(logs[-1]["V"]) and math.isfinite(logs[-1]["bound"])
         assert rates == [float(any(map(_violates, logs)))] == [1.0]
         assert _bits([r["V"] for r in records]) == _bits([r["V"] for r in logs])
 
-    @pytest.mark.parametrize("sigma", [0.0, 1.0])
-    def test_infinite_potential_is_a_violation_under_an_infinite_bound(self, sigma):
-        # alpha * V0 overflows, so V is inf from t = 0 and the bound is inf at
-        # every t; on the last step w overflows and the reference's V is NaN,
-        # the grid's inf. Both are violations, so the rates agree.
-        p = TrackingBoundParams(mu=1.0, alpha=8.5, sigma=sigma, delta_drift=0.0, T=535,
-                                delta_prob=0.05, V0=1e308)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_infinite_potential_is_a_violation_under_an_infinite_bound(self, dim):
+        # The noise term 5 * sqrt(alpha) * sigma**2 / sqrt(mu) overflows, so the
+        # bound is inf at every t; from t = 1 the noise overflows u @ u, so V
+        # is inf too. inf <= inf, yet an infinite V is a violation, in the
+        # grid as in the reference.
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=1e154, delta_drift=0.0, T=5,
+                                delta_prob=0.05, V0=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            logs = run_tracking_experiment(QuadraticFamily(1.0, 2), DriftProcess(), p,
+            logs = run_tracking_experiment(QuadraticFamily(1.0, dim), DriftProcess(), p,
                                            RandomStream(0).child("mc", 0))
-            rates, _ = mc_tracking_grid([(p, DriftProcess())], 1, dim=2)
-        assert logs[0]["V"] == logs[0]["bound"] == math.inf
-        assert math.isnan(logs[-1]["V"]) and logs[-1]["bound"] == math.inf
+            rates, _ = mc_tracking_grid([(p, DriftProcess())], 1, dim=dim)
+        assert logs[0]["V"] == 1.0
+        assert all(r["bound"] == math.inf for r in logs)
+        assert all(r["V"] == math.inf for r in logs[1:])
         assert rates == [float(any(map(_violates, logs)))] == [1.0]
 
+    @pytest.mark.parametrize("T", [319, 320])
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_diverged_run_fails_snag_track(self, tmp_path, dim):
-        # The records end with V = inf in dim 1 and V = NaN in dim 2: both are
-        # violations.
-        doc = {"mu": 1.0, "alpha": 1e300, "T": 1, "delta_prob": 0.05, "V0": 1e20,
+    def test_diverged_run_fails_snag_track(self, tmp_path, dim, T):
+        # mu * alpha = 100: the records end with V = inf at T = 319 and with
+        # V = NaN at T = 320, where w overflows: both are violations.
+        doc = {"mu": 1.0, "alpha": 100.0, "T": T, "delta_prob": 0.05, "V0": 1.0,
                "dim": dim, "sigma": [0.0]}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
