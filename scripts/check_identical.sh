@@ -32,6 +32,8 @@ track_dim9   snag-track  200 5  tracking.json          {"dim": 9, "sigma": [0, 0
 track_block  snag-track  100 7  tracking.json          {"T": 257, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
 # Option two on the noisy fixture ridge toy, whose diagnostics need a linear solve.
 ridge_two    accbo       2   0  -                      {"instance": {"kind": "fixture_ridge", "sigma_f1": 0.1, "sigma_g1": 0.05, "sigma_g2": 0.05}, "schedule": {"mode": "practical", "epsilon": 0.1, "delta": 0.05, "d0": 1.0, "overrides": {"alpha": 1e-3, "beta": 0.95, "eta": 0.005, "T": 1500, "T0": 200, "S": 2, "Q": 15, "I": 2, "N": 12}}, "option": "two"}
+# Option two with all thirteen practical-mode overrides set, none derived.
+all_overrides accbo      2   0  convergence.json       {"option": "two", "schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2, "overrides": {"alpha": 0.04, "alpha_init": 0.02, "eta": 0.002, "beta": 0.9, "tau": 0.15, "sigma_g1_tilde": 0.005, "sigma_g1": 0.001, "T": 1200, "T0": 150, "I": 3, "N": 5, "S": 2, "Q": 2}}}
 # The two instance kinds no config file uses, both with noise.
 exp_one      accbo       2   0  -                      {"instance": {"kind": "exp_upper_toy", "params": {"u": [0.3, -0.2], "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1], "mu": 1.0, "l_f0": 1.0}, "noise": {"sigma_f1": 0.05, "sigma_g1": 0.05, "sigma_g2": 0.05}}, "schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.5, "overrides": {"alpha": 0.04, "eta": 0.002, "T": 1500, "T0": 200, "S": 2, "Q": 4}}, "option": "one", "x0": [0.5, -0.5]}
 general_two  accbo       2   0  -                      {"instance": {"kind": "general_quadratic", "params": {"H": [[2.0, 0.3], [0.3, 1.0]], "C": [[0.5, 0.1], [0.0, 0.4]], "b": [0.1, -0.1], "c": [0.4, -0.3], "d": [0.2, 0.1], "l_f0": 1.0}, "noise": {"sigma_f1": 0.05, "sigma_g1": 0.05, "sigma_g2": 0.05}}, "schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.5, "overrides": {"alpha": 0.04, "eta": 0.002, "T": 1500, "T0": 200, "S": 2, "Q": 4, "I": 2, "N": 6}}, "option": "two", "x0": [0.5, -0.5]}

@@ -9,9 +9,11 @@ hyperparameter schedule. Everything is a pure function of the inputs in
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
-from typing import Any
+import numbers
+from dataclasses import dataclass
+from typing import Any, Callable
 
 __all__ = [
     "ConstraintViolation",
@@ -133,6 +135,22 @@ def nesterov_momentum(mu: float, alpha: float) -> float:
     return (1.0 - s) / (1.0 + s)
 
 
+# Each practical-mode override by name, with its domain: what it must be, in
+# words, and the test a value must pass. Every test refuses NaN and the
+# infinities. Schedule checks its fields of the same names against the same
+# domains, and the config check of accbo.harness reads this table too.
+_POSITIVE = ("a positive number", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = ("a number >= 0", lambda v: 0.0 <= v < math.inf)
+_COUNT = ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1)
+PRACTICAL_OVERRIDES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "alpha": _POSITIVE, "alpha_init": _POSITIVE, "eta": _POSITIVE,
+    "beta": ("a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "tau": ("a number in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "sigma_g1_tilde": _NONNEGATIVE, "sigma_g1": _NONNEGATIVE,
+    **dict.fromkeys(("T", "T0", "I", "N", "S", "Q"), _COUNT),
+}
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Hyperparameters of one optimizer run.
@@ -162,16 +180,11 @@ class Schedule:
     eps_admissible: bool = True
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tau <= 1.0):
-            raise ConstraintViolation(f"tau must be in (0, 1], got {self.tau!r}")
-        if not (0.0 <= self.beta < 1.0):
-            raise ConstraintViolation(f"beta must be in [0, 1), got {self.beta!r}")
-        # Written as "not x > 0" so that a NaN is refused too.
-        if not (self.eta > 0.0 and self.alpha > 0.0 and self.alpha_init > 0.0):
-            raise ConstraintViolation("eta, alpha and alpha_init must be positive")
-        for name in ("T", "T0", "I", "N", "S", "Q"):
-            if getattr(self, name) < 1:
-                raise ConstraintViolation(f"{name} must be a positive integer")
+        for name, (what, ok) in PRACTICAL_OVERRIDES.items():
+            # sigma_g1_tilde is an input of the schedule, not one of its fields.
+            if hasattr(self, name) and not ok(getattr(self, name)):
+                raise ConstraintViolation(
+                    f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 def averaging_theta(mu: float, epsilon: float, L0: float, sigma_g1: float) -> float:
@@ -215,9 +228,14 @@ def _theorem_schedule(
     epsilon: float,
     delta: float,
     d0: float,
-    sigma_g1_tilde: float,
-    y0_gap: float,
+    sigma_g1_tilde: float = 1.0,
+    y0_gap: float = 1.0,
 ) -> Schedule:
+    # Written as "not x > 0" so that a NaN is refused too.
+    if not sigma_g1_tilde > 0.0:
+        raise ConstraintViolation(f"sigma_g1_tilde must be positive, got {sigma_g1_tilde!r}")
+    if not y0_gap > 0.0:
+        raise ConstraintViolation(f"y0_gap must be positive, got {y0_gap!r}")
     L0, L1 = derive_smoothness_constants(c)
     sigma_bar = derive_sigma_bar(c)
 
@@ -306,35 +324,21 @@ def _theorem_schedule(
     )
 
 
-# The practical-mode overrides by name, with the kind of value each takes:
-# "count" (a whole number), "positive" (a number > 0) or "real".
-PRACTICAL_OVERRIDES: dict[str, str] = {
-    "alpha": "positive", "alpha_init": "positive", "eta": "positive",
-    "beta": "real", "tau": "real", "sigma_g1_tilde": "real", "sigma_g1": "real",
-    "T": "count", "T0": "count", "I": "count", "N": "count", "S": "count",
-    "Q": "count",
-}
-
-
 def _practical_schedule(
     c: ProblemConstants,
     epsilon: float,
     delta: float,
     d0: float,
-    overrides: dict[str, Any],
+    overrides: dict[str, Any] | None = None,
 ) -> Schedule:
-    unknown = sorted(set(overrides) - set(PRACTICAL_OVERRIDES))
+    ov = dict(overrides or {})
+    unknown = sorted(set(ov) - set(PRACTICAL_OVERRIDES))
     if unknown:
         raise ConstraintViolation(f"unknown schedule overrides: {unknown}")
-    for name, value in overrides.items():
-        kind = PRACTICAL_OVERRIDES[name]
-        if kind == "count" and not (isinstance(value, int) or float(value).is_integer()):
-            raise ConstraintViolation(
-                f"override {name} must be a whole number, got {value!r}")
-        # Written as "not x > 0" so that a NaN is refused too.
-        if kind == "positive" and not float(value) > 0.0:
-            raise ConstraintViolation(f"override {name} must be positive, got {value!r}")
-    ov = dict(overrides)
+    for name, value in ov.items():
+        what, ok = PRACTICAL_OVERRIDES[name]
+        if not ok(value):
+            raise ConstraintViolation(f"override {name} must be {what}, got {value!r}")
     if "alpha" not in ov:
         raise ConstraintViolation("practical mode requires an explicit alpha")
     alpha = float(ov.pop("alpha"))
@@ -378,17 +382,19 @@ def derive_schedule(
     delta: float,
     d0: float,
     mode: str = "theorem",
-    *,
-    sigma_g1_tilde: float = 1.0,
-    y0_gap: float = 1.0,
-    overrides: dict[str, Any] | None = None,
+    **options: Any,
 ) -> Schedule:
     """Compute a full hyperparameter schedule.
 
-    ``mode="theorem"`` evaluates every closed form; an epsilon above the
+    ``mode="theorem"`` evaluates every closed form from ``sigma_g1_tilde``
+    and ``y0_gap`` (each > 0, 1.0 by default); an epsilon above the
     admissibility ceiling only clears ``eps_admissible`` on the result.
-    ``mode="practical"`` takes user overrides (alpha required) and fills in
-    the momentum gamma and defaults consistent with the structural identities.
+    ``mode="practical"`` takes ``overrides`` (alpha required; each value in
+    its ``PRACTICAL_OVERRIDES`` domain) and fills in the momentum gamma and
+    defaults consistent with the structural identities. A keyword the mode
+    does not read, a derived value outside its domain (such as
+    tau = sqrt(mu*alpha) > 1) and a closed form that overflows are refused
+    with ConstraintViolation.
     """
     if not (0.0 < delta < 1.0):
         raise ConstraintViolation(f"delta must be in (0, 1), got {delta!r}")
@@ -396,12 +402,15 @@ def derive_schedule(
         raise ConstraintViolation(f"epsilon must be positive, got {epsilon!r}")
     if d0 <= 0.0:
         raise ConstraintViolation(f"d0 must be positive, got {d0!r}")
-    if mode == "theorem":
-        if sigma_g1_tilde <= 0.0:
-            raise ConstraintViolation("sigma_g1_tilde must be positive")
-        if y0_gap <= 0.0:
-            raise ConstraintViolation("y0_gap must be positive")
-        return _theorem_schedule(c, epsilon, delta, d0, sigma_g1_tilde, y0_gap)
-    if mode == "practical":
-        return _practical_schedule(c, epsilon, delta, d0, overrides or {})
-    raise ConstraintViolation(f"mode must be 'theorem' or 'practical', got {mode!r}")
+    schedules = {"theorem": _theorem_schedule, "practical": _practical_schedule}
+    if mode not in schedules:
+        raise ConstraintViolation(f"mode must be 'theorem' or 'practical', got {mode!r}")
+    # A mode reads only the keywords of its own function.
+    make = schedules[mode]
+    unread = sorted(set(options) - set(inspect.signature(make).parameters))
+    if unread:
+        raise ConstraintViolation(f"{mode} mode does not read {', '.join(unread)}")
+    try:
+        return make(c, epsilon, delta, d0, **options)
+    except OverflowError as exc:
+        raise ConstraintViolation(f"the {mode}-mode schedule overflows: {exc}") from None

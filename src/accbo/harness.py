@@ -12,7 +12,8 @@ import logging
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,9 @@ class ConfigError(ValueError):
     The message starts with the path of the field at fault, as in
     ``accbo.schedule.delta: must be a number in (0, 1), got 1.5`` or
     ``sweep.algorithms[1]: must be one of 'accbo', 'plain_momentum', got 'acbo'``.
+    A value that the library refuses once the fields are checked, such as a
+    derived ``tau = sqrt(mu*alpha)`` above 1, is reported at the object it
+    comes from: ``accbo.schedule: tau must be a number in (0, 1], got 1.22…``.
     """
 
 
@@ -145,6 +149,29 @@ def table(schema: dict):
     return lambda value, ctx: parse(value, schema, ctx)
 
 
+def tagged(tag: str, schemas: dict):
+    """An object checked against the schema that its tag field names; the
+    tag is kept in the result."""
+    pick = one_of(*schemas)
+
+    def check(value, ctx: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{ctx}: must be an object, got {value!r}")
+        name = pick(value.get(tag), f"{ctx}.{tag}")
+        return parse(value, {tag: (pick, REQUIRED), **schemas[name]}, ctx)
+    return check
+
+
+@contextmanager
+def _refused_at(ctx: str):
+    """Report a value that the library refuses (a ConstraintViolation or
+    another ValueError) as a config error at ctx."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{ctx}: {exc}") from exc
+
+
 def array(value, ctx: str):
     """A finite number, or a non-empty list of arrays: nested to any depth."""
     if isinstance(value, list):
@@ -219,29 +246,23 @@ def write_json(obj, path: str | Path) -> None:
         fh.write("\n")
 
 
-# An instance is a path to a JSON file or an inline object: the fixture
-# (FIXTURE_RIDGE) or an instance document of one kind, whose params table is
-# built from the kind's own PARAMS.
+# An instance is a path to a JSON file or an inline object tagged by its
+# kind: the fixture (FIXTURE_RIDGE) or an instance document of one kind, whose
+# params table is built from the kind's own PARAMS.
 _NOISE = {name: (nonnegative, OPTIONAL) for name in ("sigma_f1", "sigma_g1", "sigma_g2")}
 _VALUES = {"positive": positive, "nonnegative": nonnegative, "array": array}
 
-FIXTURE_RIDGE = {
-    "kind": (one_of("fixture_ridge"), REQUIRED),
-    "seed": (_integer(0), OPTIONAL),
-    "c_reg": (positive, OPTIONAL),
-    **_NOISE,
-}
+FIXTURE_RIDGE = {"seed": (_integer(0), OPTIONAL), "c_reg": (positive, OPTIONAL), **_NOISE}
 
 INSTANCES = {"fixture_ridge": FIXTURE_RIDGE, **{
     kind: {
-        "kind": (one_of(kind), REQUIRED),
         "params": (table({
             name: (_VALUES[value], OPTIONAL if has_default else REQUIRED)
             for name, (value, has_default) in cls.PARAMS.items()
         }), REQUIRED),
         "noise": (table(_NOISE), OPTIONAL),
     } for kind, cls in problems.INSTANCE_KINDS.items()}}
-_KIND = one_of(*INSTANCES)
+_INSTANCE = tagged("kind", INSTANCES)
 
 
 def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
@@ -252,16 +273,12 @@ def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
             raise ConfigError(f"{ctx}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ConfigError(f"{ctx}: must be a path or an inline object, got {spec!r}")
-    doc = parse(spec, INSTANCES[_KIND(spec.get("kind"), f"{ctx}.kind")], ctx)
-    # A rejected array shape (a ConstraintViolation is a ValueError) is a
-    # config error too.
-    try:
+    doc = _INSTANCE(spec, ctx)
+    with _refused_at(ctx):  # a rejected array shape, say
         if doc["kind"] == "fixture_ridge":
             return problems.make_fixture_ridge(
                 **{k: v for k, v in doc.items() if k != "kind"})
         return problems.instance_from_dict(doc)
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
 
 
 def _point(value, inst: problems.BilevelInstance, ctx: str):
@@ -274,10 +291,10 @@ def _point(value, inst: problems.BilevelInstance, ctx: str):
 
 
 def _check_option(option: str, inst, algorithms: list[str], ctx: str) -> None:
-    """Refuse option one where run_accbo would, before any output is written."""
-    if option == "one" and "accbo" in algorithms and not inst.isotropic_lower:
-        raise ConfigError(f"{ctx}: option one requires an isotropic quadratic "
-                          f"lower level, not {inst.kind!r}")
+    """Refuse an option where run_accbo would, before any output is written."""
+    if "accbo" in algorithms:
+        with _refused_at(ctx):
+            optimizer.check_option(inst, option)
 
 
 # Runners by algorithm name, each called as (inst, schedule, option, stream,
@@ -289,18 +306,19 @@ _RUNNERS = {
         baselines.run_plain_momentum_bilevel(inst, schedule, stream, x0=x0),
 }
 
-# The schedule object of accbo and sweep, without its epsilon; its fields are
-# the keyword arguments of derive_schedule.
-_SCHEDULE = {
-    "mode": (one_of("theorem", "practical"), REQUIRED),
-    "delta": (fraction, REQUIRED),
-    "d0": (positive, REQUIRED),
-    "sigma_g1_tilde": (positive, 1.0),
-    "y0_gap": (positive, 1.0),
-    "overrides": (table({
-        name: ({"count": count, "positive": positive, "real": finite}[kind], OPTIONAL)
-        for name, kind in PRACTICAL_OVERRIDES.items()
-    }), {}),
+# The schedule object of accbo and sweep is tagged by its mode. Each mode's
+# table holds, epsilon aside, the keyword arguments of derive_schedule that
+# the mode reads; each override is checked against its PRACTICAL_OVERRIDES
+# domain, and alpha is required.
+_SCHEDULE = {"delta": (fraction, REQUIRED), "d0": (positive, REQUIRED)}
+SCHEDULES = {
+    "theorem": {**_SCHEDULE, "sigma_g1_tilde": (positive, OPTIONAL),
+                "y0_gap": (positive, OPTIONAL)},
+    "practical": {**_SCHEDULE, "overrides": (table({
+        name: (_check(what, lambda v, ok=ok: _real(v) and ok(v)),
+               REQUIRED if name == "alpha" else OPTIONAL)
+        for name, (what, ok) in PRACTICAL_OVERRIDES.items()
+    }), REQUIRED)},
 }
 
 SNAG_TRACK = {
@@ -327,7 +345,8 @@ BIAS = {
 
 ACCBO = {
     "instance": (_load_instance, REQUIRED),
-    "schedule": (table({**_SCHEDULE, "epsilon": (positive, REQUIRED)}), REQUIRED),
+    "schedule": (tagged("mode", {mode: {**schema, "epsilon": (positive, REQUIRED)}
+                                 for mode, schema in SCHEDULES.items()}), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
     "x0": (list_of(finite), None),
     "algorithm": (one_of(*_RUNNERS), "accbo"),
@@ -336,8 +355,8 @@ ACCBO = {
 SWEEP = {
     "instance": (_load_instance, REQUIRED),
     "epsilons": (list_of(positive), REQUIRED),
-    # Each run takes its epsilon from epsilons; one given here is not used.
-    "schedule": (table({**_SCHEDULE, "epsilon": (finite, None)}), REQUIRED),
+    # Each run takes its epsilon from epsilons, so the schedule has none.
+    "schedule": (tagged("mode", SCHEDULES), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
     "x0": (list_of(finite), None),
     "algorithms": (list_of(one_of(*_RUNNERS)), ["accbo", "plain_momentum"]),
@@ -366,11 +385,19 @@ def _run_log_records(logs: list[optimizer.IterationLog]) -> list[dict]:
 def cmd_snag_track(config: ExperimentConfig) -> int:
     doc = parse(config.params, SNAG_TRACK, "snag-track")
     dim, kind = doc["dim"], doc["drift"]["kind"]
+    still = snag.TrackingBoundParams(
+        mu=doc["mu"], alpha=doc["alpha"], sigma=0.0, delta_drift=0.0,
+        T=doc["T"], delta_prob=doc["delta_prob"], V0=doc["V0"],
+    )
+    # Each sigma, and each delta that a drifting cell reads, must give a
+    # bound floor that is finite by itself.
+    for path, field, values in (("sigma", "sigma", doc["sigma"]), (
+            "drift.delta", "delta_drift", doc["drift"]["delta"] if kind != "none" else [])):
+        for i, value in enumerate(values):
+            with _refused_at(f"snag-track.{path}[{i}]"):
+                snag.tracking_bound_with_drift(replace(still, **{field: value}), 0)
     cells = [(
-        snag.TrackingBoundParams(
-            mu=doc["mu"], alpha=doc["alpha"], sigma=sigma, delta_drift=delta,
-            T=doc["T"], delta_prob=doc["delta_prob"], V0=doc["V0"],
-        ),
+        replace(still, sigma=sigma, delta_drift=delta),
         snag.DriftProcess(
             kind=kind if delta > 0 else "none", delta=delta,
             direction=(1.0,) + (0.0,) * (dim - 1)
@@ -456,7 +483,8 @@ def _summarize_run(logs: list[optimizer.IterationLog]) -> dict:
 def cmd_accbo(config: ExperimentConfig) -> int:
     doc = parse(config.params, ACCBO, "accbo")
     inst, algorithm = doc["instance"], doc["algorithm"]
-    schedule = derive_schedule(inst.constants, **doc["schedule"])
+    with _refused_at("accbo.schedule"):
+        schedule = derive_schedule(inst.constants, **doc["schedule"])
     x0 = _point(doc["x0"], inst, "accbo.x0")
     _check_option(doc["option"], inst, [algorithm], "accbo.option")
     run = _RUNNERS[algorithm]
@@ -506,8 +534,9 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     x0 = _point(doc["x0"], inst, "sweep.x0")
     _check_option(doc["option"], inst, algorithms, "sweep.option")
     runners = [_RUNNERS[a] for a in algorithms]
-    schedules = [derive_schedule(inst.constants, **dict(doc["schedule"], epsilon=eps))
-                 for eps in epsilons]
+    with _refused_at("sweep.schedule"):
+        schedules = [derive_schedule(inst.constants, **doc["schedule"], epsilon=eps)
+                     for eps in epsilons]
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     table = []

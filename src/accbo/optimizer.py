@@ -30,6 +30,7 @@ __all__ = [
     "average_step",
     "momentum_update",
     "upper_step",
+    "check_option",
     "run_accbo",
 ]
 
@@ -262,6 +263,15 @@ def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
     return logs
 
 
+def check_option(inst, option: str) -> None:
+    """Refuse an option that run_accbo cannot run on inst."""
+    if option not in ("one", "two"):
+        raise ConstraintViolation(f"option must be 'one' or 'two', got {option!r}")
+    if option == "one" and not inst.isotropic_lower:
+        raise ConstraintViolation(f"option one requires an isotropic quadratic "
+                                  f"lower level, not {inst.kind!r}")
+
+
 def run_accbo(
     inst,
     schedule: Schedule,
@@ -275,12 +285,7 @@ def run_accbo(
     state in the outer loop raises NumericalAbort with the logs collected so
     far attached as its ``logs`` attribute.
     """
-    if option not in ("one", "two"):
-        raise ConstraintViolation(f"option must be 'one' or 'two', got {option!r}")
-    if option == "one" and not inst.isotropic_lower:
-        raise ConstraintViolation(
-            "option one requires an isotropic quadratic lower level"
-        )
+    check_option(inst, option)
     s = schedule
     oracles = CountingOracles(inst)
     cfg = EstimatorConfig(Q=s.Q, S=s.S, l_g1=inst.constants.l_g1)

@@ -124,12 +124,19 @@ class TrackingBoundParams:
 
 def _rate_and_floor(p: TrackingBoundParams, drifting: bool) -> tuple[float, float]:
     """(rate, floor) of the bound rate**t * V0 + floor: 1 - sqrt(mu*alpha)/4, and
-    the noise term plus (drifting) the drift term times log(e*T/delta_prob)."""
-    noise = 5.0 * math.sqrt(p.alpha) * p.sigma**2 / math.sqrt(p.mu)
-    # noise >= +0.0, so noise + 0.0 is noise.
-    drift = 80.0 * p.delta_drift**2 / p.alpha if drifting else 0.0
-    return (1.0 - math.sqrt(p.mu * p.alpha) / 4.0,
-            (noise + drift) * math.log(math.e * p.T / p.delta_prob))
+    the noise term plus (drifting) the drift term times log(e*T/delta_prob).
+    A sigma or delta_drift whose floor is not finite is refused."""
+    delta = p.delta_drift if drifting else 0.0
+    try:
+        # noise >= +0.0, so noise + 0.0 is noise.
+        floor = (5.0 * math.sqrt(p.alpha) * p.sigma**2 / math.sqrt(p.mu)
+                 + 80.0 * delta**2 / p.alpha) * math.log(math.e * p.T / p.delta_prob)
+    except OverflowError:  # sigma**2 or delta**2
+        floor = math.inf
+    if not math.isfinite(floor):
+        raise ConstraintViolation(f"the tracking bound floor of sigma = {p.sigma!r} and "
+                                  f"delta = {delta!r} is not finite")
+    return 1.0 - math.sqrt(p.mu * p.alpha) / 4.0, floor
 
 
 def _decay(rate: float, t: int) -> float:

@@ -180,6 +180,32 @@ class TestSchedule:
         s = derive_schedule(c, 1e-4, 0.05, 1.0, mode="theorem", sigma_g1_tilde=0.5)
         assert isinstance(s.eps_admissible, bool)
 
+    def test_wrong_mode_keyword_refused(self):
+        # Each mode gets only its own keywords; none is dropped unread.
+        c = ProblemConstants(mu=1.0, l_g1=2.0, l_f0=1.0, Lx0=1.0, Ly0=1.0)
+        with pytest.raises(ConstraintViolation, match="theorem mode does not read overrides"):
+            derive_schedule(c, 0.01, 0.05, 1.0, mode="theorem",
+                            overrides={"alpha": 0.04, "T": 5})
+        with pytest.raises(ConstraintViolation,
+                           match="practical mode does not read sigma_g1_tilde"):
+            derive_schedule(c, 0.01, 0.05, 1.0, mode="practical", sigma_g1_tilde=0.5,
+                            overrides={"alpha": 0.04})
+
+    @pytest.mark.parametrize("name, value", [
+        ("beta", 1.0), ("tau", 1.5), ("sigma_g1", -1.0), ("S", 2.0), ("T0", 0),
+    ])
+    def test_schedule_fields_in_override_domains(self, name, value):
+        c = ProblemConstants(mu=1.0, l_g1=1.0, Lx0=1.0)
+        s = derive_schedule(c, 0.05, 0.05, 1.0, mode="practical",
+                            overrides={"alpha": 0.04, "T": 10})
+        with pytest.raises(ConstraintViolation, match=f"^{name} must be "):
+            dataclasses.replace(s, **{name: value})
+
+    def test_theorem_overflow_refused(self):
+        c = ProblemConstants(mu=1.0, l_g1=2.0, l_f0=1.0, Lx0=1.0, Ly0=1.0)
+        with pytest.raises(ConstraintViolation, match="theorem-mode schedule overflows"):
+            derive_schedule(c, 0.01, 0.05, 1.0, mode="theorem", sigma_g1_tilde=1e160)
+
     def test_invalid_inputs(self):
         c = ProblemConstants(mu=1.0, l_g1=1.0, Lx0=1.0)
         with pytest.raises(ConstraintViolation):

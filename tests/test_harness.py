@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accbo.constants import PRACTICAL_OVERRIDES, ConstraintViolation, derive_schedule
 from accbo.harness import (
     _fmt,
     ConfigError,
@@ -28,7 +29,7 @@ from accbo.harness import (
 )
 from accbo.optimizer import IterationLog
 from accbo import cli
-from accbo.problems import instance_to_json
+from accbo.problems import instance_from_dict, instance_to_json
 
 from conftest import analytic_instances
 
@@ -61,17 +62,28 @@ ACCBO_DOC = {
     "x0": [1.0, 1.0],
 }
 
+# ACCBO_DOC's schedule without its epsilon: sweep takes each from epsilons.
+SWEEP_SCHEDULE = {k: v for k, v in ACCBO_DOC["schedule"].items() if k != "epsilon"}
+
 
 def with_params(**params):
     """ACCBO_DOC with its instance's params updated."""
     return dict(ACCBO_DOC, instance=dict(ISO_DOC, params=dict(ISO_DOC["params"], **params)))
 
 
+def with_schedule(**fields):
+    """ACCBO_DOC with its schedule's fields updated."""
+    return dict(ACCBO_DOC, schedule=dict(ACCBO_DOC["schedule"], **fields))
+
+
 def with_overrides(**overrides):
     """ACCBO_DOC with its schedule overrides updated."""
-    schedule = ACCBO_DOC["schedule"]
-    return dict(ACCBO_DOC, schedule=dict(
-        schedule, overrides=dict(schedule["overrides"], **overrides)))
+    return with_schedule(overrides=dict(ACCBO_DOC["schedule"]["overrides"], **overrides))
+
+
+# A theorem schedule for ISO_DOC whose closed forms refuse 1 - beta < 0: at
+# epsilon 0.05 they would derive T = 8.3e10, a run no test can wait for.
+THEOREM_SCHEDULE = {"mode": "theorem", "epsilon": 500.0, "delta": 0.05, "d0": 1.0}
 
 
 class TestConfigLoading:
@@ -230,8 +242,7 @@ class TestCommands:
             "instance": ISO_DOC,
             "option": "one",
             "epsilons": [0.2, 0.1],
-            "schedule": {"mode": "practical", "epsilon": 0.0, "delta": 0.05,
-                         "d0": 1.0,
+            "schedule": {"mode": "practical", "delta": 0.05, "d0": 1.0,
                          "overrides": {"alpha": 0.04, "eta": 0.02, "T": 60,
                                        "T0": 40}},
             "x0": [1.0, 1.0],
@@ -244,11 +255,31 @@ class TestCommands:
     def test_sweep_unknown_algorithm_runs_nothing(self, tmp_path):
         doc = {
             "instance": ISO_DOC, "option": "one", "epsilons": [0.2],
-            "schedule": ACCBO_DOC["schedule"], "algorithms": ["accbo", "acbo"],
+            "schedule": SWEEP_SCHEDULE, "algorithms": ["accbo", "acbo"],
         }
         with pytest.raises(ConfigError, match="sweep.algorithms.*'acbo'"):
             cmd_sweep(ExperimentConfig("sweep", doc, tmp_path / "out"))
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 0.5, 1.5, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(PRACTICAL_OVERRIDES))
+def test_override_accepted_iff_derive_schedule_accepts(tmp_path, name, value):
+    """accbo refuses an override value as a config error exactly when
+    derive_schedule refuses it: both read the domains of PRACTICAL_OVERRIDES."""
+    overrides = dict(ACCBO_DOC["schedule"]["overrides"], **{name: value})
+    try:
+        derive_schedule(instance_from_dict(ISO_DOC).constants, 0.05, 0.05, 1.0,
+                        mode="practical", overrides=overrides)
+        derived = True
+    except ConstraintViolation:
+        derived = False
+    try:
+        cmd_accbo(ExperimentConfig("accbo", with_overrides(**{name: value}), tmp_path))
+        checked = True
+    except ConfigError:
+        checked = False
+    assert checked == derived
 
 
 class TestInfoLog:
@@ -266,7 +297,7 @@ class TestInfoLog:
         (cmd_snag_track, "snag-track", SNAG_DOC, 2, 2, "violation rate"),
         (cmd_accbo, "accbo", ACCBO_DOC, 2, 2, "running average grad norm"),
         (cmd_sweep, "sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
-                              "schedule": ACCBO_DOC["schedule"]}, 2, 4,
+                              "schedule": SWEEP_SCHEDULE}, 2, 4,
          "oracle calls to target"),
     ], ids=["snag-track", "accbo", "sweep"])
     def test_one_line_per_unit(self, caplog, tmp_path, cmd, command, doc, n_seeds,
@@ -361,29 +392,29 @@ class TestCli:
          "snag-track.drift.kind"),
         ("snag-track", dict(SNAG_DOC, drift=[0.1]), "snag-track.drift"),
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
-                   "schedule": ACCBO_DOC["schedule"], "algorithms": ["acbo"]},
+                   "schedule": SWEEP_SCHEDULE, "algorithms": ["acbo"]},
          "sweep.algorithms"),
         ("bias", {"instance": {"kind": "fixture_ridge", "sigma_gg": 0.1},
                   "Q_grid": [1], "n_samples": 10}, "bias.instance"),
         ("accbo", dict(ACCBO_DOC, instance=dict(
             ISO_DOC, params=dict(ISO_DOC["params"], l_f9=1.0))), "accbo.instance"),
         ("sweep", {"instance": dict(ISO_DOC, noise={"sigma_g3": 0.1}), "option": "one",
-                   "epsilons": [0.2], "schedule": ACCBO_DOC["schedule"]},
+                   "epsilons": [0.2], "schedule": SWEEP_SCHEDULE},
          "sweep.instance"),
         ("accbo", dict(ACCBO_DOC, instance="no/such/instance.json"), "accbo.instance"),
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": "0.1",
-                   "schedule": ACCBO_DOC["schedule"]}, "sweep.epsilons"),
+                   "schedule": SWEEP_SCHEDULE}, "sweep.epsilons"),
         ("bias", {"instance": ISO_DOC, "Q_grid": 3, "n_samples": 10}, "bias.Q_grid"),
         ("accbo", dict(ACCBO_DOC, schedule=dict(ACCBO_DOC["schedule"], epsilon="0.1")),
          "accbo.schedule.epsilon"),
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
-                   "schedule": dict(ACCBO_DOC["schedule"], delta="0.05")},
+                   "schedule": dict(SWEEP_SCHEDULE, delta="0.05")},
          "sweep.schedule.delta"),
         ("accbo", dict(ACCBO_DOC, schedule=5), "accbo.schedule"),
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
                    "schedule": [1]}, "sweep.schedule"),
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [],
-                   "schedule": ACCBO_DOC["schedule"]}, "sweep.epsilons"),
+                   "schedule": SWEEP_SCHEDULE}, "sweep.epsilons"),
         ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": 10, "S": "2"},
          "bias.S"),
         ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": "10"},
@@ -392,7 +423,7 @@ class TestCli:
          "bias.x"),
         ("accbo", dict(ACCBO_DOC, x0="ab"), "accbo.x0"),
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
-                   "schedule": ACCBO_DOC["schedule"], "x0": [1.0, "b"]}, "sweep.x0"),
+                   "schedule": SWEEP_SCHEDULE, "x0": [1.0, "b"]}, "sweep.x0"),
         ("bias", {"instance": ISO_DOC, "Q_grid": [0], "n_samples": 10}, "bias.Q_grid"),
         ("accbo", dict(ACCBO_DOC, option="three"), "accbo.option"),
         ("accbo", dict(ACCBO_DOC, option="three", algorithm="plain_momentum"),
@@ -400,9 +431,9 @@ class TestCli:
         ("accbo", dict(ACCBO_DOC, instance={"kind": "fixture_ridge"}, x0=[0.0] * 8),
          "accbo.option"),
         ("sweep", {"instance": ISO_DOC, "option": "three", "epsilons": [0.2],
-                   "schedule": ACCBO_DOC["schedule"]}, "sweep.option"),
+                   "schedule": SWEEP_SCHEDULE}, "sweep.option"),
         ("sweep", {"instance": {"kind": "fixture_ridge"}, "option": "one",
-                   "epsilons": [0.2], "schedule": ACCBO_DOC["schedule"]},
+                   "epsilons": [0.2], "schedule": SWEEP_SCHEDULE},
          "sweep.option"),
         ("snag-track", dict(SNAG_DOC, mu=-1), "snag-track.mu"),
         ("snag-track", dict(SNAG_DOC, alpha=0), "snag-track.alpha"),
@@ -421,9 +452,9 @@ class TestCli:
         ("accbo", dict(ACCBO_DOC, schedule=dict(ACCBO_DOC["schedule"], delta=1.5)),
          "accbo.schedule.delta"),
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [-0.2],
-                   "schedule": ACCBO_DOC["schedule"]}, "sweep.epsilons"),
+                   "schedule": SWEEP_SCHEDULE}, "sweep.epsilons"),
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
-                   "schedule": ACCBO_DOC["schedule"], "algorithms": []},
+                   "schedule": SWEEP_SCHEDULE, "algorithms": []},
          "sweep.algorithms"),
         ("bias", {"instance": ISO_DOC, "Q_grid": [], "n_samples": 10}, "bias.Q_grid"),
         ("snag-track", dict(SNAG_DOC, sigma=[]), "snag-track.sigma"),
@@ -436,7 +467,7 @@ class TestCli:
             ISO_DOC, params=dict(ISO_DOC["params"], mu=None))),
          "accbo.instance.params.mu"),
         ("sweep", {"instance": dict(ISO_DOC, noise={"sigma_g1": "x"}), "option": "one",
-                   "epsilons": [0.2], "schedule": ACCBO_DOC["schedule"]},
+                   "epsilons": [0.2], "schedule": SWEEP_SCHEDULE},
          "sweep.instance.noise.sigma_g1"),
         ("bias", {"instance": {"kind": "fixture_ridge", "c_reg": float("inf")},
                   "Q_grid": [1], "n_samples": 10}, "bias.instance.c_reg"),
@@ -463,6 +494,37 @@ class TestCli:
          "accbo.instance.params: unknown field 'w_radius'"),
         ("accbo", with_params(A=[[]]), "accbo.instance.params.A[0]"),
         ("accbo", dict(ACCBO_DOC, instance={"kind": "ridge"}), "accbo.instance.kind"),
+        # Each schedule mode's table holds only the fields that the mode reads.
+        ("accbo", with_schedule(**THEOREM_SCHEDULE),
+         "accbo.schedule: unknown field 'overrides'"),
+        ("accbo", with_schedule(sigma_g1_tilde=0.5),
+         "accbo.schedule: unknown field 'sigma_g1_tilde'"),
+        ("accbo", with_schedule(y0_gap=0.5), "accbo.schedule: unknown field 'y0_gap'"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                   "schedule": dict(SWEEP_SCHEDULE, epsilon=-1)},
+         "sweep.schedule: unknown field 'epsilon'"),
+        # Each override is checked against its domain, and alpha is required.
+        ("accbo", with_overrides(beta=-1), "accbo.schedule.overrides.beta"),
+        ("accbo", with_overrides(beta=1.5), "accbo.schedule.overrides.beta"),
+        ("accbo", with_overrides(tau=0), "accbo.schedule.overrides.tau"),
+        ("accbo", with_overrides(tau=-1), "accbo.schedule.overrides.tau"),
+        ("accbo", with_overrides(sigma_g1_tilde=-5),
+         "accbo.schedule.overrides.sigma_g1_tilde"),
+        ("accbo", with_schedule(overrides={}),
+         "accbo.schedule.overrides: missing required field 'alpha'"),
+        # A derived value that derive_schedule refuses is reported at the schedule.
+        ("accbo", with_overrides(alpha=1.5), "accbo.schedule: beta must be"),
+        ("accbo", with_params(mu=1e160), "accbo.schedule: beta must be"),
+        ("accbo", dict(ACCBO_DOC, schedule=THEOREM_SCHEDULE),
+         "accbo.schedule: theorem-mode 1-beta"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                   "schedule": dict(SWEEP_SCHEDULE, overrides={"alpha": 4.0})},
+         "sweep.schedule: beta must be"),
+        # A sigma or drift delta whose bound floor is not finite is refused by path.
+        ("snag-track", dict(SNAG_DOC, sigma=[1e160]), "snag-track.sigma[0]"),
+        ("snag-track", dict(SNAG_DOC, sigma=[0.1, 1.3e154]), "snag-track.sigma[1]"),
+        ("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk", "delta": [1e160]}),
+         "snag-track.drift.delta[0]"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):
@@ -545,10 +607,13 @@ FUZZ_DOCS = {
     "bias": {"instance": ISO_DOC, "Q_grid": [1, 2], "n_samples": 20},
     "accbo": ACCBO_DOC,
     "sweep": {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
-              "schedule": ACCBO_DOC["schedule"]},
+              "schedule": SWEEP_SCHEDULE},
 }
-# Replacement values; no large numbers, so that no run outgrows its base doc.
-FUZZ_VALUES = [None, True, "x", [], {}, [1, "a"], -1, 0, 1.5, math.nan, math.inf]
+# Replacement values. A huge number could outgrow its base doc only through a
+# derived iteration count, which every base doc overrides, and "theorem" only
+# through the theorem closed forms, which refuse a schedule with overrides.
+FUZZ_VALUES = [None, True, "x", [], {}, [1, "a"], -1, 0, 1.5, 1e160, "theorem",
+               math.nan, math.inf]
 
 
 @st.composite
@@ -578,9 +643,9 @@ def mutated_configs(draw):
     return command, doc
 
 
-# The four docs admit 949 distinct mutations; Hypothesis stops once it has
+# The four docs admit 1097 distinct mutations; Hypothesis stops once it has
 # tried them all, so this bound makes the search exhaustive.
-@settings(max_examples=1500, deadline=None)
+@settings(max_examples=1800, deadline=None)
 @given(mutated_configs())
 def test_fuzzed_config_exits_cleanly(case):
     """Any one-field mutation of a valid config ends in a documented exit code,

@@ -621,20 +621,38 @@ class TestOverflow:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_infinite_potential_is_a_violation_under_an_infinite_bound(self, dim):
-        # The noise term 5 * sqrt(alpha) * sigma**2 / sqrt(mu) overflows, so the
-        # bound is inf at every t; from t = 1 the noise overflows u @ u, so V
-        # is inf too. inf <= inf, yet an infinite V is a violation, in the
-        # grid as in the reference.
-        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=1e154, delta_drift=0.0, T=5,
-                                delta_prob=0.05, V0=1.0)
+        # The rate is 1 - 10/4 = -1.5, so rate**t * V0 overflows to +inf at
+        # t = 14 from V0 = 1e306. The iterates grow faster, so V is inf from
+        # t = 1: at t = 14, inf <= inf, yet an infinite V is a violation, in
+        # the grid as in the reference. (A floor that is not finite, the other
+        # way to an infinite bound, is refused.)
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.0, delta_drift=0.0, T=14,
+                                delta_prob=0.05, V0=1e306)
         with np.errstate(over="ignore", invalid="ignore"):
             logs = run_tracking_experiment(QuadraticFamily(1.0, dim), DriftProcess(), p,
                                            RandomStream(0).child("mc", 0))
             rates, _ = mc_tracking_grid([(p, DriftProcess())], 1, dim=dim)
-        assert logs[0]["V"] == 1.0
-        assert all(r["bound"] == math.inf for r in logs)
+        assert math.isfinite(logs[0]["V"])
+        assert logs[-1]["bound"] == math.inf and _violates(logs[-1])
         assert all(r["V"] == math.inf for r in logs[1:])
         assert rates == [float(any(map(_violates, logs)))] == [1.0]
+
+    @pytest.mark.parametrize("sigma, delta", [(1e160, 0.0), (1.3e154, 0.0), (1e154, 0.0),
+                                              (0.0, 1e160), (1e153, 1e153)])
+    def test_floor_that_is_not_finite_is_refused(self, sigma, delta):
+        # sigma**2 or delta**2 overflows (OverflowError), or the floor does.
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=sigma, delta_drift=delta, T=5,
+                                delta_prob=0.05, V0=1.0)
+        drift = DriftProcess(kind="random_walk", delta=delta) if delta else DriftProcess()
+        for run in (lambda: tracking_bound_with_drift(p, 0),
+                    lambda: run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+                                                    RandomStream(0).child("mc", 0)),
+                    lambda: mc_tracking_grid([(p, drift)], 1)):
+            with pytest.raises(ConstraintViolation, match="floor of sigma"):
+                run()
+        if not delta:
+            with pytest.raises(ConstraintViolation, match="floor of sigma"):
+                tracking_bound_no_drift(p, 0)
 
     @pytest.mark.parametrize("T", [319, 320])
     @pytest.mark.parametrize("dim", [1, 2])
