@@ -30,6 +30,8 @@ track_v0     snag-track  150 3  tracking.json          {"mu": 0.7, "dim": 4, "V0
 track_dim9   snag-track  200 5  tracking.json          {"dim": 9, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
 # T = 257: the grid ends a 256-step tape block one step before the run ends.
 track_block  snag-track  100 7  tracking.json          {"T": 257, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
+# No drift: the only row whose drift is {"kind": "none"}, which takes no delta.
+track_still  snag-track  200 2  tracking.json          {"sigma": [0, 0.3], "drift": {"kind": "none"}}
 # Option two on the noisy fixture ridge toy, whose diagnostics need a linear solve.
 ridge_two    accbo       2   0  -                      {"instance": {"kind": "fixture_ridge", "sigma_f1": 0.1, "sigma_g1": 0.05, "sigma_g2": 0.05}, "schedule": {"mode": "practical", "epsilon": 0.1, "delta": 0.05, "d0": 1.0, "overrides": {"alpha": 1e-3, "beta": 0.95, "eta": 0.005, "T": 1500, "T0": 200, "S": 2, "Q": 15, "I": 2, "N": 12}}, "option": "two"}
 # Option two with all thirteen practical-mode overrides set, none derived.

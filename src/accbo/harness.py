@@ -133,14 +133,22 @@ def one_of(*names: str):
                   lambda v: isinstance(v, str) and v in names)
 
 
-def list_of(item, bare: bool = False):
-    """A non-empty list whose entries pass item; with bare, one entry alone too."""
+def list_of(item, bare: bool = False, distinct: bool = False):
+    """A non-empty list whose entries pass item; with bare, one entry alone
+    too; with distinct, no entry equal to an earlier one (0 equals 0.0)."""
     def check(value, ctx: str):
         if bare and not isinstance(value, list):
             return [item(value, ctx)]
         if not (isinstance(value, list) and value):
             raise ConfigError(f"{ctx}: must be a non-empty list, got {value!r}")
-        return [item(v, f"{ctx}[{i}]") for i, v in enumerate(value)]
+        out = [item(v, f"{ctx}[{i}]") for i, v in enumerate(value)]
+        if distinct:
+            first: dict = {}  # each value's first index
+            for i, v in enumerate(out):
+                if first.setdefault(v, i) != i:
+                    raise ConfigError(f"{ctx}[{i}]: must differ from entry {first[v]}, "
+                                      f"got {v!r}")
+        return out
     return check
 
 
@@ -321,6 +329,9 @@ SCHEDULES = {
     }), REQUIRED)},
 }
 
+# A grid value: one entry alone, or a list of distinct entries.
+_GRID = list_of(nonnegative, bare=True, distinct=True)
+
 SNAG_TRACK = {
     "mu": (positive, REQUIRED),
     "alpha": (positive, REQUIRED),
@@ -328,18 +339,16 @@ SNAG_TRACK = {
     "delta_prob": (fraction, REQUIRED),
     "V0": (nonnegative, REQUIRED),
     "dim": (count, REQUIRED),
-    "sigma": (list_of(nonnegative, bare=True), 0.0),
-    "drift": (table({
-        "kind": (one_of("none", "fixed_direction", "random_walk"), "none"),
-        "delta": (list_of(nonnegative, bare=True), 0.0),
-    }), {}),
+    "sigma": (_GRID, 0.0),
+    # Tagged by its kind: "none" takes no delta, and every other kind requires one.
+    "drift": (tagged("kind", {kind: {} if kind == "none" else {"delta": (_GRID, REQUIRED)}
+                              for kind in snag.DRIFT_KINDS}), {"kind": "none"}),
 }
 
 BIAS = {
     "instance": (_load_instance, REQUIRED),
-    "Q_grid": (list_of(count), REQUIRED),
+    "Q_grid": (list_of(count, distinct=True), REQUIRED),
     "n_samples": (_integer(2), REQUIRED),
-    "S": (count, 1),
     "x": (list_of(finite), None),
 }
 
@@ -354,12 +363,12 @@ ACCBO = {
 
 SWEEP = {
     "instance": (_load_instance, REQUIRED),
-    "epsilons": (list_of(positive), REQUIRED),
+    "epsilons": (list_of(positive, distinct=True), REQUIRED),
     # Each run takes its epsilon from epsilons, so the schedule has none.
     "schedule": (tagged("mode", SCHEDULES), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
     "x0": (list_of(finite), None),
-    "algorithms": (list_of(one_of(*_RUNNERS)), ["accbo", "plain_momentum"]),
+    "algorithms": (list_of(one_of(*_RUNNERS), distinct=True), ["accbo", "plain_momentum"]),
 }
 
 
@@ -384,28 +393,27 @@ def _run_log_records(logs: list[optimizer.IterationLog]) -> list[dict]:
 
 def cmd_snag_track(config: ExperimentConfig) -> int:
     doc = parse(config.params, SNAG_TRACK, "snag-track")
-    dim, kind = doc["dim"], doc["drift"]["kind"]
+    dim, drift = doc["dim"], doc["drift"]
+    deltas = drift.get("delta", [0.0])  # "none" moves the minimizer by 0
     still = snag.TrackingBoundParams(
         mu=doc["mu"], alpha=doc["alpha"], sigma=0.0, delta_drift=0.0,
         T=doc["T"], delta_prob=doc["delta_prob"], V0=doc["V0"],
     )
-    # Each sigma, and each delta that a drifting cell reads, must give a
-    # bound floor that is finite by itself.
-    for path, field, values in (("sigma", "sigma", doc["sigma"]), (
-            "drift.delta", "delta_drift", doc["drift"]["delta"] if kind != "none" else [])):
+    # Each sigma and each delta must give a bound floor that is finite by itself.
+    for path, field, values in (("sigma", "sigma", doc["sigma"]),
+                                ("drift.delta", "delta_drift", deltas)):
         for i, value in enumerate(values):
             with _refused_at(f"snag-track.{path}[{i}]"):
                 snag.tracking_bound_with_drift(replace(still, **{field: value}), 0)
-    cells = [(
-        replace(still, sigma=sigma, delta_drift=delta),
-        snag.DriftProcess(
-            kind=kind if delta > 0 else "none", delta=delta,
-            direction=(1.0,) + (0.0,) * (dim - 1)
-            if kind == "fixed_direction" else None,
-        ),
-    ) for sigma in doc["sigma"] for delta in doc["drift"]["delta"]]
-    rates, trajectories = snag.mc_tracking_grid(cells, config.n_seeds, dim=dim,
-                                                base_seed=config.base_seed)
+    # A delta of 0 does not move, whatever the kind; only fixed_direction reads
+    # the direction.
+    cells = [(replace(still, sigma=sigma, delta_drift=delta),
+              snag.DriftProcess(kind=drift["kind"], delta=delta,
+                                direction=(1.0,) + (0.0,) * (dim - 1)))
+             for sigma in doc["sigma"] for delta in deltas]
+    with _refused_at("snag-track"):  # a V0, or a sigma and delta together
+        rates, trajectories = snag.mc_tracking_grid(cells, config.n_seeds, dim=dim,
+                                                    base_seed=config.base_seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
@@ -437,7 +445,7 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
 
 def cmd_bias(config: ExperimentConfig) -> int:
     doc = parse(config.params, BIAS, "bias")
-    inst, S = doc["instance"], doc["S"]
+    inst = doc["instance"]
     x = _point(doc["x"], inst, "bias.x")
     if x is None:
         x = np.zeros(inst.dim_x)
@@ -446,7 +454,8 @@ def cmd_bias(config: ExperimentConfig) -> int:
     rows = []
     ok = True
     for Q in doc["Q_grid"]:
-        cfg = hypergrad.EstimatorConfig(Q=Q, S=S, l_g1=inst.constants.l_g1)
+        # Each draw is a single-sample estimate, so var_est is per sample.
+        cfg = hypergrad.EstimatorConfig(Q=Q, S=1, l_g1=inst.constants.l_g1)
         stream = RandomStream(config.base_seed).child("bias", Q)
         res = hypergrad.empirical_bias_and_variance(
             inst, x, cfg, doc["n_samples"], stream
@@ -455,7 +464,7 @@ def cmd_bias(config: ExperimentConfig) -> int:
         row_ok = res["bias_est"] <= bound + 4.0 * res["se"]
         ok = ok and row_ok
         rows.append({
-            "Q": Q, "S": S, "bias_bound": bound, "bias_est": res["bias_est"],
+            "Q": Q, "S": cfg.S, "bias_bound": bound, "bias_est": res["bias_est"],
             "var_est": res["var_est"], "se": res["se"],
         })
     write_csv(rows, config.out_dir / "bias.csv",

@@ -133,19 +133,19 @@ def empirical_bias_and_variance(
     n_samples: int,
     stream: RandomStream,
 ) -> dict:
-    """Monte-Carlo bias and per-sample variance at y = y*(x).
+    """Monte-Carlo bias and variance of the estimator cfg at y = y*(x).
 
-    Returns bias_est = ||sample mean - true hypergradient||, var_est = the
-    mean squared deviation of single-sample draws from the sample mean, and
-    the standard error of the mean estimate.
+    Returns bias_est = ||mean of n_samples draws of estimate_hypergradient
+    with cfg - true hypergradient||, var_est = the mean squared deviation of
+    the draws from their mean (per sample when cfg.S is 1, as in the bias
+    command), and the standard error of the mean estimate.
     """
     if n_samples < 2:
         raise ConstraintViolation("n_samples must be >= 2")
     ystar = inst.lower_minimizer(x)
-    single = EstimatorConfig(Q=cfg.Q, S=1, l_g1=cfg.l_g1)
     draws = np.empty((n_samples, inst.dim_x))
     for k, st in enumerate(stream.children("mc", n_samples)):
-        draws[k] = estimate_hypergradient(inst, x, ystar, single, st)
+        draws[k] = estimate_hypergradient(inst, x, ystar, cfg, st)
     mean = draws.mean(axis=0)
     var_est = float(np.mean(np.sum((draws - mean) ** 2, axis=1)))
     bias_est = float(np.linalg.norm(mean - inst.true_hypergradient(x)))

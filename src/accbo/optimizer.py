@@ -135,9 +135,14 @@ def momentum_update(
     return beta * m_prev + (1.0 - beta) * g_now + beta * (g_now - g_prev)
 
 
-def upper_step(x: np.ndarray, m: np.ndarray, eta: float) -> tuple[np.ndarray, bool]:
-    """Fixed-length normalized step; zero momentum skips the step (flagged)."""
+def upper_step(x: np.ndarray, m: np.ndarray, eta: float,
+               t: int) -> tuple[np.ndarray, bool]:
+    """Fixed-length normalized step at iteration t; zero momentum skips the
+    step (flagged). A momentum whose norm is not finite (a NaN or inf entry,
+    or entries so large that the norm overflows) raises NumericalAbort."""
     norm = float(np.linalg.norm(m))
+    if not math.isfinite(norm):
+        raise NumericalAbort(f"non-finite momentum at t={t}")
     if norm == 0.0:
         return x, True
     return x - eta * m / norm, False
@@ -243,9 +248,7 @@ def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
             yhat_next = average_step(y_hat, y, tau)
 
             m = direction(m, x, x_prev, y_hat, yhat_prev, uppers[t])
-            if not np.isfinite(m).all():
-                raise NumericalAbort(f"non-finite momentum at t={t}")
-            x_next, zero_event = upper_step(x, m, schedule.eta)
+            x_next, zero_event = upper_step(x, m, schedule.eta, t)
 
             yhat_nexts[n], ms[n], zeros[n] = yhat_next, m, zero_event
             counts[n] = calls["g1"], calls["jvp"], calls["hvp"], calls["f"]

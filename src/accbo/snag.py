@@ -33,6 +33,7 @@ from .rng import RandomStream
 __all__ = [
     "NumericalAbort",
     "SnagState",
+    "DRIFT_KINDS",
     "DriftProcess",
     "TrackingBoundParams",
     "snag_step",
@@ -224,6 +225,10 @@ def _walk_rows(delta, v: np.ndarray, axis: int = -1) -> np.ndarray:
     return delta * v / norms
 
 
+# The drift kinds. Every kind but "none" moves the minimizer by delta per step.
+DRIFT_KINDS = ("none", "fixed_direction", "random_walk")
+
+
 @dataclass(frozen=True)
 class DriftProcess:
     """Per-step minimizer displacement model: none, a fixed step of length
@@ -234,7 +239,7 @@ class DriftProcess:
     direction: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "fixed_direction", "random_walk"):
+        if self.kind not in DRIFT_KINDS:
             raise ConstraintViolation(f"unknown drift kind {self.kind!r}")
         if not self.delta >= 0:  # a NaN is refused too
             raise ConstraintViolation("delta must be >= 0")

@@ -416,7 +416,7 @@ class TestCli:
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [],
                    "schedule": SWEEP_SCHEDULE}, "sweep.epsilons"),
         ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": 10, "S": "2"},
-         "bias.S"),
+         "bias: unknown field 'S'"),
         ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": "10"},
          "bias.n_samples"),
         ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": 10, "x": [0.1]},
@@ -525,6 +525,35 @@ class TestCli:
         ("snag-track", dict(SNAG_DOC, sigma=[0.1, 1.3e154]), "snag-track.sigma[1]"),
         ("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk", "delta": [1e160]}),
          "snag-track.drift.delta[0]"),
+        # The drift is tagged by its kind: "none" takes no delta, the others need one.
+        ("snag-track", dict(SNAG_DOC, drift={"delta": [0.01]}), "snag-track.drift.kind"),
+        ("snag-track", dict(SNAG_DOC, drift={"kind": "none", "delta": [0.01]}),
+         "snag-track.drift: unknown field 'delta'"),
+        ("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk"}),
+         "snag-track.drift: missing required field 'delta'"),
+        ("snag-track", dict(SNAG_DOC, drift={}), "snag-track.drift.kind"),
+        # bias draws single-sample estimates: it has no batch size.
+        ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": 10, "S": 2},
+         "bias: unknown field 'S'"),
+        # A list that a command runs over holds distinct values.
+        ("snag-track", dict(SNAG_DOC, sigma=[0.1, 0.1]),
+         "snag-track.sigma[1]: must differ from entry 0, got 0.1"),
+        ("snag-track", dict(SNAG_DOC, sigma=[0, 0.0]), "snag-track.sigma[1]"),
+        ("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk", "delta": [0.01, 0.01]}),
+         "snag-track.drift.delta[1]"),
+        ("bias", {"instance": ISO_DOC, "Q_grid": [1, 1], "n_samples": 10}, "bias.Q_grid[1]"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.1, 0.1],
+                   "schedule": SWEEP_SCHEDULE}, "sweep.epsilons[1]"),
+        ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
+                   "schedule": SWEEP_SCHEDULE, "algorithms": ["accbo", "accbo"]},
+         "sweep.algorithms[1]"),
+        # What the tracking grid refuses is reported at the command: a V0 whose
+        # start row overflows, and a sigma and delta whose floors are finite
+        # alone but not together.
+        ("snag-track", dict(SNAG_DOC, mu=0.5, V0=1.7e308), "snag-track: V0 = 1.7e+308"),
+        ("snag-track", dict(SNAG_DOC, sigma=[4e153],
+                            drift={"kind": "random_walk", "delta": [1e152]}),
+         "snag-track: the tracking bound floor of sigma = 4e+153 and delta = 1e+152"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):
@@ -536,6 +565,18 @@ class TestCli:
         assert field in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_momentum_exit_code(self, tmp_path, capsys):
+        # Momentum entries near 1e160 are finite, but their norm overflows.
+        doc = dict(ACCBO_DOC, instance=dict(ISO_DOC, noise=dict(ISO_DOC["noise"],
+                                                               sigma_f1=1e160)))
+        path = write_config(tmp_path, doc)
+        with np.errstate(over="ignore"):
+            rc = cli.main(["accbo", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "non-finite momentum at t=0" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("base_seed", [-1, 2**64])
     def test_base_seed_outside_64_bits_exit_code(self, tmp_path, capsys, base_seed):
@@ -612,8 +653,9 @@ FUZZ_DOCS = {
 # Replacement values. A huge number could outgrow its base doc only through a
 # derived iteration count, which every base doc overrides, and "theorem" only
 # through the theorem closed forms, which refuse a schedule with overrides.
+# "none" as the drift kind of a drift that gives a delta is refused.
 FUZZ_VALUES = [None, True, "x", [], {}, [1, "a"], -1, 0, 1.5, 1e160, "theorem",
-               math.nan, math.inf]
+               "none", math.nan, math.inf]
 
 
 @st.composite
@@ -643,9 +685,9 @@ def mutated_configs(draw):
     return command, doc
 
 
-# The four docs admit 1097 distinct mutations; Hypothesis stops once it has
+# The four docs admit 1177 distinct mutations; Hypothesis stops once it has
 # tried them all, so this bound makes the search exhaustive.
-@settings(max_examples=1800, deadline=None)
+@settings(max_examples=1950, deadline=None)
 @given(mutated_configs())
 def test_fuzzed_config_exits_cleanly(case):
     """Any one-field mutation of a valid config ends in a documented exit code,

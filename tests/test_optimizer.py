@@ -74,15 +74,24 @@ class TestAverageStep:
 
 class TestUpperStep:
     def test_step_length_is_eta(self):
-        x, zero = upper_step(np.zeros(3), np.array([3.0, 0.0, 4.0]), 0.1)
+        x, zero = upper_step(np.zeros(3), np.array([3.0, 0.0, 4.0]), 0.1, 0)
         assert not zero
         assert np.linalg.norm(x) == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_momentum_skips(self):
         x0 = np.array([1.0, 2.0])
-        x, zero = upper_step(x0, np.zeros(2), 0.1)
+        x, zero = upper_step(x0, np.zeros(2), 0.1, 0)
         assert zero
         np.testing.assert_array_equal(x, x0)
+
+    @pytest.mark.parametrize("m", [[1e160, 0.0], [np.nan, 0.0], [np.inf, 1.0]],
+                             ids=["norm_overflows", "nan", "inf"])
+    def test_non_finite_norm_aborts(self, m):
+        # Entries of 1e160 are finite, but their squares overflow the norm:
+        # the step would be m / inf = 0 at every later iteration.
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalAbort, match="non-finite momentum at t=7"):
+            upper_step(np.zeros(2), np.array(m), 0.1, 7)
 
 
 class TestMomentumUpdate:
@@ -277,6 +286,23 @@ class TestRunAccbo:
         reference = run(noisy_iso(), practical_schedule(noisy_iso(), T=5),
                         RandomStream(4))
         assert logs == reference
+
+    def test_overflowing_momentum_abort_carries_completed_logs(self, monkeypatch):
+        inst = noisy_iso()
+        sched = practical_schedule(inst, T=20)
+        reference = run_accbo(inst, sched, "one", RandomStream(4))
+        update, calls = optimizer.momentum_update, []
+
+        def huge_from_t5(*args):
+            calls.append(None)
+            m = update(*args)
+            return m if len(calls) <= 5 else np.full_like(m, 1e160)
+
+        monkeypatch.setattr(optimizer, "momentum_update", huge_from_t5)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalAbort, match="non-finite momentum at t=5") as info:
+            run_accbo(inst, sched, "one", RandomStream(4))
+        assert info.value.logs == reference[:5]
 
     def test_running_average_requires_logs(self):
         with pytest.raises(ConstraintViolation):

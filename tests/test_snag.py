@@ -739,18 +739,24 @@ class TestSeedZeroTrajectories:
             for key in ("V", "bound", "dist", "phi_gap"):  # signed zeros too
                 assert _bits([r[key] for r in records]) == _bits([r[key] for r in expected])
 
-    @pytest.mark.parametrize("kind", ["none", "fixed_direction", "random_walk"])
-    def test_snag_track_csvs_are_the_reference_records(self, tmp_path, kind):
+    @pytest.mark.parametrize("drift", [
+        {"kind": "none"},
+        {"kind": "fixed_direction", "delta": [0.0, 0.002]},
+        {"kind": "random_walk", "delta": [0.0, 0.002]},
+    ], ids=["none", "fixed_direction", "random_walk"])
+    def test_snag_track_csvs_are_the_reference_records(self, tmp_path, drift):
         doc = {"mu": 0.7, "alpha": 0.04, "T": 40, "delta_prob": 0.05, "V0": 1.0,
-               "dim": 3, "sigma": [0.0, 0.3], "drift": {"kind": kind, "delta": [0.0, 0.002]}}
+               "dim": 3, "sigma": [0.0, 0.3], "drift": drift}
         cmd_snag_track(ExperimentConfig("snag-track", doc, tmp_path / "out", 3, 9))
         for sigma in doc["sigma"]:
-            for delta in doc["drift"]["delta"]:
+            # "none" runs the cells of delta 0; a drifting kind at delta 0
+            # runs the no-drift reference.
+            for delta in drift.get("delta", [0.0]):
                 p = TrackingBoundParams(mu=0.7, alpha=0.04, sigma=sigma, delta_drift=delta,
                                         T=40, delta_prob=0.05, V0=1.0)
-                drift = DriftProcess(kind=kind if delta > 0 else "none", delta=delta,
-                                     direction=(1.0, 0.0, 0.0))
-                records = run_tracking_experiment(QuadraticFamily(0.7, 3), drift, p,
+                reference = DriftProcess(kind=drift["kind"] if delta > 0 else "none",
+                                         delta=delta, direction=(1.0, 0.0, 0.0))
+                records = run_tracking_experiment(QuadraticFamily(0.7, 3), reference, p,
                                                   RandomStream(9).child("mc", 0))
                 name = f"track_sigma{float(sigma):.17g}_delta{float(delta):.17g}.csv"
                 write_csv(records, tmp_path / name, TRAJECTORY_COLUMNS)
