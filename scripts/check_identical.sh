@@ -26,6 +26,8 @@ track        snag-track  400 0  tracking.json          {}
 track_fixed  snag-track  300 9  tracking.json          {"mu": 0.7, "dim": 3, "sigma": [0, 0.3], "drift": {"kind": "fixed_direction", "delta": [0, 0.002]}}
 # The same drift from V0 = 0, a start row with no offset, in dim 4.
 track_v0     snag-track  150 3  tracking.json          {"mu": 0.7, "dim": 4, "V0": 0.0, "sigma": [0, 0.3], "drift": {"kind": "fixed_direction", "delta": [0, 0.002]}}
+# A fixed-direction drift in dim 1, the only drift of one coordinate.
+track_fixed1 snag-track  200 4  tracking.json          {"dim": 1, "sigma": [0, 0.3], "drift": {"kind": "fixed_direction", "delta": [0, 0.002]}}
 # A random walk in dim 9, where the coordinate sums are pairwise.
 track_dim9   snag-track  200 5  tracking.json          {"dim": 9, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
 # T = 257: the grid ends a 256-step tape block one step before the run ends.

@@ -34,8 +34,7 @@ from .snag import (
     potential,
     run_tracking_experiment,
     snag_step,
-    tracking_bound_no_drift,
-    tracking_bound_with_drift,
+    tracking_bound,
 )
 
 __version__ = "0.1.0"

@@ -393,32 +393,29 @@ def _run_log_records(logs: list[optimizer.IterationLog]) -> list[dict]:
 
 def cmd_snag_track(config: ExperimentConfig) -> int:
     doc = parse(config.params, SNAG_TRACK, "snag-track")
-    dim, drift = doc["dim"], doc["drift"]
-    deltas = drift.get("delta", [0.0])  # "none" moves the minimizer by 0
-    still = snag.TrackingBoundParams(
-        mu=doc["mu"], alpha=doc["alpha"], sigma=0.0, delta_drift=0.0,
-        T=doc["T"], delta_prob=doc["delta_prob"], V0=doc["V0"],
-    )
+    dim, kind = doc["dim"], doc["drift"]["kind"]
+    still = snag.TrackingBoundParams(mu=doc["mu"], alpha=doc["alpha"], sigma=0.0, T=doc["T"],
+                                     delta_prob=doc["delta_prob"], V0=doc["V0"])
+    # "none" takes no delta: it moves the minimizer by 0.
+    drifts = [snag.DriftProcess(kind, delta) for delta in doc["drift"].get("delta", [0.0])]
     # Each sigma and each delta must give a bound floor that is finite by itself.
-    for path, field, values in (("sigma", "sigma", doc["sigma"]),
-                                ("drift.delta", "delta_drift", deltas)):
-        for i, value in enumerate(values):
-            with _refused_at(f"snag-track.{path}[{i}]"):
-                snag.tracking_bound_with_drift(replace(still, **{field: value}), 0)
-    # A delta of 0 does not move, whatever the kind; only fixed_direction reads
-    # the direction.
-    cells = [(replace(still, sigma=sigma, delta_drift=delta),
-              snag.DriftProcess(kind=drift["kind"], delta=delta,
-                                direction=(1.0,) + (0.0,) * (dim - 1)))
-             for sigma in doc["sigma"] for delta in deltas]
+    for i, sigma in enumerate(doc["sigma"]):
+        with _refused_at(f"snag-track.sigma[{i}]"):
+            snag.tracking_bound(replace(still, sigma=sigma), snag.DriftProcess(), 0)
+    for i, drift in enumerate(drifts):
+        with _refused_at(f"snag-track.drift.delta[{i}]"):
+            snag.tracking_bound(still, drift, 0)
+    # A delta of 0 does not move, whatever the kind.
+    cells = [(replace(still, sigma=sigma), drift)
+             for sigma in doc["sigma"] for drift in drifts]
     with _refused_at("snag-track"):  # a V0, or a sigma and delta together
         rates, trajectories = snag.mc_tracking_grid(cells, config.n_seeds, dim=dim,
                                                     base_seed=config.base_seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for (p, _), rate, trajectory in zip(cells, rates, trajectories):
-        sigma, delta = p.sigma, p.delta_drift
+    for (p, drift), rate, trajectory in zip(cells, rates, trajectories):
+        sigma, delta = p.sigma, drift.delta
         # Seed 0 of the grid: run_tracking_experiment on (base_seed, "mc", 0).
         name = f"track_sigma{_fmt(float(sigma))}_delta{_fmt(float(delta))}.csv"
         write_csv(trajectory(), config.out_dir / name, TRAJECTORY_COLUMNS)

@@ -2,12 +2,14 @@
 
 Implements the two-line recursion (extrapolate, then gradient step at the
 extrapolated point), the rank-1 potential that certifies tracking, the
-high-probability tracking bounds with and without drift, and Monte-Carlo
-verification over seeded runs.
+high-probability tracking bound, and Monte-Carlo verification over seeded
+runs.
 
-Each tracking rule is written once. ``_cell_inputs`` sets up a cell (bound
-parameters and a drift): its start row, its noise scale and its bound at
-every t, whose V0 is the start row's potential. ``_trajectory`` builds a
+Each tracking rule is written once. A cell is its bound parameters and its
+drift; the drift alone holds the step length delta, and the bound has its
+drift term exactly when the drift moves. ``_cell_inputs`` sets up a cell:
+its start row, its noise scale and its bound at every t, whose V0 is the
+start row's potential. ``_trajectory`` builds a
 run's records from its rows of w and w* with one builder, ``_record_terms``.
 ``run_tracking_experiment`` is the scalar reference, one run with the
 gradient H @ (z - w*) + noise. ``mc_tracking_grid`` carries every
@@ -38,8 +40,7 @@ __all__ = [
     "TrackingBoundParams",
     "snag_step",
     "potential",
-    "tracking_bound_with_drift",
-    "tracking_bound_no_drift",
+    "tracking_bound",
     "QuadraticFamily",
     "run_tracking_experiment",
     "mc_tracking_grid",
@@ -103,12 +104,11 @@ def potential(state: SnagState, minimizer: np.ndarray, phi_gap: float, mu: float
 
 @dataclass(frozen=True)
 class TrackingBoundParams:
-    """Inputs of the high-probability tracking bounds."""
+    """Inputs of the high-probability tracking bound, but for the drift's delta."""
 
     mu: float
     alpha: float
     sigma: float
-    delta_drift: float
     T: int
     delta_prob: float
     V0: float = 0.0
@@ -119,24 +119,24 @@ class TrackingBoundParams:
             raise ConstraintViolation("mu and alpha must be positive")
         if not (0.0 < self.delta_prob < 1.0):
             raise ConstraintViolation("delta_prob must be in (0, 1)")
-        if not (self.sigma >= 0 and self.delta_drift >= 0 and self.V0 >= 0 and self.T >= 1):
-            raise ConstraintViolation("sigma, delta_drift, V0 >= 0 and T >= 1 required")
+        if not (self.sigma >= 0 and self.V0 >= 0 and self.T >= 1):
+            raise ConstraintViolation("sigma, V0 >= 0 and T >= 1 required")
 
 
-def _rate_and_floor(p: TrackingBoundParams, drifting: bool) -> tuple[float, float]:
+def _rate_and_floor(p: TrackingBoundParams, drift: DriftProcess) -> tuple[float, float]:
     """(rate, floor) of the bound rate**t * V0 + floor: 1 - sqrt(mu*alpha)/4, and
-    the noise term plus (drifting) the drift term times log(e*T/delta_prob).
-    A sigma or delta_drift whose floor is not finite is refused."""
-    delta = p.delta_drift if drifting else 0.0
+    the noise term plus the drift term times log(e*T/delta_prob). The drift
+    term of a drift that does not move (delta = 0) is +0.0. A sigma or delta
+    whose floor is not finite is refused."""
     try:
         # noise >= +0.0, so noise + 0.0 is noise.
         floor = (5.0 * math.sqrt(p.alpha) * p.sigma**2 / math.sqrt(p.mu)
-                 + 80.0 * delta**2 / p.alpha) * math.log(math.e * p.T / p.delta_prob)
+                 + 80.0 * drift.delta**2 / p.alpha) * math.log(math.e * p.T / p.delta_prob)
     except OverflowError:  # sigma**2 or delta**2
         floor = math.inf
     if not math.isfinite(floor):
         raise ConstraintViolation(f"the tracking bound floor of sigma = {p.sigma!r} and "
-                                  f"delta = {delta!r} is not finite")
+                                  f"delta = {drift.delta!r} is not finite")
     return 1.0 - math.sqrt(p.mu * p.alpha) / 4.0, floor
 
 
@@ -148,15 +148,10 @@ def _decay(rate: float, t: int) -> float:
                              f"1 - sqrt(mu*alpha)/4 = {rate!r}") from None
 
 
-def tracking_bound_with_drift(p: TrackingBoundParams, t: int) -> float:
-    """High-probability bound on V_t for isotropic quadratics under drift."""
-    rate, floor = _rate_and_floor(p, True)
-    return _decay(rate, t) * p.V0 + floor
-
-
-def tracking_bound_no_drift(p: TrackingBoundParams, t: int) -> float:
-    """High-probability bound on V_t for a fixed strongly convex objective."""
-    rate, floor = _rate_and_floor(p, False)
+def tracking_bound(p: TrackingBoundParams, drift: DriftProcess, t: int) -> float:
+    """High-probability bound on V_t under drift: for a fixed strongly convex
+    objective when the drift does not move, else for isotropic quadratics."""
+    rate, floor = _rate_and_floor(p, drift)
     return _decay(rate, t) * p.V0 + floor
 
 
@@ -216,8 +211,8 @@ def _row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _walk_rows(delta, v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Random-walk displacements from unit rows v along `axis`: uniform sphere
-    directions, so ||displacement|| = delta exactly and the squared drift is
+    """Random-walk displacements from unit rows v along `axis`: uniform on the
+    sphere, so ||displacement|| = delta exactly and the squared drift is
     deterministic (trivially sub-exponential)."""
     # np.linalg.norm(v, axis=axis, keepdims=True) of row-major rows, bit for bit.
     norms = np.expand_dims(np.sqrt(_row_sum(v * v, axis)), axis)
@@ -231,25 +226,29 @@ DRIFT_KINDS = ("none", "fixed_direction", "random_walk")
 
 @dataclass(frozen=True)
 class DriftProcess:
-    """Per-step minimizer displacement model: none, a fixed step of length
-    delta along direction, or a random walk of step length delta."""
+    """Per-step minimizer displacement model: none, a step of length delta
+    along the first coordinate, or a random walk of step length delta."""
 
     kind: str = "none"
     delta: float = 0.0
-    direction: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in DRIFT_KINDS:
             raise ConstraintViolation(f"unknown drift kind {self.kind!r}")
         if not self.delta >= 0:  # a NaN is refused too
             raise ConstraintViolation("delta must be >= 0")
-        if self.kind == "fixed_direction" and self.direction is None:
-            raise ConstraintViolation("fixed_direction drift needs a direction")
+        if self.kind == "none" and self.moves:
+            raise ConstraintViolation(f"a none drift takes no delta, got {self.delta!r}")
+
+    @property
+    def moves(self) -> bool:
+        """True when the minimizer moves, so the bound has its drift term: delta > 0."""
+        return self.delta > 0.0
 
     @property
     def walks(self) -> bool:
-        """True when the displacements are drawn: a random walk with delta > 0."""
-        return self.kind == "random_walk" and self.delta > 0.0
+        """True when the displacements are drawn: a random walk that moves."""
+        return self.kind == "random_walk" and self.moves
 
     def displacements(self, T: int, dim: int, stream: RandomStream) -> np.ndarray:
         """(T, dim) array whose row t is the minimizer's displacement at step t.
@@ -257,16 +256,10 @@ class DriftProcess:
         Only a walking drift draws, one block from the "drift" sub-stream."""
         if self.walks:
             return _walk_rows(self.delta, _unit_tape(stream, _DRIFT, T, dim))
-        if self.kind == "none" or self.delta == 0.0:
-            return np.zeros((T, dim))
-        d = np.asarray(self.direction, dtype=float)
-        if d.shape != (dim,):
-            raise ConstraintViolation(f"drift direction has {len(self.direction)} "
-                                      f"entries, but the dimension is {dim}")
-        n = np.linalg.norm(d)
-        if n == 0:
-            raise ConstraintViolation("drift direction must be nonzero")
-        return np.tile(self.delta * d / n, (T, 1))
+        rows = np.zeros((T, dim))
+        if self.moves:  # fixed_direction
+            rows[:, 0] = self.delta
+        return rows
 
 
 @dataclass(frozen=True)
@@ -315,16 +308,19 @@ def _trajectory(w: np.ndarray, wstar: np.ndarray, bounds: np.ndarray, H: np.ndar
                 V.tolist(), bounds.tolist(), dist.tolist(), gap.tolist()))]
 
 
-def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams, drifting: bool,
+def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams, drift: DriftProcess,
                  w0: np.ndarray | None = None):
     """Bound at every t in [0, T], start row and noise scale of one tracking
     cell, whose minimizer starts at 0. The default start row is offset along
     the first coordinate so that its potential is p.V0; the bound's V0 is the
     potential of the start row as its record computes it, and entry t is
-    tracking_bound_with_drift (or _no_drift) at t with that V0, bit for bit.
-    A potential that is not finite (V0 / mu overflows the start row, or the
-    potential's sums overflow) is refused."""
-    if drifting and family.hessian is not None:
+    tracking_bound(p, drift, t) with that V0, bit for bit. A family whose mu
+    is not p.mu, and a potential that is not finite (V0 / mu overflows the
+    start row, or the potential's sums overflow), are refused."""
+    if family.mu != p.mu:
+        raise ConstraintViolation(f"the family's mu = {family.mu!r} is not the bound's "
+                                  f"mu = {p.mu!r}")
+    if drift.moves and family.hessian is not None:
         raise ConstraintViolation("the with-drift bound is stated for isotropic quadratics only")
     if w0 is None:
         w0 = np.zeros(family.dim)
@@ -335,7 +331,7 @@ def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams, drifting: bool
     if not math.isfinite(V0):
         raise ConstraintViolation(f"V0 = {p.V0!r} at mu = {family.mu!r} gives a start "
                                   f"row or potential that is not finite")
-    rate, floor = _rate_and_floor(p, drifting)
+    rate, floor = _rate_and_floor(p, drift)
     bounds = np.fromiter((_decay(rate, t) * V0 + floor for t in range(p.T + 1)),
                          float, p.T + 1)
     return bounds, w0, p.sigma / math.sqrt(8.0 * family.dim)
@@ -354,8 +350,8 @@ def run_tracking_experiment(
     Returns one record per t in [0, T] with keys t, V, bound, dist, phi_gap.
     """
     dim = family.dim
-    moves = drift.displacements(p.T, dim, stream)
-    bounds, w0, scale = _cell_inputs(family, p, bool(moves.any()), w0)
+    bounds, w0, scale = _cell_inputs(family, p, drift, w0)
+    steps = drift.displacements(p.T, dim, stream)
     # All noise for the run is drawn up front from one sub-stream (row t is
     # the step-t sample); this is equivalent to per-step draws but avoids
     # deriving T generators.
@@ -374,7 +370,7 @@ def run_tracking_experiment(
 
         state = snag_step(state, grad, stream)
         w[t + 1] = state.w
-        wstar[t + 1] = ws + moves[t]
+        wstar[t + 1] = ws + steps[t]
     return _trajectory(w, wstar, bounds, H, math.sqrt(family.mu * p.alpha), p.alpha)
 
 
@@ -390,18 +386,19 @@ def mc_tracking_grid(
 
     Seed k of every cell reproduces run_tracking_experiment on the isotropic
     family QuadraticFamily(mu, dim), with the default start, on the stream
-    (base_seed, "mc", k). Cells may differ in sigma, drift, delta_drift,
-    delta_prob and V0, and each keeps the bound table and start row of
+    (base_seed, "mc", k). Cells may differ in sigma, delta_prob, V0 and drift
+    (its kind and delta), and each keeps the bound table and start row of
     _cell_inputs; they must share mu, alpha and T. One SNAG state carries
     every (cell, seed) row, laid out coordinate-major: w, w_prev and w* are
     (dim, n_cells, n_seeds) arrays, so a sum over the coordinates adds
-    contiguous planes. Per seed, one unit noise tape and one unit direction
+    contiguous planes. Per seed, one unit noise tape and one unit walk
     tape are drawn (each only if some cell needs it), _BLOCK steps at a time
     into one (_BLOCK, dim, 1, n_seeds) block per source, just before the
     steps that read them; every cell scales the same rows step by step. Tape
     memory is thus 2 * _BLOCK * dim * n_seeds doubles at most, whatever T and
     the number of cells. A cell that does not walk moves its minimizer by the
-    same displacement at every step, so it keeps one (dim,) row of it.
+    same displacement at every step, delta or 0 along the first coordinate,
+    so it keeps one (dim,) row of it.
 
     H = mu*I, so the step's gradient is mu * (z - w*) plus noise, and the
     potential's gap term sums (mu * e) * e. Each entry of the reference's
@@ -430,9 +427,10 @@ def mc_tracking_grid(
     H = family.matrix()
     root = RandomStream(base_seed)
     n_cells = len(cells)
-    # Seed-independent inputs of each cell. Random-walk cells have their drift
-    # size in `walk` and a zero `still` row; every other cell has walk 0 and
-    # its per-step displacement in `still`.
+    # Seed-independent inputs of each cell. Random-walk cells that move have
+    # their drift size in `walk` and a zero `still` row; every other cell has
+    # walk 0 and its per-step displacement in `still`: delta along the first
+    # coordinate for a fixed_direction drift that moves, else zeros.
     w0 = np.empty((n_cells, dim))
     still = np.zeros((dim, n_cells, 1))
     walk = np.zeros((n_cells, 1))
@@ -441,10 +439,9 @@ def mc_tracking_grid(
     for c, (p, drift) in enumerate(cells):
         if drift.walks:
             walk[c] = drift.delta
-        else:
-            still[:, c, 0] = drift.displacements(1, dim, root)[0]
-        bounds[c], w0[c], scale[c] = _cell_inputs(
-            family, p, drift.walks or bool(still[:, c].any()))
+        elif drift.moves:
+            still[0, c] = drift.delta
+        bounds[c], w0[c], scale[c] = _cell_inputs(family, p, drift)
     fixed = still.any()
 
     # Unit tape planes (dim, 1, n_seeds), step by step: each broadcasts over

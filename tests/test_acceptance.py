@@ -46,8 +46,7 @@ from accbo.snag import (
     TrackingBoundParams,
     mc_tracking_violation_rate,
     run_tracking_experiment,
-    tracking_bound_no_drift,
-    tracking_bound_with_drift,
+    tracking_bound,
 )
 
 
@@ -68,8 +67,7 @@ def test_criterion_1_deterministic_contraction():
         mu=1.0, dim=10, hessian=tuple(map(tuple, np.diag(np.arange(1.0, 11.0))))
     )
     p = TrackingBoundParams(
-        mu=1.0, alpha=1.0 / 250.0, sigma=0.0, delta_drift=0.0,
-        T=2000, delta_prob=0.05, V0=0.0,
+        mu=1.0, alpha=1.0 / 250.0, sigma=0.0, T=2000, delta_prob=0.05, V0=0.0,
     )
     logs = run_tracking_experiment(
         family, DriftProcess(), p, RandomStream(0),
@@ -90,7 +88,7 @@ _MC_BASE = dict(mu=1.0, alpha=0.04, sigma=0.5, T=2000, delta_prob=0.05, V0=1.0)
 
 
 def test_criterion_2_tracking_bound_no_drift():
-    p = TrackingBoundParams(delta_drift=0.0, **_MC_BASE)
+    p = TrackingBoundParams(**_MC_BASE)
     rate = mc_tracking_violation_rate(p, DriftProcess(), 1000, dim=2, base_seed=0)
     ok = rate <= 0.05
     _report(2, ok, f"no-drift violation rate {rate:.3f} <= 0.05 over 1000 seeds")
@@ -98,8 +96,8 @@ def test_criterion_2_tracking_bound_no_drift():
 
 def test_criterion_3_tracking_bound_with_drift():
     rates = {}
+    p = TrackingBoundParams(**_MC_BASE)
     for delta in (1e-3, 1e-2):
-        p = TrackingBoundParams(delta_drift=delta, **_MC_BASE)
         drift = DriftProcess(kind="random_walk", delta=delta)
         rates[delta] = mc_tracking_violation_rate(p, drift, 1000, dim=2, base_seed=0)
     ok = all(r <= 0.05 for r in rates.values())
@@ -473,13 +471,13 @@ def test_criterion_10_constant_calculators():
         T = int(gen.integers(10, 5000))
         t = int(gen.integers(0, T))
         V0 = float(gen.uniform(0.0, 10.0))
-        p = TrackingBoundParams(mu=c.mu, alpha=alpha, sigma=sigma,
-                                delta_drift=Delta, T=T, delta_prob=0.05, V0=V0)
+        p = TrackingBoundParams(mu=c.mu, alpha=alpha, sigma=sigma, T=T,
+                                delta_prob=0.05, V0=V0)
         s_no, s_with = _scratch_bounds(c.mu, alpha, sigma, Delta, T, 0.05, V0, t)
         pairs = [
             (L0, sL0), (L1, sL1), (sb, ssb), (bb, sbb),
-            (tracking_bound_no_drift(p, t), s_no),
-            (tracking_bound_with_drift(p, t), s_with),
+            (tracking_bound(p, DriftProcess(), t), s_no),
+            (tracking_bound(p, DriftProcess(kind="random_walk", delta=Delta), t), s_with),
         ]
         for a, b in pairs:
             rel = abs(a - b) / max(1.0, abs(a), abs(b))

@@ -578,6 +578,20 @@ class TestCli:
         assert "non-finite momentum at t=0" in err
         assert "Traceback" not in err
 
+    def test_overflowing_bias_exit_code(self, tmp_path, capsys):
+        # Draws near 1e160 are finite, but their squares, and so the bias,
+        # the variance and the standard error, overflow.
+        instance = dict(ISO_DOC, noise=dict(ISO_DOC["noise"], sigma_f1=1e160))
+        path = write_config(tmp_path, {"instance": instance, "Q_grid": [1, 2],
+                                       "n_samples": 20})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["bias", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "bias inf, variance inf or standard error inf at Q = 1 is not finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "bias.csv").exists()
+
     @pytest.mark.parametrize("base_seed", [-1, 2**64])
     def test_base_seed_outside_64_bits_exit_code(self, tmp_path, capsys, base_seed):
         # Masked to 64 bits, -1 would write the outputs of 2**64 - 1, and 2**64

@@ -281,10 +281,10 @@ class TestBatchedMatchesScalarReference:
         assert batched == scalar
 
     def test_two_cell_tracking_grid(self, monkeypatch):
-        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, delta_drift=0.05, T=60,
-                                delta_prob=0.05, V0=1.0)
+        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, T=60, delta_prob=0.05,
+                                V0=1.0)
         cells = [(p, DriftProcess(kind="random_walk", delta=0.05)),
-                 (replace(p, sigma=0.25, delta_drift=0.0), DriftProcess())]
+                 (replace(p, sigma=0.25), DriftProcess())]
 
         unit_tape = snag._unit_tape
         tapes = []

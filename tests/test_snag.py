@@ -15,6 +15,7 @@ from accbo.harness import TRAJECTORY_COLUMNS, ExperimentConfig, cmd_snag_track, 
 from accbo.hypergrad import EstimatorConfig
 from accbo.rng import RandomStream
 from accbo.snag import (
+    DRIFT_KINDS,
     DriftProcess,
     NumericalAbort,
     QuadraticFamily,
@@ -25,8 +26,7 @@ from accbo.snag import (
     potential,
     run_tracking_experiment,
     snag_step,
-    tracking_bound_no_drift,
-    tracking_bound_with_drift,
+    tracking_bound,
 )
 from accbo.snag import (
     _cell_inputs,
@@ -211,61 +211,83 @@ class TestContraction:
             prev = cur
 
 
+_FROZEN = dict(mu=1.0, alpha=0.04, sigma=0.1, T=1000, delta_prob=0.01, V0=1.0)
+
+
 class TestBounds:
     def test_frozen_values(self):
         # Frozen from an independent transcription of both closed forms.
-        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.1,
-                                delta_drift=0.001, T=1000, delta_prob=0.01,
-                                V0=1.0)
-        assert tracking_bound_with_drift(p, 500) == pytest.approx(
-            0.15015510558691725, abs=1e-12)
-        assert tracking_bound_no_drift(p, 500) == pytest.approx(
+        p = TrackingBoundParams(**_FROZEN)
+        assert tracking_bound(p, DriftProcess(kind="random_walk", delta=0.001), 500) \
+            == pytest.approx(0.15015510558691725, abs=1e-12)
+        assert tracking_bound(p, DriftProcess(), 500) == pytest.approx(
             0.1251292546569768, abs=1e-12)
 
+    # Bits of the with-drift (delta 0.001) and no-drift bounds on _FROZEN at
+    # t = 0, 1, 500 and 1000, as the two bound functions this one replaces
+    # computed them: the first from the bound parameters' own delta, the
+    # second with delta forced to 0.
+    WITH_DRIFT = [1.1501551055796428, 1.1001551055796428, 0.15015510558691725,
+                  0.15015510557964276]
+    NO_DRIFT = [1.1251292546497023, 1.0751292546497022, 0.1251292546569768,
+                0.12512925464970232]
+
+    @pytest.mark.parametrize("drift, expected", [
+        (DriftProcess(kind="random_walk", delta=0.001), WITH_DRIFT),
+        (DriftProcess(kind="fixed_direction", delta=0.001), WITH_DRIFT),
+        (DriftProcess(), NO_DRIFT),
+        (DriftProcess(kind="random_walk", delta=0.0), NO_DRIFT),
+        (DriftProcess(kind="fixed_direction", delta=0.0), NO_DRIFT),
+    ], ids=["random_walk", "fixed_direction", "none", "random_walk_0", "fixed_direction_0"])
+    def test_one_bound_is_the_old_pair(self, drift, expected):
+        p = TrackingBoundParams(**_FROZEN)
+        assert _bits([tracking_bound(p, drift, t) for t in (0, 1, 500, 1000)]) \
+            == _bits(expected)
+
     def test_no_drift_bound_never_exceeds_drift_bound(self):
-        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.1,
-                                delta_drift=0.01, T=100, delta_prob=0.05, V0=2.0)
+        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.1, T=100, delta_prob=0.05,
+                                V0=2.0)
+        drift = DriftProcess(kind="random_walk", delta=0.01)
         for t in range(0, 101, 10):
-            assert tracking_bound_no_drift(p, t) <= tracking_bound_with_drift(p, t)
+            assert tracking_bound(p, DriftProcess(), t) <= tracking_bound(p, drift, t)
 
     def test_bound_decreasing_in_t(self):
-        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.1,
-                                delta_drift=0.0, T=100, delta_prob=0.05, V0=5.0)
-        vals = [tracking_bound_with_drift(p, t) for t in range(100)]
+        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.1, T=100, delta_prob=0.05,
+                                V0=5.0)
+        vals = [tracking_bound(p, DriftProcess(), t) for t in range(100)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConstraintViolation):
-            TrackingBoundParams(mu=0.0, alpha=0.1, sigma=0.1, delta_drift=0.0,
-                                T=10, delta_prob=0.05)
+            TrackingBoundParams(mu=0.0, alpha=0.1, sigma=0.1, T=10, delta_prob=0.05)
         with pytest.raises(ConstraintViolation):
-            TrackingBoundParams(mu=1.0, alpha=0.1, sigma=0.1, delta_drift=0.0,
-                                T=10, delta_prob=1.5)
+            TrackingBoundParams(mu=1.0, alpha=0.1, sigma=0.1, T=10, delta_prob=1.5)
 
     # V0 = 0, moderate, and near the largest double (where the start row or
     # its recomputed potential may overflow, and the cell is refused); mu *
     # alpha up to 400, so the rate ranges over [-4, 1) and its powers may
     # overflow the products.
     @given(mu=st.floats(0.05, 20.0), mu_alpha=st.floats(1e-4, 400.0),
-           sigma=st.floats(0.0, 10.0), delta_drift=st.floats(0.0, 1.0),
+           sigma=st.floats(0.0, 10.0), delta=st.floats(0.0, 1.0),
            delta_prob=st.floats(1e-6, 0.999), T=st.integers(1, 300),
            V0=st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(1e307, 1.79e308)),
-           dim=st.integers(1, 4), drifting=st.booleans())
+           dim=st.integers(1, 4), kind=st.sampled_from(DRIFT_KINDS))
     @settings(max_examples=300)
-    @example(mu=1.0, mu_alpha=0.04, sigma=0.1, delta_drift=0.001, delta_prob=0.01,
-             T=1000, V0=1.0, dim=2, drifting=True)
-    @example(mu=1.0, mu_alpha=1.0, sigma=0.0, delta_drift=0.0, delta_prob=0.05,
-             T=5, V0=1.7e308, dim=1, drifting=False)
+    @example(mu=1.0, mu_alpha=0.04, sigma=0.1, delta=0.001, delta_prob=0.01,
+             T=1000, V0=1.0, dim=2, kind="random_walk")
+    @example(mu=1.0, mu_alpha=1.0, sigma=0.0, delta=0.0, delta_prob=0.05,
+             T=5, V0=1.7e308, dim=1, kind="none")
     # Refused: an infinite start row, and a finite one whose potential overflows.
-    @example(mu=0.5, mu_alpha=0.02, sigma=0.0, delta_drift=0.0, delta_prob=0.05,
-             T=5, V0=1.7e308, dim=2, drifting=False)
-    @example(mu=20.0, mu_alpha=400.0, sigma=0.0, delta_drift=0.0, delta_prob=0.05,
-             T=5, V0=1.79e308, dim=1, drifting=True)
-    def test_cell_table_is_the_scalar_bound(self, mu, mu_alpha, sigma, delta_drift,
-                                            delta_prob, T, V0, dim, drifting):
+    @example(mu=0.5, mu_alpha=0.02, sigma=0.0, delta=0.0, delta_prob=0.05,
+             T=5, V0=1.7e308, dim=2, kind="none")
+    @example(mu=20.0, mu_alpha=400.0, sigma=0.0, delta=0.0, delta_prob=0.05,
+             T=5, V0=1.79e308, dim=1, kind="random_walk")
+    def test_cell_table_is_the_scalar_bound(self, mu, mu_alpha, sigma, delta,
+                                            delta_prob, T, V0, dim, kind):
         alpha = mu_alpha / mu
-        p = TrackingBoundParams(mu=mu, alpha=alpha, sigma=sigma, delta_drift=delta_drift,
-                                T=T, delta_prob=delta_prob, V0=V0)
+        p = TrackingBoundParams(mu=mu, alpha=alpha, sigma=sigma, T=T,
+                                delta_prob=delta_prob, V0=V0)
+        drift = DriftProcess(kind=kind, delta=0.0 if kind == "none" else delta)
         family = QuadraticFamily(mu, dim)
         w0 = np.zeros(dim)
         w0[0] = math.sqrt(V0 / mu)
@@ -275,39 +297,38 @@ class TestBounds:
                                          math.sqrt(mu * alpha), alpha)[0])
         if not math.isfinite(V0_row):  # V0 / mu or the potential overflows
             with pytest.raises(ConstraintViolation, match="V0 = "):
-                _cell_inputs(family, p, drifting)
+                _cell_inputs(family, p, drift)
             return
-        table, w0_cell, _ = _cell_inputs(family, p, drifting)
+        table, w0_cell, _ = _cell_inputs(family, p, drift)
         assert w0_cell.tobytes() == w0.tobytes()
-        bound = tracking_bound_with_drift if drifting else tracking_bound_no_drift
         q = replace(p, V0=V0_row)
         assert table.dtype == np.float64 and table.shape == (T + 1,)
-        assert _bits(table) == _bits([bound(q, t) for t in range(T + 1)])
+        assert _bits(table) == _bits([tracking_bound(q, drift, t) for t in range(T + 1)])
 
-    @pytest.mark.parametrize("drifting", [False, True])
-    def test_cell_table_overflow_is_the_scalar_overflow(self, drifting):
+    @pytest.mark.parametrize("drift", [DriftProcess(),
+                                       DriftProcess(kind="random_walk", delta=0.01)],
+                             ids=["none", "random_walk"])
+    def test_cell_table_overflow_is_the_scalar_overflow(self, drift):
         # mu * alpha = 100: the rate -1.5's powers overflow first at t = 1751.
-        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.1, delta_drift=0.01,
-                                T=2000, delta_prob=0.05, V0=1.0)
-        bound = tracking_bound_with_drift if drifting else tracking_bound_no_drift
-        bound(p, 1750)
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.1, T=2000, delta_prob=0.05,
+                                V0=1.0)
+        tracking_bound(p, drift, 1750)
         with pytest.raises(NumericalAbort) as scalar:
-            bound(p, 1751)
+            tracking_bound(p, drift, 1751)
         with pytest.raises(NumericalAbort) as table:
-            _cell_inputs(QuadraticFamily(1.0, 2), p, drifting)
+            _cell_inputs(QuadraticFamily(1.0, 2), p, drift)
         assert str(scalar.value) == "tracking bound overflows at t=1751: " \
             "1 - sqrt(mu*alpha)/4 = -1.5"
         assert str(table.value) == str(scalar.value)
 
 
-_BOUND = dict(mu=1.0, alpha=0.04, sigma=0.1, delta_drift=0.0, T=10, delta_prob=0.05,
-              V0=1.0)
+_BOUND = dict(mu=1.0, alpha=0.04, sigma=0.1, T=10, delta_prob=0.05, V0=1.0)
 
 
 @pytest.mark.parametrize("make", [
     *(pytest.param(lambda name=name: TrackingBoundParams(**{**_BOUND, name: math.nan}),
                    id=f"TrackingBoundParams.{name}")
-      for name in ("mu", "alpha", "sigma", "delta_drift", "V0")),
+      for name in ("mu", "alpha", "sigma", "V0")),
     pytest.param(lambda: DriftProcess(kind="random_walk", delta=math.nan),
                  id="DriftProcess.delta"),
     pytest.param(lambda: EstimatorConfig(Q=3, S=1, l_g1=math.nan), id="EstimatorConfig.l_g1"),
@@ -330,49 +351,31 @@ class TestDriftProcess:
     @pytest.mark.parametrize("drift", [
         DriftProcess(),
         DriftProcess(kind="random_walk", delta=0.0),
-        DriftProcess(kind="fixed_direction", delta=0.0, direction=(0.0, 0.0)),
+        DriftProcess(kind="fixed_direction", delta=0.0),
     ])
     def test_no_drift_is_zero(self, drift):
+        assert not drift.moves
         steps = drift.displacements(7, 2, NULL)
         np.testing.assert_array_equal(steps, np.zeros((7, 2)))
 
-    def test_fixed_direction_normalized(self):
-        d = DriftProcess(kind="fixed_direction", delta=0.5, direction=(3.0, 4.0))
-        steps = d.displacements(4, 2, NULL)
-        assert steps.shape == (4, 2)
-        for t in range(4):
-            np.testing.assert_allclose(steps[t], [0.3, 0.4], atol=1e-15)
-
-    def test_fixed_direction_rejects_zero_direction(self):
-        d = DriftProcess(kind="fixed_direction", delta=0.5, direction=(0.0, 0.0))
-        with pytest.raises(ConstraintViolation):
-            d.displacements(3, 2, NULL)
-
-    def test_fixed_direction_must_match_the_dimension(self):
-        # A length-1 direction would broadcast over both coordinates: a step
-        # of length delta * sqrt(2), not the delta the bound assumes.
-        drift = DriftProcess(kind="fixed_direction", delta=0.1, direction=(1.0,))
-        message = "drift direction has 1 entries, but the dimension is 2"
-        with pytest.raises(ConstraintViolation, match=message):
-            drift.displacements(5, 2, NULL)
-        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.0, delta_drift=0.1, T=5,
-                                delta_prob=0.05, V0=1.0)
-        with pytest.raises(ConstraintViolation, match=message):
-            run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p, RandomStream(0))
-        with pytest.raises(ConstraintViolation, match=message):
-            mc_tracking_grid([(p, drift)], 4, dim=2)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_fixed_direction_steps_along_the_first_coordinate(self, dim):
+        steps = DriftProcess(kind="fixed_direction", delta=0.3).displacements(5, dim, NULL)
+        assert steps.shape == (5, dim)
+        assert _bits(steps) == _bits([[0.3] + [0.0] * (dim - 1)] * 5)
 
     def test_validation(self):
         with pytest.raises(ConstraintViolation):
             DriftProcess(kind="bogus")
-        with pytest.raises(ConstraintViolation):
-            DriftProcess(kind="fixed_direction", delta=0.1)
+
+    def test_none_with_a_delta_is_refused(self):
+        with pytest.raises(ConstraintViolation, match="a none drift takes no delta, got 0.1"):
+            DriftProcess(kind="none", delta=0.1)
 
 
 class TestTrackingExperiment:
     def make_params(self, **kw):
-        base = dict(mu=1.0, alpha=0.04, sigma=0.1, delta_drift=0.0,
-                    T=200, delta_prob=0.05, V0=1.0)
+        base = dict(mu=1.0, alpha=0.04, sigma=0.1, T=200, delta_prob=0.05, V0=1.0)
         base.update(kw)
         return TrackingBoundParams(**base)
 
@@ -393,11 +396,17 @@ class TestTrackingExperiment:
 
     def test_drift_rejected_for_anisotropic_family(self):
         fam = QuadraticFamily(1.0, 2, hessian=((2.0, 0.0), (0.0, 1.0)))
-        p = self.make_params(delta_drift=0.01)
         with pytest.raises(ConstraintViolation):
-            run_tracking_experiment(fam, DriftProcess(kind="random_walk",
-                                                      delta=0.01),
-                                    p, RandomStream(0))
+            run_tracking_experiment(fam, DriftProcess(kind="random_walk", delta=0.01),
+                                    self.make_params(), RandomStream(0))
+
+    def test_family_mu_must_be_the_bounds_mu(self):
+        # Nesterov's gamma and the start row read the family's mu, the bound
+        # reads the bound parameters' mu: a run needs the two to be one.
+        with pytest.raises(ConstraintViolation,
+                           match="the family's mu = 4.0 is not the bound's mu = 1.0"):
+            run_tracking_experiment(QuadraticFamily(4.0, 2), DriftProcess(),
+                                    self.make_params(), RandomStream(0))
 
     def test_run_is_deterministic(self):
         p = self.make_params()
@@ -425,24 +434,25 @@ class TestTrackingExperiment:
         assert rate == 0.0
 
 
+# mu * alpha = 3.25, above the step sizes (alpha <= 1/mu) for which the bound
+# holds: the potential contracts more slowly than the bound, so runs violate
+# it at rates strictly between 0 and 1, and a grid's count is checked on runs
+# that violate and on runs that do not.
 def _grid_params(**kw):
-    base = dict(mu=1.0, alpha=0.04, sigma=0.5, delta_drift=0.0, T=300,
-                delta_prob=0.05, V0=1.0)
+    base = dict(mu=1.0, alpha=3.25, sigma=0.5, T=300, delta_prob=0.05, V0=1.0)
     base.update(kw)
     return TrackingBoundParams(**base)
 
 
 class TestMonteCarloGrid:
-    # Four cells with one shared mu, alpha and T; delta_drift = 0 throughout,
-    # so a moving minimizer is judged against a bound without a drift term.
+    # Four cells with one shared mu, alpha and T.
     CELLS = [
         (_grid_params(), DriftProcess()),
-        (_grid_params(), DriftProcess(kind="fixed_direction", delta=0.2,
-                                      direction=(1.0, 0.0))),
+        (_grid_params(), DriftProcess(kind="fixed_direction", delta=0.2)),
         (_grid_params(), DriftProcess(kind="random_walk", delta=0.4)),
         (_grid_params(sigma=1.0), DriftProcess(kind="random_walk", delta=0.2)),
     ]
-    RATES = [0.0, 0.025, 0.925, 0.0]
+    RATES = [0.8, 0.4, 0.55, 0.875]
 
     def test_rates_match_scalar_runs_and_one_cell_calls(self):
         # Seed k of every cell is the scalar run on stream (base_seed, "mc", k).
@@ -466,7 +476,7 @@ class TestMonteCarloGrid:
         cells = self.CELLS[::-1] + [(_grid_params(V0=0.0), drift),
                                     (_grid_params(delta_prob=0.2), drift)]
         rates, _ = mc_tracking_grid(cells, 40, dim=2, base_seed=5)
-        assert rates == self.RATES[::-1] + [0.075, 1.0]
+        assert rates == self.RATES[::-1] + [0.4, 0.6]
         assert rates == [mc_tracking_violation_rate(p, drift, 40, dim=2, base_seed=5)
                          for p, drift in cells]
 
@@ -484,19 +494,20 @@ class TestMonteCarloGrid:
             (("mc", k), (label, 0)) for k in range(3) for label in ("noise", "drift"))
         # A block no cell needs is not drawn.
         drawn.clear()
-        mc_tracking_grid([(_grid_params(sigma=0.0), DriftProcess(
-            kind="fixed_direction", delta=0.2, direction=(0.0, 1.0)))], 3)
+        mc_tracking_grid([(_grid_params(sigma=0.0),
+                           DriftProcess(kind="fixed_direction", delta=0.2))], 3)
         assert drawn == []
 
-    # dim 8: the coordinate sums take np.sum's pairwise branch.
+    # dim 8: the coordinate sums take np.sum's pairwise branch. The noise per
+    # coordinate is smaller than in dim 2, so a larger mu * alpha gives rates
+    # strictly between 0 and 1.
     CELLS_8 = [
-        (_grid_params(), DriftProcess()),
-        (_grid_params(), DriftProcess(kind="fixed_direction", delta=0.2,
-                                      direction=tuple(range(1, 9)))),
-        (_grid_params(), DriftProcess(kind="random_walk", delta=0.5)),
-        (_grid_params(sigma=1.0), DriftProcess(kind="random_walk", delta=1.0)),
+        (_grid_params(alpha=3.35), DriftProcess()),
+        (_grid_params(alpha=3.35), DriftProcess(kind="fixed_direction", delta=0.2)),
+        (_grid_params(alpha=3.35), DriftProcess(kind="random_walk", delta=0.5)),
+        (_grid_params(alpha=3.35, sigma=1.0), DriftProcess(kind="random_walk", delta=1.0)),
     ]
-    RATES_8 = [0.0, 0.0, 0.75, 0.75]
+    RATES_8 = [0.85, 0.1, 0.375, 0.375]
 
     def test_dim_8_rates_match_scalar_runs(self):
         n_seeds = 40
@@ -561,8 +572,8 @@ class TestTapeBlocks:
         # rows of the two cells interleave unless they are kept cell-major.
         # Whole tapes would take 2 * T * dim * n_seeds doubles, 122 MiB here.
         T, dim, n_seeds = 20_000, 2, 200
-        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, delta_drift=0.01, T=T,
-                                delta_prob=0.05, V0=1.0)
+        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, T=T, delta_prob=0.05,
+                                V0=1.0)
         walk = DriftProcess(kind="random_walk", delta=0.01)
         cells = [(p, walk), (replace(p, sigma=0.1), walk)]
         tracemalloc.start()
@@ -608,8 +619,8 @@ class TestOverflow:
         # follows to abort the run. There the reference's e @ H @ e has
         # 0 * inf = NaN, so its V is NaN, which is not within the bound: the
         # run is a violation.
-        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.0, delta_drift=0.0, T=320,
-                                delta_prob=0.05, V0=1.0)
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.0, T=320, delta_prob=0.05,
+                                V0=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             logs = run_tracking_experiment(QuadraticFamily(1.0, 2), DriftProcess(), p,
                                            RandomStream(0).child("mc", 0))
@@ -626,8 +637,8 @@ class TestOverflow:
         # t = 1: at t = 14, inf <= inf, yet an infinite V is a violation, in
         # the grid as in the reference. (A floor that is not finite, the other
         # way to an infinite bound, is refused.)
-        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.0, delta_drift=0.0, T=14,
-                                delta_prob=0.05, V0=1e306)
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.0, T=14, delta_prob=0.05,
+                                V0=1e306)
         with np.errstate(over="ignore", invalid="ignore"):
             logs = run_tracking_experiment(QuadraticFamily(1.0, dim), DriftProcess(), p,
                                            RandomStream(0).child("mc", 0))
@@ -641,18 +652,15 @@ class TestOverflow:
                                               (0.0, 1e160), (1e153, 1e153)])
     def test_floor_that_is_not_finite_is_refused(self, sigma, delta):
         # sigma**2 or delta**2 overflows (OverflowError), or the floor does.
-        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=sigma, delta_drift=delta, T=5,
-                                delta_prob=0.05, V0=1.0)
+        p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=sigma, T=5, delta_prob=0.05,
+                                V0=1.0)
         drift = DriftProcess(kind="random_walk", delta=delta) if delta else DriftProcess()
-        for run in (lambda: tracking_bound_with_drift(p, 0),
+        for run in (lambda: tracking_bound(p, drift, 0),
                     lambda: run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
                                                     RandomStream(0).child("mc", 0)),
                     lambda: mc_tracking_grid([(p, drift)], 1)):
             with pytest.raises(ConstraintViolation, match="floor of sigma"):
                 run()
-        if not delta:
-            with pytest.raises(ConstraintViolation, match="floor of sigma"):
-                tracking_bound_no_drift(p, 0)
 
     @pytest.mark.parametrize("T", [319, 320])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -715,11 +723,9 @@ class TestSeedZeroTrajectories:
     @staticmethod
     def cells(mu, dim, T):
         drifts = [DriftProcess(),
-                  DriftProcess(kind="fixed_direction", delta=0.01,
-                               direction=tuple(range(1, dim + 1))),
+                  DriftProcess(kind="fixed_direction", delta=0.01),
                   DriftProcess(kind="random_walk", delta=0.01)]
-        return [(TrackingBoundParams(mu=mu, alpha=0.04, sigma=sigma,
-                                     delta_drift=drift.delta, T=T, delta_prob=0.05,
+        return [(TrackingBoundParams(mu=mu, alpha=0.04, sigma=sigma, T=T, delta_prob=0.05,
                                      V0=V0), drift)
                 for sigma in (0.0, 0.3) for drift in drifts for V0 in (0.0, 1.0)]
 
@@ -749,13 +755,11 @@ class TestSeedZeroTrajectories:
                "dim": 3, "sigma": [0.0, 0.3], "drift": drift}
         cmd_snag_track(ExperimentConfig("snag-track", doc, tmp_path / "out", 3, 9))
         for sigma in doc["sigma"]:
-            # "none" runs the cells of delta 0; a drifting kind at delta 0
-            # runs the no-drift reference.
+            # "none" runs the cells of delta 0.
             for delta in drift.get("delta", [0.0]):
-                p = TrackingBoundParams(mu=0.7, alpha=0.04, sigma=sigma, delta_drift=delta,
-                                        T=40, delta_prob=0.05, V0=1.0)
-                reference = DriftProcess(kind=drift["kind"] if delta > 0 else "none",
-                                         delta=delta, direction=(1.0, 0.0, 0.0))
+                p = TrackingBoundParams(mu=0.7, alpha=0.04, sigma=sigma, T=40,
+                                        delta_prob=0.05, V0=1.0)
+                reference = DriftProcess(kind=drift["kind"], delta=delta)
                 records = run_tracking_experiment(QuadraticFamily(0.7, 3), reference, p,
                                                   RandomStream(9).child("mc", 0))
                 name = f"track_sigma{float(sigma):.17g}_delta{float(delta):.17g}.csv"
