@@ -5,6 +5,11 @@ the relaxed-smoothness constants (L0, L1) of the composed objective, the
 hypergradient estimator's bias/variance constants, and the full theorem-mode
 hyperparameter schedule. Everything is a pure function of the inputs in
 64-bit floats; iteration counts round up.
+
+Each scalar domain is written here once, as (what a value must be, in words;
+the test it must pass). A record that a config builds maps its fields to
+domains in its ``DOMAINS`` table and checks itself with ``check_domains``:
+``<name> must be <what>, got <value!r>``. ``accbo.harness`` reads the same tables.
 """
 
 from __future__ import annotations
@@ -12,14 +17,23 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "ConstraintViolation",
+    "FINITE",
+    "POSITIVE",
+    "NONNEGATIVE",
+    "FRACTION",
+    "COUNT",
+    "check_domains",
     "ProblemConstants",
     "Schedule",
     "PRACTICAL_OVERRIDES",
+    "SCHEDULE_INPUTS",
+    "THEOREM_INPUTS",
     "nesterov_momentum",
     "derive_smoothness_constants",
     "derive_sigma_bar",
@@ -33,6 +47,34 @@ __all__ = [
 
 class ConstraintViolation(ValueError):
     """An input violates a documented precondition or invariant."""
+
+
+Domain = tuple[str, Callable[[Any], bool]]
+
+
+def _finite(value) -> bool:
+    # A number (numpy's scalars too, never a bool) whose magnitude, compared
+    # exactly, is at most the largest double: not NaN, inf or a huge integer.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# The scalar domains; beta's and tau's are in PRACTICAL_OVERRIDES.
+FINITE: Domain = ("a finite number", _finite)
+POSITIVE: Domain = ("a positive number", lambda v: _finite(v) and v > 0)
+NONNEGATIVE: Domain = ("a number >= 0", lambda v: _finite(v) and v >= 0)
+FRACTION: Domain = ("a number in (0, 1)", lambda v: _finite(v) and 0 < v < 1)
+COUNT: Domain = ("an integer >= 1",
+                 lambda v: isinstance(v, numbers.Integral) and _finite(v) and v >= 1)
+
+
+def check_domains(values: Mapping, domains: dict[str, Domain], prefix: str = "") -> None:
+    """Refuse the first value of values, in the order of domains, that lies
+    outside the domain of its name, as ``<prefix><name> must be <what>, got
+    <value!r>``. A name that values does not hold is not checked."""
+    for name, (what, ok) in domains.items():
+        if name in values and not ok(values[name]):
+            raise ConstraintViolation(f"{prefix}{name} must be {what}, got {values[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -51,20 +93,14 @@ class ProblemConstants:
     sigma_g1: float = 0.0
     sigma_g2: float = 0.0
 
+    DOMAINS = {"mu": POSITIVE, **dict.fromkeys(
+        ("l_g1", "l_g2", "l_f0", "Lx0", "Lx1", "Ly0", "Ly1", "sigma_f1", "sigma_g1",
+         "sigma_g2"), NONNEGATIVE)}
+
     def __post_init__(self) -> None:
-        for name in (
-            "mu", "l_g1", "l_g2", "l_f0", "Lx0", "Lx1", "Ly0", "Ly1",
-            "sigma_f1", "sigma_g1", "sigma_g2",
-        ):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ConstraintViolation(f"{name} must be finite and >= 0, got {v!r}")
-        if self.mu <= 0.0:
-            raise ConstraintViolation(f"mu must be > 0, got {self.mu!r}")
+        check_domains(vars(self), self.DOMAINS)
         if self.l_g1 < self.mu:
-            raise ConstraintViolation(
-                f"l_g1 ({self.l_g1!r}) must be >= mu ({self.mu!r})"
-            )
+            raise ConstraintViolation(f"l_g1 ({self.l_g1!r}) must be >= mu ({self.mu!r})")
 
 
 def derive_smoothness_constants(c: ProblemConstants) -> tuple[float, float]:
@@ -103,10 +139,7 @@ def derive_estimator_lipschitz(
     ``r`` stands in for the lower-level tracking error ||y - y*(x)||; callers
     verifying schedule-driven runs should pass r = 2*epsilon/L0.
     """
-    if Q < 1:
-        raise ConstraintViolation(f"Q must be >= 1, got {Q!r}")
-    if r < 0.0:
-        raise ConstraintViolation(f"radius must be >= 0, got {r!r}")
+    check_domains({"Q": Q, "r": r}, {"Q": COUNT, "r": NONNEGATIVE})
     base = c.Lx0 + c.Lx1 * c.l_g1 * c.l_f0 / c.mu
     first = 4.0 * (c.Lx0 + c.Lx1 * (c.l_g1 * c.l_f0 / c.mu + base * r)) ** 2
     chain_numer = c.l_f0**2 * c.l_g1**2 * c.l_g2**2 * Q**2
@@ -129,26 +162,24 @@ def derive_estimator_lipschitz(
 
 def nesterov_momentum(mu: float, alpha: float) -> float:
     """Momentum gamma = (1 - sqrt(mu*alpha)) / (1 + sqrt(mu*alpha))."""
-    if not (mu > 0.0 and alpha > 0.0):  # a NaN is refused too
-        raise ConstraintViolation("mu and alpha must be positive")
+    check_domains({"mu": mu, "alpha": alpha}, {"mu": POSITIVE, "alpha": POSITIVE})
     s = math.sqrt(mu * alpha)
     return (1.0 - s) / (1.0 + s)
 
 
-# Each practical-mode override by name, with its domain: what it must be, in
-# words, and the test a value must pass. Every test refuses NaN and the
-# infinities. Schedule checks its fields of the same names against the same
-# domains, and the config check of accbo.harness reads this table too.
-_POSITIVE = ("a positive number", lambda v: 0.0 < v < math.inf)
-_NONNEGATIVE = ("a number >= 0", lambda v: 0.0 <= v < math.inf)
-_COUNT = ("an integer >= 1", lambda v: isinstance(v, numbers.Integral) and v >= 1)
-PRACTICAL_OVERRIDES: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "alpha": _POSITIVE, "alpha_init": _POSITIVE, "eta": _POSITIVE,
-    "beta": ("a number in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "tau": ("a number in (0, 1]", lambda v: 0.0 < v <= 1.0),
-    "sigma_g1_tilde": _NONNEGATIVE, "sigma_g1": _NONNEGATIVE,
-    **dict.fromkeys(("T", "T0", "I", "N", "S", "Q"), _COUNT),
+# Each practical-mode override by name, with its domain. Schedule checks its
+# fields of the same names against the same domains.
+PRACTICAL_OVERRIDES: dict[str, Domain] = {
+    "alpha": POSITIVE, "alpha_init": POSITIVE, "eta": POSITIVE,
+    "beta": ("a number in [0, 1)", lambda v: _finite(v) and 0 <= v < 1),
+    "tau": ("a number in (0, 1]", lambda v: _finite(v) and 0 < v <= 1),
+    "sigma_g1_tilde": NONNEGATIVE, "sigma_g1": NONNEGATIVE,
+    **dict.fromkeys(("T", "T0", "I", "N", "S", "Q"), COUNT),
 }
+# The inputs of derive_schedule that both modes read, and those that only
+# theorem mode reads.
+SCHEDULE_INPUTS: dict[str, Domain] = {"delta": FRACTION, "d0": POSITIVE, "epsilon": POSITIVE}
+THEOREM_INPUTS: dict[str, Domain] = {"sigma_g1_tilde": POSITIVE, "y0_gap": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -179,12 +210,12 @@ class Schedule:
     sigma_g1: float
     eps_admissible: bool = True
 
+    # sigma_g1_tilde is an input of the schedule, not one of its fields.
+    DOMAINS = {**{name: domain for name, domain in PRACTICAL_OVERRIDES.items()
+                  if name != "sigma_g1_tilde"}, **SCHEDULE_INPUTS}
+
     def __post_init__(self) -> None:
-        for name, (what, ok) in PRACTICAL_OVERRIDES.items():
-            # sigma_g1_tilde is an input of the schedule, not one of its fields.
-            if hasattr(self, name) and not ok(getattr(self, name)):
-                raise ConstraintViolation(
-                    f"{name} must be {what}, got {getattr(self, name)!r}")
+        check_domains(vars(self), self.DOMAINS)
 
 
 def averaging_theta(mu: float, epsilon: float, L0: float, sigma_g1: float) -> float:
@@ -231,11 +262,7 @@ def _theorem_schedule(
     sigma_g1_tilde: float = 1.0,
     y0_gap: float = 1.0,
 ) -> Schedule:
-    # Written as "not x > 0" so that a NaN is refused too.
-    if not sigma_g1_tilde > 0.0:
-        raise ConstraintViolation(f"sigma_g1_tilde must be positive, got {sigma_g1_tilde!r}")
-    if not y0_gap > 0.0:
-        raise ConstraintViolation(f"y0_gap must be positive, got {y0_gap!r}")
+    check_domains({"sigma_g1_tilde": sigma_g1_tilde, "y0_gap": y0_gap}, THEOREM_INPUTS)
     L0, L1 = derive_smoothness_constants(c)
     sigma_bar = derive_sigma_bar(c)
 
@@ -335,45 +362,22 @@ def _practical_schedule(
     unknown = sorted(set(ov) - set(PRACTICAL_OVERRIDES))
     if unknown:
         raise ConstraintViolation(f"unknown schedule overrides: {unknown}")
-    for name, value in ov.items():
-        what, ok = PRACTICAL_OVERRIDES[name]
-        if not ok(value):
-            raise ConstraintViolation(f"override {name} must be {what}, got {value!r}")
+    check_domains(ov, PRACTICAL_OVERRIDES, "override ")
     if "alpha" not in ov:
         raise ConstraintViolation("practical mode requires an explicit alpha")
-    alpha = float(ov.pop("alpha"))
-    beta = float(ov.pop("beta", 1.0 - c.mu * alpha))
-    eta = float(ov.pop("eta", alpha))
-    tau = float(ov.pop("tau", math.sqrt(c.mu * alpha)))
-    sigma_g1_tilde = float(ov.pop("sigma_g1_tilde", c.sigma_g1))
-    sigma_g1 = float(ov.pop("sigma_g1", math.sqrt(c.mu * alpha) * sigma_g1_tilde))
-    T = int(ov.pop("T", _ceil_int(4.0 * d0 / (eta * epsilon))))
-    T0 = int(ov.pop("T0", T))
-    I = int(ov.pop("I", 1))
-    N = int(ov.pop("N", 1))
-    S = int(ov.pop("S", 1))
-    Q = int(ov.pop("Q", 1))
-    alpha_init = float(ov.pop("alpha_init", alpha))
-    return Schedule(
-        alpha=alpha,
-        alpha_init=alpha_init,
-        beta=beta,
-        gamma=nesterov_momentum(c.mu, alpha),
-        eta=eta,
-        tau=tau,
-        T=T,
-        T0=T0,
-        I=I,
-        N=N,
-        S=S,
-        Q=Q,
-        logP=0.0,
-        epsilon=epsilon,
-        delta=delta,
-        d0=d0,
-        sigma_g1=sigma_g1,
-        eps_admissible=True,
-    )
+    # A count is cast to int, every other override to float.
+    ov = {name: int(v) if PRACTICAL_OVERRIDES[name] is COUNT else float(v)
+          for name, v in ov.items()}
+    alpha = ov["alpha"]
+    root = math.sqrt(c.mu * alpha)
+    sigma_g1_tilde = ov.pop("sigma_g1_tilde", c.sigma_g1)
+    T = ov.get("T", _ceil_int(4.0 * d0 / (ov.get("eta", alpha) * epsilon)))
+    # The default of each field that no override sets.
+    fields = {"alpha_init": alpha, "beta": 1.0 - c.mu * alpha, "eta": alpha, "tau": root,
+              "sigma_g1": root * sigma_g1_tilde, "T": T, "T0": T,
+              **dict.fromkeys(("I", "N", "S", "Q"), 1), **ov}
+    return Schedule(**fields, gamma=nesterov_momentum(c.mu, alpha), logP=0.0,
+                    epsilon=epsilon, delta=delta, d0=d0)
 
 
 def derive_schedule(
@@ -386,9 +390,10 @@ def derive_schedule(
 ) -> Schedule:
     """Compute a full hyperparameter schedule.
 
+    epsilon, delta and d0 lie in their ``SCHEDULE_INPUTS`` domains.
     ``mode="theorem"`` evaluates every closed form from ``sigma_g1_tilde``
-    and ``y0_gap`` (each > 0, 1.0 by default); an epsilon above the
-    admissibility ceiling only clears ``eps_admissible`` on the result.
+    and ``y0_gap`` (each in its ``THEOREM_INPUTS`` domain, 1.0 by default); an
+    epsilon above the admissibility ceiling only clears ``eps_admissible``.
     ``mode="practical"`` takes ``overrides`` (alpha required; each value in
     its ``PRACTICAL_OVERRIDES`` domain) and fills in the momentum gamma and
     defaults consistent with the structural identities. A keyword the mode
@@ -396,12 +401,7 @@ def derive_schedule(
     tau = sqrt(mu*alpha) > 1) and a closed form that overflows are refused
     with ConstraintViolation.
     """
-    if not (0.0 < delta < 1.0):
-        raise ConstraintViolation(f"delta must be in (0, 1), got {delta!r}")
-    if epsilon <= 0.0:
-        raise ConstraintViolation(f"epsilon must be positive, got {epsilon!r}")
-    if d0 <= 0.0:
-        raise ConstraintViolation(f"d0 must be positive, got {d0!r}")
+    check_domains({"epsilon": epsilon, "delta": delta, "d0": d0}, SCHEDULE_INPUTS)
     schedules = {"theorem": _theorem_schedule, "practical": _practical_schedule}
     if mode not in schedules:
         raise ConstraintViolation(f"mode must be 'theorem' or 'practical', got {mode!r}")

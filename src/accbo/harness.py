@@ -3,6 +3,11 @@
 Every command is a pure function of (config, seeds, output directory): the
 same inputs produce byte-identical output files. Numbers are written with 17
 significant digits so they re-parse to the exact in-memory double.
+
+A config field that a library record reads is checked against the domain in
+that record's table (``DOMAINS``, an instance kind's ``PARAMS``, the schedule
+tables of ``accbo.constants``); only the fields that no record holds, ``dim``,
+``n_samples`` and the fixture's ``seed``, have checks of their own.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ import json
 import logging
 import math
 import operator
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, hypergrad, optimizer, problems, snag
-from .constants import PRACTICAL_OVERRIDES, derive_schedule
+from .constants import (COUNT, FINITE, PRACTICAL_OVERRIDES, SCHEDULE_INPUTS, THEOREM_INPUTS,
+                        derive_schedule)
 from .rng import RandomStream
 
 __all__ = [
@@ -108,11 +113,9 @@ def _check(what: str, ok):
     return check
 
 
-def _real(value) -> bool:
-    # The comparison is exact for ints, so it refuses NaN, the infinities
-    # and integers too large for a double, without converting any of them.
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+def _fields(domains: dict, default) -> dict:
+    """Schema entries that check each name against its domain, with one default."""
+    return {name: (_check(*domain), default) for name, domain in domains.items()}
 
 
 def _integer(low: int):
@@ -121,11 +124,7 @@ def _integer(low: int):
                   and not isinstance(v, bool) and v >= low)
 
 
-finite = _check("a finite number", _real)
-positive = _check("a positive number", lambda v: _real(v) and v > 0)
-nonnegative = _check("a number >= 0", lambda v: _real(v) and v >= 0)
-fraction = _check("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1)
-count = _integer(1)
+finite = _check(*FINITE)
 
 
 def one_of(*names: str):
@@ -173,10 +172,10 @@ def tagged(tag: str, schemas: dict):
 @contextmanager
 def _refused_at(ctx: str):
     """Report a value that the library refuses (a ConstraintViolation or
-    another ValueError) as a config error at ctx."""
+    another ValueError) or that asks for too much memory as a config error at ctx."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 
 
@@ -257,16 +256,17 @@ def write_json(obj, path: str | Path) -> None:
 # An instance is a path to a JSON file or an inline object tagged by its
 # kind: the fixture (FIXTURE_RIDGE) or an instance document of one kind, whose
 # params table is built from the kind's own PARAMS.
-_NOISE = {name: (nonnegative, OPTIONAL) for name in ("sigma_f1", "sigma_g1", "sigma_g2")}
-_VALUES = {"positive": positive, "nonnegative": nonnegative, "array": array}
+_NOISE = _fields(problems.NOISE, OPTIONAL)
 
-FIXTURE_RIDGE = {"seed": (_integer(0), OPTIONAL), "c_reg": (positive, OPTIONAL), **_NOISE}
+FIXTURE_RIDGE = {"seed": (_integer(0), OPTIONAL), **_fields(
+    {"c_reg": problems.RidgeWeighting.PARAMS["c_reg"][0], **problems.NOISE}, OPTIONAL)}
 
 INSTANCES = {"fixture_ridge": FIXTURE_RIDGE, **{
     kind: {
         "params": (table({
-            name: (_VALUES[value], OPTIONAL if has_default else REQUIRED)
-            for name, (value, has_default) in cls.PARAMS.items()
+            name: (array if domain is problems.ARRAY else _check(*domain),
+                   OPTIONAL if has_default else REQUIRED)
+            for name, (domain, has_default) in cls.PARAMS.items()
         }), REQUIRED),
         "noise": (table(_NOISE), OPTIONAL),
     } for kind, cls in problems.INSTANCE_KINDS.items()}}
@@ -316,45 +316,42 @@ _RUNNERS = {
 
 # The schedule object of accbo and sweep is tagged by its mode. Each mode's
 # table holds, epsilon aside, the keyword arguments of derive_schedule that
-# the mode reads; each override is checked against its PRACTICAL_OVERRIDES
-# domain, and alpha is required.
-_SCHEDULE = {"delta": (fraction, REQUIRED), "d0": (positive, REQUIRED)}
+# the mode reads, each with its domain in accbo.constants; alpha is the one
+# required override.
+_SCHEDULE = _fields({name: domain for name, domain in SCHEDULE_INPUTS.items()
+                     if name != "epsilon"}, REQUIRED)
+_EPSILON = _check(*SCHEDULE_INPUTS["epsilon"])
 SCHEDULES = {
-    "theorem": {**_SCHEDULE, "sigma_g1_tilde": (positive, OPTIONAL),
-                "y0_gap": (positive, OPTIONAL)},
+    "theorem": {**_SCHEDULE, **_fields(THEOREM_INPUTS, OPTIONAL)},
     "practical": {**_SCHEDULE, "overrides": (table({
-        name: (_check(what, lambda v, ok=ok: _real(v) and ok(v)),
-               REQUIRED if name == "alpha" else OPTIONAL)
-        for name, (what, ok) in PRACTICAL_OVERRIDES.items()
+        name: (_check(*domain), REQUIRED if name == "alpha" else OPTIONAL)
+        for name, domain in PRACTICAL_OVERRIDES.items()
     }), REQUIRED)},
 }
 
-# A grid value: one entry alone, or a list of distinct entries.
-_GRID = list_of(nonnegative, bare=True, distinct=True)
-
+_BOUND = snag.TrackingBoundParams.DOMAINS
 SNAG_TRACK = {
-    "mu": (positive, REQUIRED),
-    "alpha": (positive, REQUIRED),
-    "T": (count, REQUIRED),
-    "delta_prob": (fraction, REQUIRED),
-    "V0": (nonnegative, REQUIRED),
-    "dim": (count, REQUIRED),
-    "sigma": (_GRID, 0.0),
+    **_fields({name: domain for name, domain in _BOUND.items() if name != "sigma"}, REQUIRED),
+    "dim": (_check(*COUNT), REQUIRED),
+    # A grid value: one entry alone, or a list of distinct entries.
+    "sigma": (list_of(_check(*_BOUND["sigma"]), bare=True, distinct=True), 0.0),
     # Tagged by its kind: "none" takes no delta, and every other kind requires one.
-    "drift": (tagged("kind", {kind: {} if kind == "none" else {"delta": (_GRID, REQUIRED)}
-                              for kind in snag.DRIFT_KINDS}), {"kind": "none"}),
+    "drift": (tagged("kind", {kind: {} if kind == "none" else {"delta": (list_of(
+        _check(*snag.DriftProcess.DOMAINS["delta"]), bare=True, distinct=True), REQUIRED)}
+        for kind in snag.DRIFT_KINDS}), {"kind": "none"}),
 }
 
 BIAS = {
     "instance": (_load_instance, REQUIRED),
-    "Q_grid": (list_of(count, distinct=True), REQUIRED),
+    "Q_grid": (list_of(_check(*hypergrad.EstimatorConfig.DOMAINS["Q"]), distinct=True),
+               REQUIRED),
     "n_samples": (_integer(2), REQUIRED),
     "x": (list_of(finite), None),
 }
 
 ACCBO = {
     "instance": (_load_instance, REQUIRED),
-    "schedule": (tagged("mode", {mode: {**schema, "epsilon": (positive, REQUIRED)}
+    "schedule": (tagged("mode", {mode: {**schema, "epsilon": (_EPSILON, REQUIRED)}
                                  for mode, schema in SCHEDULES.items()}), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
     "x0": (list_of(finite), None),
@@ -363,7 +360,7 @@ ACCBO = {
 
 SWEEP = {
     "instance": (_load_instance, REQUIRED),
-    "epsilons": (list_of(positive, distinct=True), REQUIRED),
+    "epsilons": (list_of(_EPSILON, distinct=True), REQUIRED),
     # Each run takes its epsilon from epsilons, so the schedule has none.
     "schedule": (tagged("mode", SCHEDULES), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
@@ -408,7 +405,8 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
     # A delta of 0 does not move, whatever the kind.
     cells = [(replace(still, sigma=sigma), drift)
              for sigma in doc["sigma"] for drift in drifts]
-    with _refused_at("snag-track"):  # a V0, or a sigma and delta together
+    # A V0, a sigma and delta together, or a grid too large for memory.
+    with _refused_at("snag-track"):
         rates, trajectories = snag.mc_tracking_grid(cells, config.n_seeds, dim=dim,
                                                     base_seed=config.base_seed)
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -446,24 +444,25 @@ def cmd_bias(config: ExperimentConfig) -> int:
     x = _point(doc["x"], inst, "bias.x")
     if x is None:
         x = np.zeros(inst.dim_x)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     ok = True
-    for Q in doc["Q_grid"]:
-        # Each draw is a single-sample estimate, so var_est is per sample.
-        cfg = hypergrad.EstimatorConfig(Q=Q, S=1, l_g1=inst.constants.l_g1)
-        stream = RandomStream(config.base_seed).child("bias", Q)
-        res = hypergrad.empirical_bias_and_variance(
-            inst, x, cfg, doc["n_samples"], stream
-        )
-        bound = hypergrad.bias_bound(inst.constants, Q)
-        row_ok = res["bias_est"] <= bound + 4.0 * res["se"]
-        ok = ok and row_ok
-        rows.append({
-            "Q": Q, "S": cfg.S, "bias_bound": bound, "bias_est": res["bias_est"],
-            "var_est": res["var_est"], "se": res["se"],
-        })
+    with _refused_at("bias"):  # n_samples draws that do not fit in memory
+        for Q in doc["Q_grid"]:
+            # Each draw is a single-sample estimate, so var_est is per sample.
+            cfg = hypergrad.EstimatorConfig(Q=Q, S=1, l_g1=inst.constants.l_g1)
+            stream = RandomStream(config.base_seed).child("bias", Q)
+            res = hypergrad.empirical_bias_and_variance(
+                inst, x, cfg, doc["n_samples"], stream
+            )
+            bound = hypergrad.bias_bound(inst.constants, Q)
+            row_ok = res["bias_est"] <= bound + 4.0 * res["se"]
+            ok = ok and row_ok
+            rows.append({
+                "Q": Q, "S": cfg.S, "bias_bound": bound, "bias_est": res["bias_est"],
+                "var_est": res["var_est"], "se": res["se"],
+            })
+    config.out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(rows, config.out_dir / "bias.csv",
               ["Q", "S", "bias_bound", "bias_est", "var_est", "se"])
     write_json({"command": "bias", "rows": rows, "all_within_bound": ok},

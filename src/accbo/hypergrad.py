@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import ConstraintViolation, ProblemConstants
+from .constants import COUNT, POSITIVE, ConstraintViolation, ProblemConstants, check_domains
 from .rng import RandomStream
 from .snag import NumericalAbort
 
@@ -37,11 +37,10 @@ class EstimatorConfig:
     S: int
     l_g1: float
 
+    DOMAINS = {"Q": COUNT, "S": COUNT, "l_g1": POSITIVE}
+
     def __post_init__(self) -> None:
-        if self.Q < 1 or self.S < 1:
-            raise ConstraintViolation("Q and S must be positive integers")
-        if not self.l_g1 > 0.0:  # a NaN is refused too
-            raise ConstraintViolation("l_g1 must be positive")
+        check_domains(vars(self), self.DOMAINS)
 
 
 def neumann_inverse_apply(
@@ -121,8 +120,7 @@ def enumerated_estimator_mean(
 
 def bias_bound(c: ProblemConstants, Q: int) -> float:
     """Neumann truncation bias bound (l_g1*l_f0/mu) * (1 - mu/l_g1)^Q."""
-    if Q < 1:
-        raise ConstraintViolation(f"Q must be >= 1, got {Q!r}")
+    check_domains({"Q": Q}, EstimatorConfig.DOMAINS)
     return (c.l_g1 * c.l_f0 / c.mu) * (1.0 - c.mu / c.l_g1) ** Q
 
 

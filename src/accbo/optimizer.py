@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ConstraintViolation, Schedule
+from .constants import ConstraintViolation, Schedule, check_domains
 from .hypergrad import EstimatorConfig, estimate_hypergradient
 from .problems import _dot
 from .rng import RandomStream
@@ -97,8 +97,7 @@ class IterationLog:
 def warm_start(inst, x0, alpha_init: float, T0: int, stream: RandomStream,
                y_init=None) -> np.ndarray:
     """Run T0 Nesterov steps on the lower level at frozen x0, from y = 0."""
-    if T0 < 1:
-        raise ConstraintViolation(f"T0 must be >= 1, got {T0!r}")
+    check_domains({"T0": T0}, Schedule.DOMAINS)
     y0 = np.zeros(inst.dim_y) if y_init is None else np.asarray(y_init, dtype=float)
     state = SnagState.initial(y0, alpha_init, inst.constants.mu)
     return _snag_round(inst, x0, state, stream.children("warm", T0)).w

@@ -15,9 +15,10 @@ Every stochastic oracle adds its noise by one rule, ``BilevelInstance._noisy``.
 private ``_QuadraticUpper``).
 
 Each kind declares its constructor parameters, noise aside, once, in its
-``PARAMS`` table: ``BilevelInstance.to_dict`` reads them back from the
-instance, and ``accbo.harness`` checks an instance document's ``params``
-against the table. Array shapes are the constructors' check.
+``PARAMS`` table, a scalar with its domain (the noise scales have theirs in
+``NOISE``): each constructor checks its scalars against them before any cast,
+``to_dict`` reads them back, and ``accbo.harness`` checks an instance
+document against them. Array shapes are the constructors' check.
 
 Conventions: x has dim_x entries, y has dim_y entries; the mixed second
 derivative of g is stored as a (dim_x, dim_y) matrix so the hypergradient is
@@ -51,7 +52,7 @@ import math
 
 import numpy as np
 
-from .constants import ConstraintViolation, ProblemConstants
+from .constants import NONNEGATIVE, POSITIVE, ConstraintViolation, ProblemConstants, check_domains
 from .rng import RandomStream
 
 __all__ = [
@@ -61,6 +62,8 @@ __all__ = [
     "RidgeWeighting",
     "ExpUpperToy",
     "INSTANCE_KINDS",
+    "ARRAY",
+    "NOISE",
     "instance_to_json",
     "instance_from_json",
     "make_fixture_ridge",
@@ -111,15 +114,21 @@ def _as_vec(v, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+# The PARAMS entry of an array parameter, in place of a scalar domain: a
+# finite number or a nested list of them, whose shape the constructor checks.
+ARRAY = "array"
+# Each noise keyword of a constructor, with its domain.
+NOISE = dict.fromkeys(("sigma_f1", "sigma_g1", "sigma_g2"), NONNEGATIVE)
+
+
 class BilevelInstance:
     """Base class: shared noise machinery and the generic hypergradient formula."""
 
     kind: str
-    # Each constructor parameter, noise aside, in order: name -> (kind of
-    # value: "positive", "nonnegative" or "array"; whether the constructor has
-    # a default). l_f0 is read back from the constants, every other parameter
-    # from the attribute of its name.
-    PARAMS: dict[str, tuple[str, bool]]
+    # Each constructor parameter, noise aside, in order: name -> (its domain,
+    # or ARRAY; whether the constructor has a default). l_f0 is read back
+    # from the constants, every other parameter from the attribute of its name.
+    PARAMS: dict
     dim_x: int
     dim_y: int
     constants: ProblemConstants
@@ -209,18 +218,21 @@ class BilevelInstance:
         return self._noisy(self.hess_yy_g(x, y) @ v, self.constants.sigma_g2,
                            self.dim_y, stream, v=v)
 
-    # -- serialization ---------------------------------------------------------
+    # -- construction and serialization -----------------------------------------
+
+    def _checked_noise(self, args: dict) -> dict:
+        """The noise scales among a constructor's arguments, as floats, once
+        every scalar argument of PARAMS or NOISE is found in its domain."""
+        check_domains(args, {**{name: domain for name, (domain, _) in self.PARAMS.items()
+                                if domain is not ARRAY}, **NOISE})
+        return {name: float(args[name]) for name in NOISE}
 
     def to_dict(self) -> dict:
         params = {}
-        for name, (value, _) in self.PARAMS.items():
+        for name, (domain, _) in self.PARAMS.items():
             v = getattr(self.constants if name == "l_f0" else self, name)
-            params[name] = v.tolist() if value == "array" else v
-        noise = {
-            "sigma_f1": self.constants.sigma_f1,
-            "sigma_g1": self.constants.sigma_g1,
-            "sigma_g2": self.constants.sigma_g2,
-        }
+            params[name] = v.tolist() if domain is ARRAY else v
+        noise = {name: getattr(self.constants, name) for name in NOISE}
         return {"kind": self.kind, "params": params, "noise": noise}
 
 
@@ -229,14 +241,12 @@ class _IsotropicLower(BilevelInstance):
     the lower-level Hessian is exactly mu*I, which option one requires.
 
     Subclasses add the upper level and pass its constants (l_f0, Lx0, Lx1,
-    Ly0) through to ProblemConstants.
+    Ly0) and their checked noise scales through to ProblemConstants.
     """
 
     isotropic_lower = True
 
-    def __init__(self, mu, A, b, *, sigma_f1, sigma_g1, sigma_g2, **upper):
-        if mu <= 0:
-            raise ConstraintViolation(f"mu must be positive, got {mu!r}")
+    def __init__(self, mu, A, b, noise: dict, **upper):
         self.mu = float(mu)
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.dim_y, self.dim_x = self.A.shape
@@ -247,9 +257,7 @@ class _IsotropicLower(BilevelInstance):
             mu=self.mu,
             l_g1=self.mu * max(1.0, op_A),
             l_g2=0.0,
-            sigma_f1=float(sigma_f1),
-            sigma_g1=float(sigma_g1),
-            sigma_g2=float(sigma_g2),
+            **noise,
             **upper,
         )
 
@@ -298,14 +306,13 @@ class IsotropicQuadratic(_IsotropicLower, _QuadraticUpper):
     """Isotropic lower level with the quadratic upper level."""
 
     kind = "isotropic_quadratic"
-    PARAMS = {"mu": ("positive", False), "A": ("array", False), "b": ("array", False),
-              "c": ("array", False), "d": ("array", False),
-              "l_f0": ("nonnegative", True)}
+    PARAMS = {"mu": (POSITIVE, False), "A": (ARRAY, False), "b": (ARRAY, False),
+              "c": (ARRAY, False), "d": (ARRAY, False), "l_f0": (NONNEGATIVE, True)}
 
     def __init__(self, mu, A, b, c, d, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
                  sigma_g2=0.0):
-        super().__init__(mu, A, b, l_f0=float(l_f0), Lx0=1.0, Ly0=1.0,
-                         sigma_f1=sigma_f1, sigma_g1=sigma_g1, sigma_g2=sigma_g2)
+        noise = self._checked_noise(locals())
+        super().__init__(mu, A, b, noise, l_f0=float(l_f0), Lx0=1.0, Ly0=1.0)
         self._targets(c, d)
 
     def true_hypergradient(self, x):
@@ -321,12 +328,12 @@ class GeneralQuadratic(_QuadraticUpper):
     the quadratic upper level."""
 
     kind = "general_quadratic"
-    PARAMS = {"H": ("array", False), "C": ("array", False), "b": ("array", False),
-              "c": ("array", False), "d": ("array", False),
-              "l_f0": ("nonnegative", True)}
+    PARAMS = {"H": (ARRAY, False), "C": (ARRAY, False), "b": (ARRAY, False),
+              "c": (ARRAY, False), "d": (ARRAY, False), "l_f0": (NONNEGATIVE, True)}
 
     def __init__(self, H, C, b, c, d, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
                  sigma_g2=0.0):
+        noise = self._checked_noise(locals())
         # A read-only copy: hess_yy_g hands it out, and the constants rest on it.
         self.H = _read_only(np.array(H, dtype=float, ndmin=2))
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -357,9 +364,7 @@ class GeneralQuadratic(_QuadraticUpper):
             l_f0=float(l_f0),
             Lx0=1.0,
             Ly0=1.0,
-            sigma_f1=float(sigma_f1),
-            sigma_g1=float(sigma_g1),
-            sigma_g2=float(sigma_g2),
+            **noise,
         )
 
     def g_value(self, x, y):
@@ -396,12 +401,13 @@ class RidgeWeighting(BilevelInstance):
     """
 
     kind = "ridge_weighting"
-    PARAMS = {"Z": ("array", False), "y_tr": ("array", False), "V": ("array", False),
-              "y_val": ("array", False), "c_reg": ("positive", False),
-              "w_radius": ("positive", True)}
+    PARAMS = {"Z": (ARRAY, False), "y_tr": (ARRAY, False), "V": (ARRAY, False),
+              "y_val": (ARRAY, False), "c_reg": (POSITIVE, False),
+              "w_radius": (POSITIVE, True)}
 
     def __init__(self, Z, y_tr, V, y_val, c_reg, *, w_radius=2.0, sigma_f1=0.0,
                  sigma_g1=0.0, sigma_g2=0.0):
+        noise = self._checked_noise(locals())
         self.Z = np.atleast_2d(np.asarray(Z, dtype=float))
         self.V = np.atleast_2d(np.asarray(V, dtype=float))
         self.n_tr, dim_w = self.Z.shape
@@ -410,8 +416,6 @@ class RidgeWeighting(BilevelInstance):
             raise ConstraintViolation("train/validation feature dims differ")
         self.y_tr = _as_vec(y_tr, self.n_tr, "y_tr")
         self.y_val = _as_vec(y_val, self.n_val, "y_val")
-        if c_reg <= 0:
-            raise ConstraintViolation(f"c_reg must be positive, got {c_reg!r}")
         self.c_reg = float(c_reg)
         self.dim_x = self.n_tr
         self.dim_y = dim_w
@@ -440,9 +444,7 @@ class RidgeWeighting(BilevelInstance):
             l_f0=l_f0,
             Lx0=0.0,
             Ly0=vv_max,
-            sigma_f1=float(sigma_f1),
-            sigma_g1=float(sigma_g1),
-            sigma_g2=float(sigma_g2),
+            **noise,
         )
         self.w_radius = float(w_radius)
 
@@ -503,15 +505,15 @@ class ExpUpperToy(_IsotropicLower):
     over the isotropic lower level."""
 
     kind = "exp_upper_toy"
-    PARAMS = {"u": ("array", False), "A": ("array", False), "b": ("array", False),
-              "mu": ("positive", True), "l_f0": ("nonnegative", True)}
+    PARAMS = {"u": (ARRAY, False), "A": (ARRAY, False), "b": (ARRAY, False),
+              "mu": (POSITIVE, True), "l_f0": (NONNEGATIVE, True)}
 
     def __init__(self, u, A, b, mu=1.0, *, l_f0=1.0, sigma_f1=0.0, sigma_g1=0.0,
                  sigma_g2=0.0):
+        noise = self._checked_noise(locals())
         self.u = np.asarray(u, dtype=float)
-        super().__init__(mu, A, b, l_f0=float(l_f0), Lx0=0.0,
-                         Lx1=float(np.linalg.norm(self.u)), Ly0=1.0,
-                         sigma_f1=sigma_f1, sigma_g1=sigma_g1, sigma_g2=sigma_g2)
+        super().__init__(mu, A, b, noise, l_f0=float(l_f0), Lx0=0.0,
+                         Lx1=float(np.linalg.norm(self.u)), Ly0=1.0)
         if self.u.shape != (self.dim_x,):
             raise ConstraintViolation("u must have dim_x entries")
 

@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import ConstraintViolation, nesterov_momentum
+from .constants import (COUNT, FRACTION, NONNEGATIVE, POSITIVE, ConstraintViolation,
+                        check_domains, nesterov_momentum)
 from .problems import _dot
 from .rng import RandomStream
 
@@ -113,14 +114,11 @@ class TrackingBoundParams:
     delta_prob: float
     V0: float = 0.0
 
+    DOMAINS = {"mu": POSITIVE, "alpha": POSITIVE, "sigma": NONNEGATIVE, "T": COUNT,
+               "delta_prob": FRACTION, "V0": NONNEGATIVE}
+
     def __post_init__(self) -> None:
-        # Written as "not x > 0" so that a NaN is refused too.
-        if not (self.mu > 0 and self.alpha > 0):
-            raise ConstraintViolation("mu and alpha must be positive")
-        if not (0.0 < self.delta_prob < 1.0):
-            raise ConstraintViolation("delta_prob must be in (0, 1)")
-        if not (self.sigma >= 0 and self.V0 >= 0 and self.T >= 1):
-            raise ConstraintViolation("sigma, V0 >= 0 and T >= 1 required")
+        check_domains(vars(self), self.DOMAINS)
 
 
 def _rate_and_floor(p: TrackingBoundParams, drift: DriftProcess) -> tuple[float, float]:
@@ -232,11 +230,12 @@ class DriftProcess:
     kind: str = "none"
     delta: float = 0.0
 
+    DOMAINS = {"delta": NONNEGATIVE}
+
     def __post_init__(self) -> None:
         if self.kind not in DRIFT_KINDS:
             raise ConstraintViolation(f"unknown drift kind {self.kind!r}")
-        if not self.delta >= 0:  # a NaN is refused too
-            raise ConstraintViolation("delta must be >= 0")
+        check_domains(vars(self), self.DOMAINS)
         if self.kind == "none" and self.moves:
             raise ConstraintViolation(f"a none drift takes no delta, got {self.delta!r}")
 

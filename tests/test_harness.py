@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accbo import hypergrad, optimizer, snag
 from accbo.constants import PRACTICAL_OVERRIDES, ConstraintViolation, derive_schedule
 from accbo.harness import (
     _fmt,
@@ -29,7 +30,10 @@ from accbo.harness import (
 )
 from accbo.optimizer import IterationLog
 from accbo import cli
-from accbo.problems import instance_from_dict, instance_to_json
+from accbo.hypergrad import EstimatorConfig
+from accbo.problems import ARRAY, INSTANCE_KINDS, NOISE, instance_from_dict, \
+    instance_to_json, make_fixture_ridge
+from accbo.snag import DriftProcess, TrackingBoundParams
 
 from conftest import analytic_instances
 
@@ -262,24 +266,108 @@ class TestCommands:
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", [0, 1, -1, 0.5, 1.5, 2.5, math.nan, math.inf])
-@pytest.mark.parametrize("name", list(PRACTICAL_OVERRIDES))
-def test_override_accepted_iff_derive_schedule_accepts(tmp_path, name, value):
-    """accbo refuses an override value as a config error exactly when
-    derive_schedule refuses it: both read the domains of PRACTICAL_OVERRIDES."""
-    overrides = dict(ACCBO_DOC["schedule"]["overrides"], **{name: value})
+# One valid instance document of each kind; ISO_DOC is the isotropic one.
+INSTANCE_DOCS = {
+    "isotropic_quadratic": ISO_DOC,
+    "general_quadratic": {"kind": "general_quadratic", "params": {
+        "H": [[2.0, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]], "b": [0.0, 0.0],
+        "c": [0.0, 0.0], "d": [0.0, 0.0]}},
+    "ridge_weighting": {"kind": "ridge_weighting", "params": {
+        "Z": [[1.0, 0.0]], "y_tr": [0.5], "V": [[0.0, 1.0]], "y_val": [0.5], "c_reg": 0.1}},
+    "exp_upper_toy": {"kind": "exp_upper_toy", "params": {
+        "u": [0.3, -0.2], "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1]}},
+}
+# A theorem schedule for sweep, whose closed forms derive at epsilon 0.05.
+THEOREM_SWEEP = {"instance": ISO_DOC, "option": "one", "epsilons": [0.05],
+                 "schedule": {"mode": "theorem", "delta": 0.05, "d0": 1.0}}
+
+
+def with_entry(doc, keys, value):
+    """A deep copy of doc whose entry at keys (keys of objects, indices of
+    lists) is value."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return doc
+
+
+def field_path(command: str, keys) -> str:
+    """The path that a config error gives for the entry at keys."""
+    return command + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def field_cases():
+    """Each config field that a library record or function reads, as
+    (command, base doc, the field's keys in it, the library's name for the
+    field, the library call, its base keywords, the field's keys in them)."""
+    iso = instance_from_dict(ISO_DOC).constants
+    schedule = lambda kw: derive_schedule(iso, **kw)
+    practical, theorem = ACCBO_DOC["schedule"], dict(THEOREM_SWEEP["schedule"], epsilon=0.05)
+    bias = {"instance": ISO_DOC, "Q_grid": [1], "n_samples": 10}
+    cases = [("accbo", ACCBO_DOC, ("schedule", "overrides", name), f"override {name}",
+              schedule, practical, ("overrides", name)) for name in PRACTICAL_OVERRIDES]
+    cases += [("accbo", ACCBO_DOC, ("schedule", name), name, schedule, practical, (name,))
+              for name in ("delta", "d0", "epsilon")]
+    cases += [("sweep", THEOREM_SWEEP, ("schedule", name), name, schedule, theorem, (name,))
+              for name in ("delta", "d0", "sigma_g1_tilde", "y0_gap")]
+    cases.append(("sweep", THEOREM_SWEEP, ("epsilons", 0), "epsilon", schedule, theorem,
+                  ("epsilon",)))
+    bound = dict(mu=1.0, alpha=0.04, sigma=0.1, T=10, delta_prob=0.05, V0=1.0)
+    cases += [("snag-track", SNAG_DOC, (name,), name, lambda kw: TrackingBoundParams(**kw),
+               bound, (name,)) for name in ("mu", "alpha", "T", "delta_prob", "V0", "sigma")]
+    cases.append(("snag-track", dict(SNAG_DOC, drift={"kind": "random_walk", "delta": 0.01}),
+                  ("drift", "delta"), "delta", lambda kw: DriftProcess(**kw),
+                  {"kind": "random_walk", "delta": 0.01}, ("delta",)))
+    cases.append(("bias", bias, ("Q_grid", 0), "Q", lambda kw: EstimatorConfig(**kw),
+                  {"Q": 1, "S": 1, "l_g1": 1.0}, ("Q",)))
+    for kind, cls in INSTANCE_KINDS.items():
+        doc = dict(bias, instance=INSTANCE_DOCS[kind])
+        cases += [("bias", doc, ("instance", "params", name), name, instance_from_dict,
+                   doc["instance"], ("params", name))
+                  for name, (domain, _) in cls.PARAMS.items() if domain is not ARRAY]
+    cases += [("bias", bias, ("instance", "noise", name), name, instance_from_dict,
+               ISO_DOC, ("noise", name)) for name in NOISE]
+    fixture = lambda kw: make_fixture_ridge(**kw)
+    cases += [("bias", dict(bias, instance={"kind": "fixture_ridge"}), ("instance", name),
+               name, fixture, {}, (name,)) for name in ("c_reg", *NOISE)]
+    return [pytest.param(*case, id=field_path(case[0], case[2])) for case in cases]
+
+
+class Ran(Exception):
+    """Raised in place of a command's run, once the command has built its inputs."""
+
+
+def ran(*args, **kwargs):
+    raise Ran
+
+
+@pytest.mark.parametrize("value", [0, 1, -1, 0.5, 1.5, 2.5, math.nan, math.inf, True,
+                                   10**400],
+                         ids=["0", "1", "-1", "0.5", "1.5", "2.5", "nan", "inf", "True",
+                              "10**400"])
+@pytest.mark.parametrize("command, doc, keys, name, read, kwargs, read_keys", field_cases())
+def test_field_accepted_iff_the_library_accepts(monkeypatch, tmp_path, command, doc, keys,
+                                                name, read, kwargs, read_keys, value):
+    """A command builds its inputs from a config field exactly when the
+    library call that reads the field accepts its value: both check it
+    against one table. A value outside the field's domain is refused at the
+    field's path, in the library's words."""
+    for owner, runner in ((optimizer, "run_accbo"), (snag, "mc_tracking_grid"),
+                          (hypergrad, "empirical_bias_and_variance")):
+        monkeypatch.setattr(owner, runner, ran)
     try:
-        derive_schedule(instance_from_dict(ISO_DOC).constants, 0.05, 0.05, 1.0,
-                        mode="practical", overrides=overrides)
-        derived = True
-    except ConstraintViolation:
-        derived = False
-    try:
-        cmd_accbo(ExperimentConfig("accbo", with_overrides(**{name: value}), tmp_path))
-        checked = True
-    except ConfigError:
-        checked = False
-    assert checked == derived
+        read(with_entry(kwargs, read_keys, value))
+        refusal = None
+    except ConstraintViolation as exc:
+        refusal = str(exc)
+    config = ExperimentConfig(command, with_entry(doc, keys, value), tmp_path / "out")
+    with pytest.raises((ConfigError, ConstraintViolation, Ran)) as outcome:
+        cli._COMMANDS[command](config)
+    assert (outcome.type is Ran) == (refusal is None)
+    if refusal is not None and refusal.startswith(f"{name} must be "):
+        assert str(outcome.value) == f"{field_path(command, keys)}: {refusal[len(name) + 1:]}"
 
 
 class TestInfoLog:
@@ -554,6 +642,15 @@ class TestCli:
         ("snag-track", dict(SNAG_DOC, sigma=[4e153],
                             drift={"kind": "random_walk", "delta": [1e152]}),
          "snag-track: the tracking bound floor of sigma = 4e+153 and delta = 1e+152"),
+        # A size whose arrays do not fit in memory is refused at the command. Each
+        # asks for more than a 47-bit address space, so it fails at once.
+        ("snag-track", dict(SNAG_DOC, T=10**15), "snag-track: Unable to allocate"),
+        ("bias", {"instance": ISO_DOC, "Q_grid": [1], "n_samples": 10**15},
+         "bias: Unable to allocate"),
+        # "An integer >= 1" means one thing everywhere: a count too large for a
+        # double is refused at its own field.
+        ("snag-track", dict(SNAG_DOC, T=10**400),
+         "snag-track.T: must be an integer >= 1, got 1000"),
     ])
     def test_malformed_config_exit_code(self, tmp_path, capsys, command, doc,
                                         field):

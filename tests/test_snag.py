@@ -322,15 +322,10 @@ class TestBounds:
         assert str(table.value) == str(scalar.value)
 
 
-_BOUND = dict(mu=1.0, alpha=0.04, sigma=0.1, T=10, delta_prob=0.05, V0=1.0)
-
-
+# The fields of TrackingBoundParams and DriftProcess that a config sets are
+# checked against NaN, with other values, in tests/test_harness.py's
+# test_field_accepted_iff_the_library_accepts.
 @pytest.mark.parametrize("make", [
-    *(pytest.param(lambda name=name: TrackingBoundParams(**{**_BOUND, name: math.nan}),
-                   id=f"TrackingBoundParams.{name}")
-      for name in ("mu", "alpha", "sigma", "V0")),
-    pytest.param(lambda: DriftProcess(kind="random_walk", delta=math.nan),
-                 id="DriftProcess.delta"),
     pytest.param(lambda: EstimatorConfig(Q=3, S=1, l_g1=math.nan), id="EstimatorConfig.l_g1"),
     pytest.param(lambda: nesterov_momentum(math.nan, 0.04), id="nesterov_momentum.mu"),
     pytest.param(lambda: nesterov_momentum(1.0, math.nan), id="nesterov_momentum.alpha"),
