@@ -49,6 +49,8 @@ ridge_doc    accbo       2   0  -                      {"instance": {"kind": "ri
 refuse_delta accbo       1   0  convergence.json       {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 1.5, "d0": 0.2, "overrides": {"alpha": 0.04, "eta": 0.002, "sigma_g1_tilde": 0.005, "T0": 200, "S": 4, "Q": 1}}}
 refuse_T     snag-track  1   0  tracking.json          {"T": 2.5}
 refuse_mu    accbo       1   0  convergence.json       {"instance": {"kind": "isotropic_quadratic", "params": {"mu": 0, "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1], "c": [0.4, -0.3], "d": [0.2, 0.1], "l_f0": 1.0}, "noise": {"sigma_f1": 0.01, "sigma_g1": 0.001}}}
+# A theorem schedule, derived by the closed forms, that refuses its epsilon.
+refuse_theorem accbo     1   0  convergence.json       {"schedule": {"mode": "theorem", "epsilon": 100, "delta": 0.05, "d0": 0.2}}
 '
 
 rev=${1:?usage: scripts/check_identical.sh <rev>}

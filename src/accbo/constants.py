@@ -203,7 +203,6 @@ class Schedule:
     N: int
     S: int
     Q: int
-    logP: float
     epsilon: float
     delta: float
     d0: float
@@ -342,7 +341,6 @@ def _theorem_schedule(
         N=N,
         S=S,
         Q=Q,
-        logP=logP,
         epsilon=epsilon,
         delta=delta,
         d0=d0,
@@ -371,12 +369,12 @@ def _practical_schedule(
     alpha = ov["alpha"]
     root = math.sqrt(c.mu * alpha)
     sigma_g1_tilde = ov.pop("sigma_g1_tilde", c.sigma_g1)
-    T = ov.get("T", _ceil_int(4.0 * d0 / (ov.get("eta", alpha) * epsilon)))
+    T = ov["T"] if "T" in ov else _ceil_int(4.0 * d0 / (ov.get("eta", alpha) * epsilon))
     # The default of each field that no override sets.
     fields = {"alpha_init": alpha, "beta": 1.0 - c.mu * alpha, "eta": alpha, "tau": root,
               "sigma_g1": root * sigma_g1_tilde, "T": T, "T0": T,
               **dict.fromkeys(("I", "N", "S", "Q"), 1), **ov}
-    return Schedule(**fields, gamma=nesterov_momentum(c.mu, alpha), logP=0.0,
+    return Schedule(**fields, gamma=nesterov_momentum(c.mu, alpha),
                     epsilon=epsilon, delta=delta, d0=d0)
 
 
@@ -398,8 +396,9 @@ def derive_schedule(
     its ``PRACTICAL_OVERRIDES`` domain) and fills in the momentum gamma and
     defaults consistent with the structural identities. A keyword the mode
     does not read, a derived value outside its domain (such as
-    tau = sqrt(mu*alpha) > 1) and a closed form that overflows are refused
-    with ConstraintViolation.
+    tau = sqrt(mu*alpha) > 1) and a closed form that overflows, or that
+    divides by or takes the log of a quantity that underflowed to 0, are
+    refused with ConstraintViolation.
     """
     check_domains({"epsilon": epsilon, "delta": delta, "d0": d0}, SCHEDULE_INPUTS)
     schedules = {"theorem": _theorem_schedule, "practical": _practical_schedule}
@@ -414,3 +413,7 @@ def derive_schedule(
         return make(c, epsilon, delta, d0, **options)
     except OverflowError as exc:
         raise ConstraintViolation(f"the {mode}-mode schedule overflows: {exc}") from None
+    except ConstraintViolation:
+        raise
+    except (ZeroDivisionError, ValueError) as exc:  # x / 0.0, math.log(0.0)
+        raise ConstraintViolation(f"the {mode}-mode schedule underflows: {exc}") from None

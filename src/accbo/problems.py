@@ -114,6 +114,18 @@ def _as_vec(v, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _symmetric_matrix(M, name: str) -> np.ndarray:
+    """M as a new float64 array, refused unless square, finite and symmetric."""
+    arr = np.array(M, dtype=float, ndmin=2)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ConstraintViolation(f"{name} must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConstraintViolation(f"{name} must be finite")
+    if not np.allclose(arr, arr.T):
+        raise ConstraintViolation(f"{name} must be symmetric")
+    return arr
+
+
 # The PARAMS entry of an array parameter, in place of a scalar domain: a
 # finite number or a nested list of them, whose shape the constructor checks.
 ARRAY = "array"
@@ -335,16 +347,12 @@ class GeneralQuadratic(_QuadraticUpper):
                  sigma_g2=0.0):
         noise = self._checked_noise(locals())
         # A read-only copy: hess_yy_g hands it out, and the constants rest on it.
-        self.H = _read_only(np.array(H, dtype=float, ndmin=2))
+        self.H = _read_only(_symmetric_matrix(H, "H"))
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
         self.dim_y = self.H.shape[0]
         self.dim_x = self.C.shape[1]
-        if self.H.shape != (self.dim_y, self.dim_y):
-            raise ConstraintViolation("H must be square")
         if self.C.shape[0] != self.dim_y:
             raise ConstraintViolation("C row count must match H")
-        if not np.allclose(self.H, self.H.T):
-            raise ConstraintViolation("H must be symmetric")
         eigs = np.linalg.eigvalsh(self.H)
         if eigs[0] <= 0:
             raise ConstraintViolation("H must be positive definite")

@@ -7,9 +7,10 @@ runs.
 
 Each tracking rule is written once. A cell is its bound parameters and its
 drift; the drift alone holds the step length delta, and the bound has its
-drift term exactly when the drift moves. ``_cell_inputs`` sets up a cell:
-its start row, its noise scale and its bound at every t, whose V0 is the
-start row's potential. ``_trajectory`` builds a
+drift term exactly when the drift moves. A run's objective is given by its
+Hessian H alone; mu is read only from the bound parameters. ``_cell_inputs``
+checks H and sets up a cell: its start row, its noise scale and its bound at
+every t, whose V0 is the start row's potential. ``_trajectory`` builds a
 run's records from its rows of w and w* with one builder, ``_record_terms``.
 ``run_tracking_experiment`` is the scalar reference, one run with the
 gradient H @ (z - w*) + noise. ``mc_tracking_grid`` carries every
@@ -30,7 +31,7 @@ import numpy as np
 
 from .constants import (COUNT, FRACTION, NONNEGATIVE, POSITIVE, ConstraintViolation,
                         check_domains, nesterov_momentum)
-from .problems import _dot
+from .problems import _as_vec, _dot, _symmetric_matrix
 from .rng import RandomStream
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "snag_step",
     "potential",
     "tracking_bound",
-    "QuadraticFamily",
     "run_tracking_experiment",
     "mc_tracking_grid",
     "mc_tracking_violation_rate",
@@ -105,7 +105,8 @@ def potential(state: SnagState, minimizer: np.ndarray, phi_gap: float, mu: float
 
 @dataclass(frozen=True)
 class TrackingBoundParams:
-    """Inputs of the high-probability tracking bound, but for the drift's delta."""
+    """Inputs of the high-probability tracking bound, but for the drift's delta.
+    mu is also the run's: its momentum, start row and eigenvalue floor."""
 
     mu: float
     alpha: float
@@ -261,27 +262,6 @@ class DriftProcess:
         return rows
 
 
-@dataclass(frozen=True)
-class QuadraticFamily:
-    """Drifting quadratic objectives phi_t(w) = 0.5*(w - w*_t)' H (w - w*_t).
-
-    H = mu*I is the isotropic case required by the with-drift bound.
-    """
-
-    mu: float
-    dim: int
-    hessian: tuple[tuple[float, ...], ...] | None = None
-
-    def matrix(self) -> np.ndarray:
-        if self.hessian is None:
-            return self.mu * np.eye(self.dim)
-        H = np.asarray(self.hessian, dtype=float)
-        eigs = np.linalg.eigvalsh(H)
-        if eigs[0] < self.mu - 1e-12:
-            raise ConstraintViolation("hessian eigenvalues below mu")
-        return H
-
-
 def _record_terms(w, w_prev, wstar, H: np.ndarray, s: float, alpha: float):
     """(V, phi_gap, dist) of stacked rows of w, w_prev and w*, each row with
     the arithmetic of potential(), 0.5 * float(e @ H @ e) and
@@ -307,57 +287,65 @@ def _trajectory(w: np.ndarray, wstar: np.ndarray, bounds: np.ndarray, H: np.ndar
                 V.tolist(), bounds.tolist(), dist.tolist(), gap.tolist()))]
 
 
-def _cell_inputs(family: QuadraticFamily, p: TrackingBoundParams, drift: DriftProcess,
+def _cell_inputs(H: np.ndarray, p: TrackingBoundParams, drift: DriftProcess,
                  w0: np.ndarray | None = None):
-    """Bound at every t in [0, T], start row and noise scale of one tracking
-    cell, whose minimizer starts at 0. The default start row is offset along
-    the first coordinate so that its potential is p.V0; the bound's V0 is the
-    potential of the start row as its record computes it, and entry t is
-    tracking_bound(p, drift, t) with that V0, bit for bit. A family whose mu
-    is not p.mu, and a potential that is not finite (V0 / mu overflows the
-    start row, or the potential's sums overflow), are refused."""
-    if family.mu != p.mu:
-        raise ConstraintViolation(f"the family's mu = {family.mu!r} is not the bound's "
-                                  f"mu = {p.mu!r}")
-    if drift.moves and family.hessian is not None:
-        raise ConstraintViolation("the with-drift bound is stated for isotropic quadratics only")
+    """Bound at every t in [0, T], H as a new float64 array, start row and
+    noise scale of one tracking cell, whose minimizer starts at 0. H must be
+    square, finite, symmetric, with no eigenvalue below p.mu - 1e-12, and
+    p.mu * I when the drift moves; w0 (dim,), by default offset along the
+    first coordinate so that its potential is p.V0. The bound's V0 is the
+    start row's potential as its record computes it, and entry t is
+    tracking_bound(p, drift, t) with that V0, bit for bit. A potential that
+    is not finite (V0 / mu overflows the start row, or its sums overflow) is
+    refused."""
+    H = _symmetric_matrix(H, "H")
+    dim = len(H)
+    # mu * I has no eigenvalue below mu, though eigvalsh may round one of
+    # its own below mu - 1e-12 (at mu = 1e300 in dim 2).
+    isotropic = np.array_equal(H, p.mu * np.eye(dim))
+    if not isotropic and np.linalg.eigvalsh(H)[0] < p.mu - 1e-12:
+        raise ConstraintViolation(f"H has an eigenvalue below mu = {p.mu!r}")
+    if drift.moves and not isotropic:
+        raise ConstraintViolation("the with-drift bound is stated for H = mu*I only")
     if w0 is None:
-        w0 = np.zeros(family.dim)
-        w0[0] = math.sqrt(p.V0 / family.mu)  # +0.0 when V0 = 0
+        w0 = np.zeros(dim)
+        w0[0] = math.sqrt(p.V0 / p.mu)  # +0.0 when V0 = 0
+    else:
+        w0 = _as_vec(w0, dim, "w0")
     with np.errstate(over="ignore", invalid="ignore"):
-        V0 = float(_record_terms(w0, w0, np.zeros_like(w0), family.matrix(),
-                                 math.sqrt(family.mu * p.alpha), p.alpha)[0])
+        V0 = float(_record_terms(w0, w0, np.zeros_like(w0), H,
+                                 math.sqrt(p.mu * p.alpha), p.alpha)[0])
     if not math.isfinite(V0):
-        raise ConstraintViolation(f"V0 = {p.V0!r} at mu = {family.mu!r} gives a start "
+        raise ConstraintViolation(f"V0 = {p.V0!r} at mu = {p.mu!r} gives a start "
                                   f"row or potential that is not finite")
     rate, floor = _rate_and_floor(p, drift)
     bounds = np.fromiter((_decay(rate, t) * V0 + floor for t in range(p.T + 1)),
                          float, p.T + 1)
-    return bounds, w0, p.sigma / math.sqrt(8.0 * family.dim)
+    return bounds, H, w0, p.sigma / math.sqrt(8.0 * dim)
 
 
 def run_tracking_experiment(
-    family: QuadraticFamily,
+    H: np.ndarray,
     drift: DriftProcess,
     p: TrackingBoundParams,
     stream: RandomStream,
     w0: np.ndarray | None = None,
 ) -> list[dict]:
-    """Run SNAG against the drifting family, whose minimizer starts at 0, and
-    log potential vs bound per step.
+    """Run SNAG against phi_t(w) = 0.5 * (w - w*_t)' H (w - w*_t), whose
+    minimizer starts at 0 and moves by the drift, and log potential vs bound
+    per step. H (dim, dim) and w0 (dim,) follow _cell_inputs' rules.
 
     Returns one record per t in [0, T] with keys t, V, bound, dist, phi_gap.
     """
-    dim = family.dim
-    bounds, w0, scale = _cell_inputs(family, p, drift, w0)
+    bounds, H, w0, scale = _cell_inputs(H, p, drift, w0)
+    dim = len(H)
     steps = drift.displacements(p.T, dim, stream)
     # All noise for the run is drawn up front from one sub-stream (row t is
     # the step-t sample); this is equivalent to per-step draws but avoids
     # deriving T generators.
     noise = (_noise_rows(scale, _unit_tape(stream, _NOISE, p.T, dim))
              if p.sigma > 0.0 else np.zeros((p.T, dim)))
-    H = family.matrix()
-    state = SnagState.initial(w0, p.alpha, family.mu)
+    state = SnagState.initial(w0, p.alpha, p.mu)
     w = np.empty((p.T + 1, dim))
     wstar = np.zeros((p.T + 1, dim))
     w[0] = state.w
@@ -370,7 +358,7 @@ def run_tracking_experiment(
         state = snag_step(state, grad, stream)
         w[t + 1] = state.w
         wstar[t + 1] = ws + steps[t]
-    return _trajectory(w, wstar, bounds, H, math.sqrt(family.mu * p.alpha), p.alpha)
+    return _trajectory(w, wstar, bounds, H, math.sqrt(p.mu * p.alpha), p.alpha)
 
 
 def mc_tracking_grid(
@@ -384,10 +372,11 @@ def mc_tracking_grid(
     cell's bound; and seed 0's trajectory of each cell.
 
     Seed k of every cell reproduces run_tracking_experiment on the isotropic
-    family QuadraticFamily(mu, dim), with the default start, on the stream
-    (base_seed, "mc", k). Cells may differ in sigma, delta_prob, V0 and drift
-    (its kind and delta), and each keeps the bound table and start row of
-    _cell_inputs; they must share mu, alpha and T. One SNAG state carries
+    Hessian H = mu * np.eye(dim), with the default start, on the stream
+    (base_seed, "mc", k); n_seeds and dim are integers >= 1. Cells may
+    differ in sigma, delta_prob, V0 and drift (its kind and delta), and each
+    keeps the bound table and start row of _cell_inputs; they must share
+    mu, alpha and T. One SNAG state carries
     every (cell, seed) row, laid out coordinate-major: w, w_prev and w* are
     (dim, n_cells, n_seeds) arrays, so a sum over the coordinates adds
     contiguous planes. Per seed, one unit noise tape and one unit walk
@@ -414,16 +403,14 @@ def mc_tracking_grid(
     them and cell c's float64 bound table with _trajectory the records that
     run_tracking_experiment returns for cell c on stream (base_seed, "mc", 0).
     """
-    if n_seeds < 1:
-        raise ConstraintViolation("n_seeds must be >= 1")
+    check_domains({"n_seeds": n_seeds, "dim": dim}, dict.fromkeys(("n_seeds", "dim"), COUNT))
     if not cells:
         raise ConstraintViolation("a tracking grid needs at least one cell")
     first = cells[0][0]
     mu, alpha, T = first.mu, first.alpha, first.T
     if any((p.mu, p.alpha, p.T) != (mu, alpha, T) for p, _ in cells):
         raise ConstraintViolation("the cells of a tracking grid must share mu, alpha and T")
-    family = QuadraticFamily(mu=mu, dim=dim)
-    H = family.matrix()
+    H = mu * np.eye(dim)
     root = RandomStream(base_seed)
     n_cells = len(cells)
     # Seed-independent inputs of each cell. Random-walk cells that move have
@@ -440,7 +427,7 @@ def mc_tracking_grid(
             walk[c] = drift.delta
         elif drift.moves:
             still[0, c] = drift.delta
-        bounds[c], w0[c], scale[c] = _cell_inputs(family, p, drift)
+        bounds[c], _, w0[c], scale[c] = _cell_inputs(H, p, drift)
     fixed = still.any()
 
     # Unit tape planes (dim, 1, n_seeds), step by step: each broadcasts over

@@ -42,7 +42,6 @@ from accbo.problems import IsotropicQuadratic
 from accbo.rng import RandomStream
 from accbo.snag import (
     DriftProcess,
-    QuadraticFamily,
     TrackingBoundParams,
     mc_tracking_violation_rate,
     run_tracking_experiment,
@@ -63,14 +62,11 @@ def _report(n: int, ok: bool, detail: str) -> None:
 def test_criterion_1_deterministic_contraction():
     # 10-d anisotropic quadratic, eigenvalues 1..10, alpha = 1/250, no noise,
     # no drift: V_{t+1} <= (1 - sqrt(mu*alpha)) * V_t + 1e-12 at every step.
-    family = QuadraticFamily(
-        mu=1.0, dim=10, hessian=tuple(map(tuple, np.diag(np.arange(1.0, 11.0))))
-    )
     p = TrackingBoundParams(
         mu=1.0, alpha=1.0 / 250.0, sigma=0.0, T=2000, delta_prob=0.05, V0=0.0,
     )
     logs = run_tracking_experiment(
-        family, DriftProcess(), p, RandomStream(0),
+        np.diag(np.arange(1.0, 11.0)), DriftProcess(), p, RandomStream(0),
         w0=np.ones(10),
     )
     V = np.array([rec["V"] for rec in logs])

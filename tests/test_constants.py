@@ -206,6 +206,29 @@ class TestSchedule:
         with pytest.raises(ConstraintViolation, match="theorem-mode schedule overflows"):
             derive_schedule(c, 0.01, 0.05, 1.0, mode="theorem", sigma_g1_tilde=1e160)
 
+    def test_practical_T_override_skips_the_derived_T(self):
+        # eta * epsilon underflows to 0: the derived T would divide by it, but
+        # a T override means it is never derived.
+        c = ProblemConstants(mu=1.0, l_g1=1.0, Lx0=1.0)
+        s = derive_schedule(c, 1e-200, 0.05, 0.2, mode="practical",
+                            overrides={"alpha": 0.04, "eta": 1e-200, "T": 5, "T0": 5})
+        assert (s.T, s.T0) == (5, 5)
+        with pytest.raises(ConstraintViolation, match="^the practical-mode schedule "
+                                                      "underflows: float division by zero$"):
+            derive_schedule(c, 1e-200, 0.05, 0.2, mode="practical",
+                            overrides={"alpha": 0.04, "eta": 1e-200})
+
+    @pytest.mark.parametrize("epsilon, error", [
+        (1e-110, "float division by zero"),  # epsilon**3 in P
+        (1e-40, "math domain error"),  # the log in T0 of mu**3 * alpha**3 * epsilon**2
+    ])
+    def test_theorem_underflow_refused(self, epsilon, error):
+        c = ProblemConstants(mu=1.0, l_g1=1.0, l_f0=1.0, Lx0=1.0, Ly0=1.0,
+                             sigma_f1=0.01, sigma_g1=0.001)
+        with pytest.raises(ConstraintViolation,
+                           match=f"^the theorem-mode schedule underflows: {error}$"):
+            derive_schedule(c, epsilon, 0.05, 0.2)
+
     def test_invalid_inputs(self):
         c = ProblemConstants(mu=1.0, l_g1=1.0, Lx0=1.0)
         with pytest.raises(ConstraintViolation):

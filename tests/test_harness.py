@@ -608,6 +608,11 @@ class TestCli:
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
                    "schedule": dict(SWEEP_SCHEDULE, overrides={"alpha": 4.0})},
          "sweep.schedule: beta must be"),
+        # A closed form that divides by a quantity that underflowed to 0.
+        ("accbo", with_schedule(epsilon=1e-200, overrides={"alpha": 0.04, "eta": 1e-200}),
+         "accbo.schedule: the practical-mode schedule underflows: float division by zero"),
+        ("accbo", dict(ACCBO_DOC, schedule=dict(THEOREM_SCHEDULE, epsilon=1e-110)),
+         "accbo.schedule: the theorem-mode schedule underflows: float division by zero"),
         # A sigma or drift delta whose bound floor is not finite is refused by path.
         ("snag-track", dict(SNAG_DOC, sigma=[1e160]), "snag-track.sigma[0]"),
         ("snag-track", dict(SNAG_DOC, sigma=[0.1, 1.3e154]), "snag-track.sigma[1]"),
@@ -662,6 +667,16 @@ class TestCli:
         assert field in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_underflowing_derived_T_unused_with_a_T_override(self, tmp_path, capsys):
+        # eta * epsilon underflows to 0, but T is given, so it is never divided by.
+        doc = with_schedule(epsilon=1e-200, overrides={"alpha": 0.04, "eta": 1e-200,
+                                                       "T": 5, "T0": 5})
+        path = write_config(tmp_path, doc)
+        rc = cli.main(["accbo", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "out" / "accbo_summary.json").exists()
 
     def test_overflowing_momentum_exit_code(self, tmp_path, capsys):
         # Momentum entries near 1e160 are finite, but their norm overflows.

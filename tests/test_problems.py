@@ -375,6 +375,15 @@ class TestValidation:
             GeneralQuadratic([[1.0, 0.5], [0.0, 1.0]], np.eye(2),
                              b=[0, 0], c=[0, 0], d=[0, 0])
 
+    @pytest.mark.parametrize("H, match", [
+        ([[1.0, math.nan], [math.nan, 1.0]], "H must be finite"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "H must be square, got shape \\(2, 3\\)"),
+    ])
+    def test_malformed_hessian_named(self, H, match):
+        # The rule run_tracking_experiment applies to its H too.
+        with pytest.raises(ConstraintViolation, match=match):
+            GeneralQuadratic(H, np.eye(2), b=[0, 0], c=[0, 0], d=[0, 0])
+
     def test_indefinite_hessian_rejected(self):
         with pytest.raises(ConstraintViolation):
             GeneralQuadratic([[1.0, 0.0], [0.0, -1.0]], np.eye(2),

@@ -18,7 +18,6 @@ from accbo.snag import (
     DRIFT_KINDS,
     DriftProcess,
     NumericalAbort,
-    QuadraticFamily,
     SnagState,
     TrackingBoundParams,
     mc_tracking_grid,
@@ -288,18 +287,19 @@ class TestBounds:
         p = TrackingBoundParams(mu=mu, alpha=alpha, sigma=sigma, T=T,
                                 delta_prob=delta_prob, V0=V0)
         drift = DriftProcess(kind=kind, delta=0.0 if kind == "none" else delta)
-        family = QuadraticFamily(mu, dim)
+        H = mu * np.eye(dim)
         w0 = np.zeros(dim)
         w0[0] = math.sqrt(V0 / mu)
         with np.errstate(over="ignore", invalid="ignore"):
             # The table's V0 is the start row's potential as its record computes it.
-            V0_row = float(_record_terms(w0, w0, np.zeros(dim), family.matrix(),
+            V0_row = float(_record_terms(w0, w0, np.zeros(dim), H,
                                          math.sqrt(mu * alpha), alpha)[0])
         if not math.isfinite(V0_row):  # V0 / mu or the potential overflows
             with pytest.raises(ConstraintViolation, match="V0 = "):
-                _cell_inputs(family, p, drift)
+                _cell_inputs(H, p, drift)
             return
-        table, w0_cell, _ = _cell_inputs(family, p, drift)
+        table, H_cell, w0_cell, _ = _cell_inputs(H, p, drift)
+        assert H_cell.tobytes() == H.tobytes()
         assert w0_cell.tobytes() == w0.tobytes()
         q = replace(p, V0=V0_row)
         assert table.dtype == np.float64 and table.shape == (T + 1,)
@@ -316,7 +316,7 @@ class TestBounds:
         with pytest.raises(NumericalAbort) as scalar:
             tracking_bound(p, drift, 1751)
         with pytest.raises(NumericalAbort) as table:
-            _cell_inputs(QuadraticFamily(1.0, 2), p, drift)
+            _cell_inputs(np.eye(2), p, drift)
         assert str(scalar.value) == "tracking bound overflows at t=1751: " \
             "1 - sqrt(mu*alpha)/4 = -1.5"
         assert str(table.value) == str(scalar.value)
@@ -376,7 +376,7 @@ class TestTrackingExperiment:
 
     def test_initial_record_has_requested_potential(self):
         p = self.make_params()
-        logs = run_tracking_experiment(QuadraticFamily(1.0, 2),
+        logs = run_tracking_experiment(np.eye(2),
                                        DriftProcess(), p, RandomStream(0))
         assert logs[0]["t"] == 0
         assert logs[0]["V"] == pytest.approx(p.V0, rel=1e-12)
@@ -384,30 +384,53 @@ class TestTrackingExperiment:
 
     def test_noiseless_run_stays_below_bound(self):
         p = self.make_params(sigma=0.0)
-        logs = run_tracking_experiment(QuadraticFamily(1.0, 2),
+        logs = run_tracking_experiment(np.eye(2),
                                        DriftProcess(), p, RandomStream(0))
         assert all(rec["V"] <= rec["bound"] + 1e-12 for rec in logs)
         assert logs[-1]["V"] < 1e-6  # converged
 
-    def test_drift_rejected_for_anisotropic_family(self):
-        fam = QuadraticFamily(1.0, 2, hessian=((2.0, 0.0), (0.0, 1.0)))
-        with pytest.raises(ConstraintViolation):
-            run_tracking_experiment(fam, DriftProcess(kind="random_walk", delta=0.01),
-                                    self.make_params(), RandomStream(0))
+    @pytest.mark.parametrize("H", [np.diag([2.0, 1.0]), 2.0 * np.eye(2)],
+                             ids=["anisotropic", "not_mu_I"])
+    def test_drift_needs_mu_times_identity(self, H):
+        # The with-drift bound is stated for H = mu*I, with the bound's mu.
+        for kind in ("fixed_direction", "random_walk"):
+            with pytest.raises(ConstraintViolation, match="stated for H = mu\\*I only"):
+                run_tracking_experiment(H, DriftProcess(kind=kind, delta=0.01),
+                                        self.make_params(), RandomStream(0))
+        # A drift that does not move takes any H whose eigenvalues are >= mu.
+        run_tracking_experiment(H, DriftProcess(kind="random_walk", delta=0.0),
+                                self.make_params(T=5), RandomStream(0))
 
-    def test_family_mu_must_be_the_bounds_mu(self):
-        # Nesterov's gamma and the start row read the family's mu, the bound
-        # reads the bound parameters' mu: a run needs the two to be one.
-        with pytest.raises(ConstraintViolation,
-                           match="the family's mu = 4.0 is not the bound's mu = 1.0"):
-            run_tracking_experiment(QuadraticFamily(4.0, 2), DriftProcess(),
-                                    self.make_params(), RandomStream(0))
+    @pytest.mark.parametrize("H, w0, match", [
+        ([[2.0, 1.0], [0.0, 1.0]], None, "H must be symmetric"),
+        (np.ones((3, 2)), None, "H must be square, got shape \\(3, 2\\)"),
+        (np.ones((2, 2, 2)), None, "H must be square"),
+        ([[1.0, math.nan], [math.nan, 1.0]], None, "H must be finite"),
+        ([[math.inf, 0.0], [0.0, 1.0]], None, "H must be finite"),
+        (np.diag([2.0, 0.5]), None, "H has an eigenvalue below mu = 1.0"),
+        (np.eye(3), np.ones(2), "w0 must have shape \\(3,\\), got \\(2,\\)"),
+        (np.eye(2), np.ones((2, 1)), "w0 must have shape \\(2,\\)"),
+    ], ids=["nonsymmetric", "3x2", "3d", "nan", "inf", "eigenvalue_below_mu",
+            "w0_length", "w0_2d"])
+    def test_malformed_hessian_or_start_refused(self, H, w0, match):
+        for drift in (DriftProcess(), DriftProcess(kind="random_walk", delta=0.01)):
+            with pytest.raises(ConstraintViolation, match=match):
+                run_tracking_experiment(H, drift, self.make_params(), RandomStream(0),
+                                        w0=w0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_huge_mu_times_identity_accepted(self, dim):
+        # eigvalsh rounds an eigenvalue of 1e300 * I below 1e300 in dim 2.
+        p = self.make_params(mu=1e300, alpha=1e-302, T=3)
+        walk = DriftProcess(kind="random_walk", delta=0.01)
+        logs = run_tracking_experiment(1e300 * np.eye(dim), walk, p, RandomStream(0))
+        assert len(logs) == 4
 
     def test_run_is_deterministic(self):
         p = self.make_params()
-        a = run_tracking_experiment(QuadraticFamily(1.0, 2), DriftProcess(), p,
+        a = run_tracking_experiment(np.eye(2), DriftProcess(), p,
                                     RandomStream(3))
-        b = run_tracking_experiment(QuadraticFamily(1.0, 2), DriftProcess(), p,
+        b = run_tracking_experiment(np.eye(2), DriftProcess(), p,
                                     RandomStream(3))
         assert a == b
 
@@ -415,7 +438,7 @@ class TestTrackingExperiment:
         # With shared seeds, the late-run average potential grows with sigma.
         def tail_avg(sigma, seed):
             p = self.make_params(sigma=sigma, T=400)
-            logs = run_tracking_experiment(QuadraticFamily(1.0, 2),
+            logs = run_tracking_experiment(np.eye(2),
                                            DriftProcess(), p, RandomStream(seed))
             return np.mean([rec["V"] for rec in logs[-100:]])
 
@@ -457,7 +480,7 @@ class TestMonteCarloGrid:
         for (p, drift), rate in zip(self.CELLS, rates):
             exceeded = 0
             for k in range(n_seeds):
-                logs = run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+                logs = run_tracking_experiment(np.eye(2), drift, p,
                                                RandomStream(5).child("mc", k))
                 exceeded += any(map(_violates, logs))
             assert rate == exceeded / n_seeds
@@ -511,7 +534,7 @@ class TestMonteCarloGrid:
         for (p, drift), rate in zip(self.CELLS_8, rates):
             exceeded = sum(
                 any(map(_violates, run_tracking_experiment(
-                    QuadraticFamily(1.0, 8), drift, p, RandomStream(5).child("mc", k))))
+                    np.eye(8), drift, p, RandomStream(5).child("mc", k))))
                 for k in range(n_seeds))
             assert rate == exceeded / n_seeds
 
@@ -520,6 +543,32 @@ class TestMonteCarloGrid:
     def test_cells_must_share_mu_alpha_and_T(self, other):
         with pytest.raises(ConstraintViolation):
             mc_tracking_grid([self.CELLS[0], (other, DriftProcess())], 2)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_seeds", 0), ("n_seeds", 2.5), ("n_seeds", True), ("dim", 0), ("dim", 2.0),
+        ("dim", -1)])
+    def test_seeds_and_dim_are_counts(self, name, value):
+        args = {"n_seeds": 2, "dim": 2, name: value}
+        with pytest.raises(ConstraintViolation,
+                           match=f"^{name} must be an integer >= 1, got {value!r}$"):
+            mc_tracking_grid(self.CELLS, **args)
+
+    def test_random_walk_on_explicit_mu_identity_is_the_reference(self):
+        # The reference given H = mu*I itself, with a drift that walks: the
+        # grid's rates and records are its runs', bit for bit.
+        mu, dim, n_seeds = 0.7, 3, 6
+        p = _grid_params(mu=mu, alpha=3.25 / mu, T=120)
+        drift = DriftProcess(kind="random_walk", delta=0.4)
+        rates, trajectories = mc_tracking_grid([(p, drift)], n_seeds, dim=dim, base_seed=5)
+        runs = [run_tracking_experiment(np.diag([mu] * dim), drift, p,
+                                        RandomStream(5).child("mc", k))
+                for k in range(n_seeds)]
+        records = trajectories[0]()
+        assert records == runs[0]
+        for key in ("V", "bound", "dist", "phi_gap"):
+            assert _bits([r[key] for r in records]) == _bits([r[key] for r in runs[0]])
+        assert rates == [sum(any(map(_violates, logs)) for logs in runs) / n_seeds]
+        assert 0.0 < rates[0] < 1.0
 
 
 class TestTapeBlocks:
@@ -552,7 +601,7 @@ class TestTapeBlocks:
         assert _bits(blocked_rates) == _bits(rates)
         for (p, drift), rate, trajectory, expected in zip(cells, blocked_rates,
                                                           trajectories, one_block):
-            runs = [run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+            runs = [run_tracking_experiment(np.eye(2), drift, p,
                                             RandomStream(5).child("mc", k))
                     for k in range(n_seeds)]
             records = trajectory()
@@ -602,7 +651,7 @@ class TestOverflow:
         p = _grid_params(alpha=100.0, T=400)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalAbort) as reference:
-                run_tracking_experiment(QuadraticFamily(1.0, dim), drift, p,
+                run_tracking_experiment(np.eye(dim), drift, p,
                                         RandomStream(5).child("mc", 0))
             with pytest.raises(NumericalAbort) as grid:
                 mc_tracking_grid([(p, drift)], 1, dim=dim, base_seed=5)
@@ -617,7 +666,7 @@ class TestOverflow:
         p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.0, T=320, delta_prob=0.05,
                                 V0=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            logs = run_tracking_experiment(QuadraticFamily(1.0, 2), DriftProcess(), p,
+            logs = run_tracking_experiment(np.eye(2), DriftProcess(), p,
                                            RandomStream(0).child("mc", 0))
             rates, trajectories = mc_tracking_grid([(p, DriftProcess())], 2, dim=2)
             records = trajectories[0]()
@@ -635,7 +684,7 @@ class TestOverflow:
         p = TrackingBoundParams(mu=1.0, alpha=100.0, sigma=0.0, T=14, delta_prob=0.05,
                                 V0=1e306)
         with np.errstate(over="ignore", invalid="ignore"):
-            logs = run_tracking_experiment(QuadraticFamily(1.0, dim), DriftProcess(), p,
+            logs = run_tracking_experiment(np.eye(dim), DriftProcess(), p,
                                            RandomStream(0).child("mc", 0))
             rates, _ = mc_tracking_grid([(p, DriftProcess())], 1, dim=dim)
         assert math.isfinite(logs[0]["V"])
@@ -651,7 +700,7 @@ class TestOverflow:
                                 V0=1.0)
         drift = DriftProcess(kind="random_walk", delta=delta) if delta else DriftProcess()
         for run in (lambda: tracking_bound(p, drift, 0),
-                    lambda: run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+                    lambda: run_tracking_experiment(np.eye(2), drift, p,
                                                     RandomStream(0).child("mc", 0)),
                     lambda: mc_tracking_grid([(p, drift)], 1)):
             with pytest.raises(ConstraintViolation, match="floor of sigma"):
@@ -680,7 +729,7 @@ class TestOverflow:
     def test_bound_overflow_aborts_grid_and_reference_alike(self, drift):
         p = _grid_params(alpha=100.0, T=2000)
         with pytest.raises(NumericalAbort) as reference:
-            run_tracking_experiment(QuadraticFamily(1.0, 2), drift, p,
+            run_tracking_experiment(np.eye(2), drift, p,
                                     RandomStream(5).child("mc", 0))
         with pytest.raises(NumericalAbort) as grid:
             mc_tracking_grid([(p, drift)], 1, dim=2, base_seed=5)
@@ -733,7 +782,7 @@ class TestSeedZeroTrajectories:
         cells = self.cells(mu, dim, T)
         _, trajectories = mc_tracking_grid(cells, 3, dim=dim, base_seed=4)
         for (p, drift), trajectory in zip(cells, trajectories):
-            expected = run_tracking_experiment(QuadraticFamily(mu, dim), drift, p,
+            expected = run_tracking_experiment(mu * np.eye(dim), drift, p,
                                                RandomStream(4).child("mc", 0))
             records = trajectory()
             assert records == expected
@@ -755,7 +804,7 @@ class TestSeedZeroTrajectories:
                 p = TrackingBoundParams(mu=0.7, alpha=0.04, sigma=sigma, T=40,
                                         delta_prob=0.05, V0=1.0)
                 reference = DriftProcess(kind=drift["kind"], delta=delta)
-                records = run_tracking_experiment(QuadraticFamily(0.7, 3), reference, p,
+                records = run_tracking_experiment(0.7 * np.eye(3), reference, p,
                                                   RandomStream(9).child("mc", 0))
                 name = f"track_sigma{float(sigma):.17g}_delta{float(delta):.17g}.csv"
                 write_csv(records, tmp_path / name, TRAJECTORY_COLUMNS)
