@@ -180,10 +180,16 @@ def _refused_at(ctx: str):
 
 
 def array(value, ctx: str):
-    """A finite number, or a non-empty list of arrays: nested to any depth."""
-    if isinstance(value, list):
-        return list_of(array)(value, ctx)
-    return finite(value, ctx)
+    """A finite number, or a non-empty list of arrays of one shape: a
+    rectangular array of any depth."""
+    if not isinstance(value, list):
+        return finite(value, ctx)
+    rows = list_of(array)(value, ctx)
+    for i, row in enumerate(rows):
+        if np.shape(row) != np.shape(rows[0]):
+            raise ConfigError(f"{ctx}[{i}]: must have the shape {np.shape(rows[0])} "
+                              f"of entry 0, got {row!r}")
+    return rows
 
 
 def load_config(path: str | Path) -> dict:
@@ -298,13 +304,6 @@ def _point(value, inst: problems.BilevelInstance, ctx: str):
     return np.asarray(value, dtype=float)
 
 
-def _check_option(option: str, inst, algorithms: list[str], ctx: str) -> None:
-    """Refuse an option where run_accbo would, before any output is written."""
-    if "accbo" in algorithms:
-        with _refused_at(ctx):
-            optimizer.check_option(inst, option)
-
-
 # Runners by algorithm name, each called as (inst, schedule, option, stream,
 # x0). The library functions are looked up on their modules at call time.
 _RUNNERS = {
@@ -313,6 +312,24 @@ _RUNNERS = {
     "plain_momentum": lambda inst, schedule, option, stream, x0:
         baselines.run_plain_momentum_bilevel(inst, schedule, stream, x0=x0),
 }
+# Each runner's oracle calls per iteration, called as (inst, schedule, option).
+_SAMPLINGS = {
+    "accbo": optimizer.accbo_sampling,
+    "plain_momentum": lambda inst, schedule, option: baselines.SAMPLING,
+}
+
+
+def _check_runs(inst, schedules, option: str, algorithms: list[str], cmd: str) -> None:
+    """Refuse, before any output is written, what a runner refuses before its
+    warm start: an option it cannot run, at <cmd>.option, and a schedule whose
+    oracle calls the count columns cannot hold, at <cmd>.schedule."""
+    for algorithm in algorithms:
+        for schedule in schedules:
+            with _refused_at(f"{cmd}.option"):
+                sampling = _SAMPLINGS[algorithm](inst, schedule, option)
+            with _refused_at(f"{cmd}.schedule"):
+                optimizer.check_budget(sampling, schedule)
+
 
 # The schedule object of accbo and sweep is tagged by its mode. Each mode's
 # table holds, epsilon aside, the keyword arguments of derive_schedule that
@@ -491,7 +508,7 @@ def cmd_accbo(config: ExperimentConfig) -> int:
     with _refused_at("accbo.schedule"):
         schedule = derive_schedule(inst.constants, **doc["schedule"])
     x0 = _point(doc["x0"], inst, "accbo.x0")
-    _check_option(doc["option"], inst, [algorithm], "accbo.option")
+    _check_runs(inst, [schedule], doc["option"], [algorithm], "accbo")
     run = _RUNNERS[algorithm]
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -537,11 +554,11 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     doc = parse(config.params, SWEEP, "sweep")
     inst, epsilons, algorithms = doc["instance"], doc["epsilons"], doc["algorithms"]
     x0 = _point(doc["x0"], inst, "sweep.x0")
-    _check_option(doc["option"], inst, algorithms, "sweep.option")
     runners = [_RUNNERS[a] for a in algorithms]
     with _refused_at("sweep.schedule"):
         schedules = [derive_schedule(inst.constants, **doc["schedule"], epsilon=eps)
                      for eps in epsilons]
+    _check_runs(inst, schedules, doc["option"], algorithms, "sweep")
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     table = []

@@ -146,8 +146,9 @@ def empirical_bias_and_variance(
     for k, st in enumerate(stream.children("mc", n_samples)):
         draws[k] = estimate_hypergradient(inst, x, ystar, cfg, st)
     mean = draws.mean(axis=0)
-    var_est = float(np.mean(np.sum((draws - mean) ** 2, axis=1)))
-    bias_est = float(np.linalg.norm(mean - inst.true_hypergradient(x)))
+    with np.errstate(over="ignore"):
+        var_est = float(np.mean(np.sum((draws - mean) ** 2, axis=1)))
+        bias_est = float(np.linalg.norm(mean - inst.true_hypergradient(x)))
     se = math.sqrt(var_est / n_samples)
     if not all(map(math.isfinite, (bias_est, var_est, se))):
         raise NumericalAbort(f"bias {bias_est!r}, variance {var_est!r} or standard "

@@ -13,6 +13,7 @@ averaging.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,53 +25,20 @@ from .rng import RandomStream
 from .snag import NumericalAbort, SnagState, snag_step
 
 __all__ = [
-    "CountingOracles",
     "IterationLog",
+    "Sampling",
+    "oracle_counts",
+    "check_budget",
+    "accbo_sampling",
     "warm_start",
     "average_step",
     "momentum_update",
     "upper_step",
-    "check_option",
     "run_accbo",
 ]
 
 # Most iterations whose diagnostics are computed in one pass.
 _BLOCK = 1024
-
-
-class CountingOracles:
-    """Wraps an instance, counting stochastic oracle calls by kind."""
-
-    def __init__(self, inst):
-        self.inst = inst
-        self.calls = {"g1": 0, "f": 0, "jvp": 0, "hvp": 0}
-
-    def __getattr__(self, name):
-        return getattr(self.inst, name)
-
-    def stoch_grad_y_g(self, x, y, stream):
-        self.calls["g1"] += 1
-        return self.inst.stoch_grad_y_g(x, y, stream)
-
-    def stoch_grad_x_f(self, x, y, stream):
-        self.calls["f"] += 1
-        return self.inst.stoch_grad_x_f(x, y, stream)
-
-    def stoch_grad_y_f(self, x, y, stream):
-        self.calls["f"] += 1
-        return self.inst.stoch_grad_y_f(x, y, stream)
-
-    def stoch_jvp_xy_g(self, x, y, v, stream):
-        self.calls["jvp"] += 1
-        return self.inst.stoch_jvp_xy_g(x, y, v, stream)
-
-    def stoch_hvp_yy_g(self, x, y, v, stream):
-        self.calls["hvp"] += 1
-        return self.inst.stoch_hvp_yy_g(x, y, v, stream)
-
-    @property
-    def total_calls(self) -> int:
-        return sum(self.calls.values())
 
 
 @dataclass
@@ -92,6 +60,48 @@ class IterationLog:
     @property
     def total_calls(self) -> int:
         return self.calls_g1 + self.calls_jvp + self.calls_hvp + self.calls_f
+
+
+# A runner's oracle calls: a lower-level round of `steps` gradient calls at each
+# t that `every` divides (t = 0 only if `at_zero`), and k estimates at each t > 0.
+Sampling = namedtuple("Sampling", "steps every at_zero k")
+
+
+def oracle_counts(sampling: Sampling, schedule: Schedule, t, q_sum, q0):
+    """Cumulative stochastic oracle calls (g1, jvp, hvp, f) after outer iteration t.
+
+    g1 counts the T0 warm-start steps and the lower-level rounds. Each of the
+    1 + k*t estimates (one at t = 0) draws S samples of one jvp, q_t hvp and
+    two f calls, where q_sum is q_0 + ... + q_t and q0 is q_0. Exact on
+    Python ints of any size and on int64 arrays whose counts fit.
+    """
+    k, S = sampling.k, schedule.S
+    estimates = 1 + k * t
+    rounds = t // sampling.every + sampling.at_zero
+    return (schedule.T0 + sampling.steps * rounds, S * estimates,
+            S * (q0 + k * (q_sum - q0)), 2 * S * estimates)
+
+
+def check_budget(sampling: Sampling, s: Schedule) -> None:
+    """Refuse a schedule whose count columns could overflow int64: the closed
+    form at t = T - 1 with every q_t = Q - 1."""
+    if sum(oracle_counts(sampling, s, s.T - 1, (s.Q - 1) * s.T, s.Q - 1)) >= 2**63:
+        raise ConstraintViolation(f"T = {float(s.T):.3g} and T0 = {float(s.T0):.3g} may "
+                                  f"need 2**63 or more oracle calls")
+
+
+def accbo_sampling(inst, schedule: Schedule, option: str) -> Sampling:
+    """run_accbo's oracle calls on inst: a step per iteration (option one) or
+    N-step rounds every I iterations from t = I (option two), and two
+    estimates. An option that run_accbo cannot run on inst is refused."""
+    if option == "two":
+        return Sampling(steps=schedule.N, every=schedule.I, at_zero=False, k=2)
+    if option != "one":
+        raise ConstraintViolation(f"option must be 'one' or 'two', got {option!r}")
+    if not inst.isotropic_lower:
+        raise ConstraintViolation(f"option one requires an isotropic quadratic "
+                                  f"lower level, not {inst.kind!r}")
+    return Sampling(steps=1, every=1, at_zero=True, k=2)
 
 
 def warm_start(inst, x0, alpha_init: float, T0: int, stream: RandomStream,
@@ -119,14 +129,15 @@ def momentum_update(
     cfg: EstimatorConfig,
     beta: float,
     stream: RandomStream,
+    q: int,
 ) -> np.ndarray:
     """Recursive-momentum direction; both estimator evaluations share samples.
 
     With m_prev None (first iteration) the momentum is simply the current
-    estimate. Otherwise the correction term evaluates the previous point
-    under the current sample bundle, i.e. the same stream and the same q.
+    estimate at Neumann depth q. Otherwise the correction term evaluates the
+    previous point under the current sample bundle, i.e. the same stream and
+    the same q.
     """
-    q = stream.child("q").integers(0, cfg.Q)
     g_now = estimate_hypergradient(inst, x_now, yhat_now, cfg, stream, q=q)
     if m_prev is None:
         return g_now
@@ -139,7 +150,8 @@ def upper_step(x: np.ndarray, m: np.ndarray, eta: float,
     """Fixed-length normalized step at iteration t; zero momentum skips the
     step (flagged). A momentum whose norm is not finite (a NaN or inf entry,
     or entries so large that the norm overflows) raises NumericalAbort."""
-    norm = float(np.linalg.norm(m))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
     if not math.isfinite(norm):
         raise NumericalAbort(f"non-finite momentum at t={t}")
     if norm == 0.0:
@@ -196,28 +208,29 @@ def _diagnose(inst, t0: int, x, y, yhat, yhat_next, m, calls, zero) -> list[Iter
             for i, row in enumerate(zip(*columns.values()))]
 
 
-def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
-                schedule: Schedule, tau: float, lower, direction,
+def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: float,
+                lower, direction, sampling: Sampling,
                 stream: RandomStream) -> list[IterationLog]:
     """The outer loop that AccBO and its plain-momentum ablation share.
 
     Iteration t takes the new lower iterate from
-    ``lower(x, y, t, stream.child("lower", t))``, averages it into y_hat with
-    weight tau, and steps x a distance eta along
-    ``direction(m, x, x_prev, y_hat, yhat_prev, stream.child("upper", t))``,
-    which is formed at the current y_hat. A NumericalAbort carries the logs
-    of the iterations completed so far as its ``logs`` attribute.
+    ``lower(x, y, stream.child("lower", t))`` at each lower-level round of
+    sampling (y stays otherwise), averages it into y_hat with weight tau,
+    draws the Neumann depth q_t from the "q" child of ``st =
+    stream.child("upper", t)``, and steps x a distance eta along
+    ``direction(m, x, x_prev, y_hat, yhat_prev, st, q_t)``, which is formed
+    at the current y_hat. A NumericalAbort carries the logs of the
+    iterations completed so far as its ``logs`` attribute.
 
     The recursion never reads its diagnostics, so the loop only records each
-    iteration's x_t, y_t, y_hat_t, y_hat_{t+1}, m_t, oracle counters and
+    iteration's x_t, y_t, y_hat_t, y_hat_{t+1}, m_t, running sum of q_t and
     zero-momentum flag in buffers of _BLOCK rows. ``_diagnose`` turns a full
     buffer into IterationLogs in one pass (y*(x_t), the true hypergradient
-    and the norms), as do the end of the run and an abort for the rows
-    filled so far. Nothing in the loop reads y*(x_t) any more, which is why
-    the ridge toy's per-x cache holds only its sigmoid weights and H_yy(x).
+    and the norms, with the counters of ``oracle_counts``), as do the end of
+    the run and an abort for the rows filled so far. Nothing in the loop
+    reads y*(x_t) any more, which is why the ridge toy's per-x cache holds
+    only its sigmoid weights and H_yy(x).
     """
-    inst = oracles.inst
-    calls = oracles.calls
     y_hat = y.copy()
     x_prev: np.ndarray | None = None
     yhat_prev: np.ndarray | None = None
@@ -226,15 +239,18 @@ def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
     rows = min(schedule.T, _BLOCK)
     xs, ms = np.empty((rows, x.size)), np.empty((rows, x.size))
     ys, yhats, yhat_nexts = (np.empty((rows, y.size)) for _ in range(3))
-    counts = np.empty((rows, 4), dtype=np.int64)
+    q_sums = np.empty(rows, dtype=np.int64)
     zeros = np.empty(rows, dtype=bool)
     n = 0  # buffered iterations: t - n .. t - 1
+    q0 = q_sum = 0
 
     def flush(t: int) -> None:
         nonlocal n
         if n:
+            counts = np.column_stack(oracle_counts(
+                sampling, schedule, np.arange(t - n, t), q_sums[:n], q0))
             logs.extend(_diagnose(inst, t - n, xs[:n], ys[:n], yhats[:n],
-                                  yhat_nexts[:n], ms[:n], counts[:n], zeros[:n]))
+                                  yhat_nexts[:n], ms[:n], counts, zeros[:n]))
             n = 0
 
     lowers = stream.children("lower", schedule.T)
@@ -243,14 +259,18 @@ def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
         for t in range(schedule.T):
             xs[n], ys[n], yhats[n] = x, y, y_hat
 
-            y = lower(x, y, t, lowers[t])
+            if t % sampling.every == 0 and (t or sampling.at_zero):
+                y = lower(x, y, lowers[t])
             yhat_next = average_step(y_hat, y, tau)
 
-            m = direction(m, x, x_prev, y_hat, yhat_prev, uppers[t])
+            q = uppers[t].child("q").integers(0, schedule.Q)
+            m = direction(m, x, x_prev, y_hat, yhat_prev, uppers[t], q)
             x_next, zero_event = upper_step(x, m, schedule.eta, t)
 
-            yhat_nexts[n], ms[n], zeros[n] = yhat_next, m, zero_event
-            counts[n] = calls["g1"], calls["jvp"], calls["hvp"], calls["f"]
+            if t == 0:
+                q0 = q
+            q_sum += q
+            yhat_nexts[n], ms[n], q_sums[n], zeros[n] = yhat_next, m, q_sum, zero_event
             n += 1
             if n == rows:
                 flush(t + 1)
@@ -265,15 +285,6 @@ def _outer_loop(oracles: CountingOracles, x: np.ndarray, y: np.ndarray,
     return logs
 
 
-def check_option(inst, option: str) -> None:
-    """Refuse an option that run_accbo cannot run on inst."""
-    if option not in ("one", "two"):
-        raise ConstraintViolation(f"option must be 'one' or 'two', got {option!r}")
-    if option == "one" and not inst.isotropic_lower:
-        raise ConstraintViolation(f"option one requires an isotropic quadratic "
-                                  f"lower level, not {inst.kind!r}")
-
-
 def run_accbo(
     inst,
     schedule: Schedule,
@@ -283,36 +294,36 @@ def run_accbo(
 ) -> list[IterationLog]:
     """Full optimizer run; returns one IterationLog per outer iteration.
 
-    Deterministic given (instance, schedule, option, stream). Non-finite
-    state in the outer loop raises NumericalAbort with the logs collected so
-    far attached as its ``logs`` attribute.
+    Deterministic given (instance, schedule, option, stream). An option
+    that cannot run on inst, or a schedule that check_budget refuses, raises
+    ConstraintViolation before the warm start. Non-finite state in the outer
+    loop raises NumericalAbort with the logs collected so far attached as
+    its ``logs`` attribute.
     """
-    check_option(inst, option)
     s = schedule
-    oracles = CountingOracles(inst)
+    sampling = accbo_sampling(inst, s, option)
+    check_budget(sampling, s)
     cfg = EstimatorConfig(Q=s.Q, S=s.S, l_g1=inst.constants.l_g1)
 
     x = np.zeros(inst.dim_x) if x0 is None else np.asarray(x0, dtype=float)
-    y = warm_start(oracles, x, s.alpha_init, s.T0, stream.child("init"))
+    y = warm_start(inst, x, s.alpha_init, s.T0, stream.child("init"))
 
     if option == "one":
         # One SNAG recursion carried across outer iterations.
         state = SnagState(w=y, w_prev=y.copy(), alpha=s.alpha, gamma=s.gamma)
 
-        def lower(x, y, t, st):
+        def lower(x, y, st):
             nonlocal state
-            state = _snag_round(oracles, x, state, (st,))
+            state = _snag_round(inst, x, state, (st,))
             return state.w
     else:
-        def lower(x, y, t, st):
-            if t > 0 and t % s.I == 0:
-                return _lower_round(oracles, x, y, s.alpha, s.gamma, s.N, st)
-            return y
+        def lower(x, y, st):
+            return _lower_round(inst, x, y, s.alpha, s.gamma, s.N, st)
 
-    def direction(m, x, x_prev, y_hat, yhat_prev, st):
-        return momentum_update(oracles, m, x, x_prev, y_hat, yhat_prev, cfg, s.beta, st)
+    def direction(m, x, x_prev, y_hat, yhat_prev, st, q):
+        return momentum_update(inst, m, x, x_prev, y_hat, yhat_prev, cfg, s.beta, st, q)
 
-    return _outer_loop(oracles, x, y, s, s.tau, lower, direction, stream)
+    return _outer_loop(inst, x, y, s, s.tau, lower, direction, sampling, stream)
 
 
 def running_average_grad_norm(logs: list[IterationLog]) -> float:

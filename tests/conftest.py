@@ -65,3 +65,35 @@ def analytic_instances(noise=False):
     exp = ExpUpperToy(u=[0.3, -0.2], A=0.5 * np.eye(2), b=[0.1, 0.0], mu=1.0,
                       l_f0=2.0, **kw)
     return [iso, gen, ridge, exp]
+
+
+class CountingOracles:
+    """Wraps an instance, counting stochastic oracle calls by kind: the
+    reference that the logs' closed-form counts are checked against."""
+
+    def __init__(self, inst):
+        self.inst = inst
+        self.calls = {"g1": 0, "f": 0, "jvp": 0, "hvp": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.inst, name)
+
+    def stoch_grad_y_g(self, x, y, stream):
+        self.calls["g1"] += 1
+        return self.inst.stoch_grad_y_g(x, y, stream)
+
+    def stoch_grad_x_f(self, x, y, stream):
+        self.calls["f"] += 1
+        return self.inst.stoch_grad_x_f(x, y, stream)
+
+    def stoch_grad_y_f(self, x, y, stream):
+        self.calls["f"] += 1
+        return self.inst.stoch_grad_y_f(x, y, stream)
+
+    def stoch_jvp_xy_g(self, x, y, v, stream):
+        self.calls["jvp"] += 1
+        return self.inst.stoch_jvp_xy_g(x, y, v, stream)
+
+    def stoch_hvp_yy_g(self, x, y, v, stream):
+        self.calls["hvp"] += 1
+        return self.inst.stoch_hvp_yy_g(x, y, v, stream)

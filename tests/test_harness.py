@@ -581,6 +581,16 @@ class TestCli:
                        "w_radius": 2.0}}),
          "accbo.instance.params: unknown field 'w_radius'"),
         ("accbo", with_params(A=[[]]), "accbo.instance.params.A[0]"),
+        # An array is rectangular: the first entry whose shape differs is named.
+        ("accbo", dict(ACCBO_DOC, option="two", instance={
+            "kind": "general_quadratic",
+            "params": {"H": [[2.0, 0.3], [0.3]], "C": [[1.0, 0.0], [0.0, 1.0]],
+                       "b": [0.0, 0.0], "c": [0.0, 0.0], "d": [0.0, 0.0]}}),
+         "accbo.instance.params.H[1]: must have the shape (2,) of entry 0, got [0.3]"),
+        ("accbo", with_params(A=[[0.5, 0.0], 0.5]),
+         "accbo.instance.params.A[1]: must have the shape (2,) of entry 0, got 0.5"),
+        ("accbo", with_params(A=[[[0.5], [0.0]], [[0.0], [0.5, 1.0]]]),
+         "accbo.instance.params.A[1][1]: must have the shape (1,) of entry 0"),
         ("accbo", dict(ACCBO_DOC, instance={"kind": "ridge"}), "accbo.instance.kind"),
         # Each schedule mode's table holds only the fields that the mode reads.
         ("accbo", with_schedule(**THEOREM_SCHEDULE),
@@ -608,6 +618,16 @@ class TestCli:
         ("sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
                    "schedule": dict(SWEEP_SCHEDULE, overrides={"alpha": 4.0})},
          "sweep.schedule: beta must be"),
+        # A derived T of 8e163 (2e163 at epsilon 0.2): more oracle calls than the
+        # count columns hold.
+        ("accbo", with_schedule(d0=1e160, overrides={"alpha": 0.04, "eta": 0.01}),
+         "accbo.schedule: T = 8e+163 and T0 = 8e+163 may need 2**63 or more oracle calls"),
+        ("accbo", dict(with_schedule(d0=1e160, overrides={"alpha": 0.04, "eta": 0.01}),
+                       algorithm="plain_momentum"), "accbo.schedule: T = 8e+163 and T0"),
+        ("sweep", {"instance": ISO_DOC, "option": "two", "epsilons": [0.05, 0.2],
+                   "schedule": dict(SWEEP_SCHEDULE, d0=1e160,
+                                    overrides={"alpha": 0.04, "eta": 0.01})},
+         "sweep.schedule: T = 8e+163 and T0 = 8e+163"),
         # A closed form that divides by a quantity that underflowed to 0.
         ("accbo", with_schedule(epsilon=1e-200, overrides={"alpha": 0.04, "eta": 1e-200}),
          "accbo.schedule: the practical-mode schedule underflows: float division by zero"),
@@ -813,6 +833,8 @@ def mutated_configs(draw):
 
 # The four docs admit 1177 distinct mutations; Hypothesis stops once it has
 # tried them all, so this bound makes the search exhaustive.
+# A numpy overflow that the code turns into an abort is computed silently.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=1950, deadline=None)
 @given(mutated_configs())
 def test_fuzzed_config_exits_cleanly(case):

@@ -1,25 +1,26 @@
 import numpy as np
 import pytest
 
-from accbo.baselines import run_plain_momentum_bilevel
+from accbo.baselines import SAMPLING, run_plain_momentum_bilevel
 from accbo.constants import ConstraintViolation, ProblemConstants, derive_schedule
 from accbo.hypergrad import EstimatorConfig, estimate_hypergradient
 from accbo import optimizer
 from accbo.optimizer import (
-    CountingOracles,
     IterationLog,
+    accbo_sampling,
     average_step,
+    check_budget,
     momentum_update,
     run_accbo,
     running_average_grad_norm,
     upper_step,
     warm_start,
 )
-from accbo.problems import IsotropicQuadratic, instance_from_dict
+from accbo.problems import IsotropicQuadratic, instance_from_dict, make_fixture_ridge
 from accbo.rng import RandomStream
 from accbo.snag import NumericalAbort
 
-from conftest import analytic_instances, scaled_ridge
+from conftest import CountingOracles, analytic_instances, scaled_ridge
 
 
 def practical_schedule(inst, *, alpha=0.04, eta=0.01, T=20, epsilon=0.05,
@@ -101,8 +102,8 @@ class TestMomentumUpdate:
         x = np.array([0.2, -0.1])
         y = inst.lower_minimizer(x)
         s = RandomStream(7).child("u")
-        m = momentum_update(inst, None, x, None, y, None, cfg, 0.9, s)
         q = s.child("q").integers(0, cfg.Q)
+        m = momentum_update(inst, None, x, None, y, None, cfg, 0.9, s, q)
         expected = estimate_hypergradient(inst, x, y, cfg, s, q=q)
         np.testing.assert_array_equal(m, expected)
 
@@ -116,8 +117,8 @@ class TestMomentumUpdate:
         m_prev = np.array([0.4, -0.3])
         beta = 0.9
         s = RandomStream(11).child("u")
-        m = momentum_update(inst, m_prev, x, x, y, y, cfg, beta, s)
         q = s.child("q").integers(0, cfg.Q)
+        m = momentum_update(inst, m_prev, x, x, y, y, cfg, beta, s, q)
         g = estimate_hypergradient(inst, x, y, cfg, s, q=q)
         np.testing.assert_allclose(m, beta * m_prev + (1.0 - beta) * g,
                                    atol=1e-14)
@@ -136,37 +137,13 @@ class TestMomentumUpdate:
             m_prev = gen.normal(size=2)
             beta = float(gen.uniform(0.0, 1.0))
             s = RandomStream(13).child("m", k)
-            m = momentum_update(inst, m_prev, x_now, x_prev, y_now, y_prev,
-                                cfg, beta, s)
             q = s.child("q").integers(0, cfg.Q)
+            m = momentum_update(inst, m_prev, x_now, x_prev, y_now, y_prev,
+                                cfg, beta, s, q)
             g_now = estimate_hypergradient(inst, x_now, y_now, cfg, s, q=q)
             g_prev = estimate_hypergradient(inst, x_prev, y_prev, cfg, s, q=q)
             np.testing.assert_allclose(m, g_now + beta * (m_prev - g_prev),
                                        atol=1e-14)
-
-
-class TestCountingOracles:
-    def test_counts_by_kind(self):
-        inst = noisy_iso()
-        wrapped = CountingOracles(inst)
-        s = RandomStream(0)
-        x, y = np.zeros(2), np.zeros(2)
-        wrapped.stoch_grad_y_g(x, y, s)
-        wrapped.stoch_grad_y_g(x, y, s)
-        wrapped.stoch_grad_x_f(x, y, s)
-        wrapped.stoch_grad_y_f(x, y, s)
-        wrapped.stoch_jvp_xy_g(x, y, y, s)
-        wrapped.stoch_hvp_yy_g(x, y, y, s)
-        assert wrapped.calls == {"g1": 2, "f": 2, "jvp": 1, "hvp": 1}
-        assert wrapped.total_calls == 6
-
-    def test_delegates_exact_methods(self):
-        inst = noisy_iso()
-        wrapped = CountingOracles(inst)
-        x = np.array([0.1, 0.2])
-        np.testing.assert_array_equal(wrapped.lower_minimizer(x),
-                                      inst.lower_minimizer(x))
-        assert wrapped.total_calls == 0
 
 
 class FreshEachCall:
@@ -246,8 +223,7 @@ class TestRunAccbo:
         # With I=2 and N=3 over 6 outer steps, inner lower-level gradient
         # calls happen only at t in {2, 4} (t=0 excluded), 3 calls per round.
         sched = practical_schedule(general_quad, T=6, I=2, N=3, T0=5)
-        wrapped = CountingOracles(general_quad)
-        logs = run_accbo(wrapped, sched, "two", RandomStream(2))
+        logs = run_accbo(general_quad, sched, "two", RandomStream(2))
         g1 = [rec.calls_g1 for rec in logs]
         # Warm start uses 5 calls before t=0; per-iteration increments:
         increments = [g1[0] - 5] + [b - a for a, b in zip(g1, g1[1:])]
@@ -400,3 +376,103 @@ class TestDiagnosticsPostPass:
         reference = run(noisy_iso(), sched, RandomStream(4))
         assert len(info.value.logs) == fail_at
         same_logs(info.value.logs, reference[:fail_at])
+
+
+def counted_run(monkeypatch, inst, run, sched):
+    """Run on a counting mock of inst; return the logs (or the aborted run's
+    logs) and the mock's counters after each completed iteration."""
+    mock, seen, step = CountingOracles(inst), [], optimizer.upper_step
+
+    def counted_step(*args):
+        out = step(*args)  # an iteration that aborts here is not completed
+        seen.append((mock.calls["g1"], mock.calls["jvp"], mock.calls["hvp"],
+                     mock.calls["f"]))
+        return out
+
+    monkeypatch.setattr(optimizer, "upper_step", counted_step)
+    monkeypatch.setattr(optimizer, "_BLOCK", 7)  # the q sums cross blocks
+    try:
+        logs = run(mock, sched, RandomStream(9))
+    except NumericalAbort as exc:
+        logs = exc.logs
+    return [(r.calls_g1, r.calls_jvp, r.calls_hvp, r.calls_f) for r in logs], seen
+
+
+class TestOracleCounts:
+    """The closed-form count columns equal a counting mock's at every iteration."""
+
+    RUNS = {
+        "accbo_one": lambda inst, s, st: run_accbo(inst, s, "one", st),
+        "accbo_two": lambda inst, s, st: run_accbo(inst, s, "two", st),
+        "plain": lambda inst, s, st: run_plain_momentum_bilevel(inst, s, st),
+    }
+
+    @pytest.mark.parametrize("inst, run", [
+        (noisy_iso(sigma_g2=0.1), "accbo_one"),
+        (noisy_iso(sigma_g2=0.1), "accbo_two"),
+        (analytic_instances(noise=True)[1], "accbo_two"),
+        (make_fixture_ridge(sigma_f1=0.1, sigma_g1=0.05, sigma_g2=0.05), "accbo_two"),
+        (noisy_iso(sigma_g2=0.1), "plain"),
+        (make_fixture_ridge(sigma_f1=0.1, sigma_g1=0.05, sigma_g2=0.05), "plain"),
+    ], ids=["iso_one", "iso_two", "general_two", "ridge_two", "iso_plain", "ridge_plain"])
+    def test_counts_equal_the_counting_mock(self, monkeypatch, inst, run):
+        sched = practical_schedule(inst, alpha=0.01, eta=0.002, T=23, T0=5, S=2, Q=4,
+                                   I=3, N=4)
+        counts, seen = counted_run(monkeypatch, inst, self.RUNS[run], sched)
+        assert len(counts) == sched.T
+        assert counts == seen
+
+    @pytest.mark.parametrize("run", ["accbo_one", "accbo_two"])
+    def test_aborted_run_counts_equal_the_counting_mock(self, monkeypatch, run):
+        update, calls = optimizer.momentum_update, []
+
+        def huge_from_t5(*args):
+            calls.append(None)
+            m = update(*args)
+            return m if len(calls) <= 5 else np.full_like(m, 1e160)
+
+        monkeypatch.setattr(optimizer, "momentum_update", huge_from_t5)
+        inst = noisy_iso(sigma_g2=0.1)
+        sched = practical_schedule(inst, T=20, T0=5, S=2, Q=4, I=2, N=3)
+        counts, seen = counted_run(monkeypatch, inst, self.RUNS[run], sched)
+        assert len(counts) == 5
+        assert counts == seen
+
+    def test_schedule_whose_counts_overflow_is_refused_before_any_oracle_call(self):
+        class NoOracles:
+            def __init__(self, inst):
+                self.inst = inst
+
+            def __getattr__(self, name):
+                if name.startswith("stoch_"):
+                    raise AssertionError(f"{name} called")
+                return getattr(self.inst, name)
+
+        # The practical schedule derives T = T0 = 4*d0/(eta*epsilon), about 8e163.
+        inst = NoOracles(noisy_iso())
+        sched = derive_schedule(inst.constants, 0.05, 0.05, 1e160, mode="practical",
+                                overrides={"alpha": 0.04, "eta": 0.01})
+        assert sched.T > 1e163
+        for run in self.RUNS.values():
+            with pytest.raises(ConstraintViolation,
+                               match=r"T = 8e\+163 and T0 = 8e\+163 may need 2\*\*63 or more"):
+                run(inst, sched, RandomStream(0))
+
+    def test_budget_is_the_closed_form_at_the_deepest_q(self):
+        # Option one, T = 1, S = Q = 1: T0 + 1 lower-level calls, one jvp, two f.
+        inst, limit = noisy_iso(), 2**63 - 1
+        fits = practical_schedule(inst, T=1, T0=limit - 4, S=1, Q=1)
+        check_budget(accbo_sampling(inst, fits, "one"), fits)
+        over = practical_schedule(inst, T=1, T0=limit - 3, S=1, Q=1)
+        with pytest.raises(ConstraintViolation, match=r"may need 2\*\*63 or more oracle calls"):
+            check_budget(accbo_sampling(inst, over, "one"), over)
+
+    def test_theorem_schedule_of_1e8_iterations_fits(self):
+        # convergence.json's instance at epsilon 0.5: T = 6.0e7, T0 = 6.6e8, S = 5871.
+        inst = IsotropicQuadratic(1.0, 0.5 * np.eye(2), [0.1, -0.1], [0.4, -0.3],
+                                  [0.2, 0.1], sigma_f1=0.01, sigma_g1=0.001)
+        sched = derive_schedule(inst.constants, 0.5, 0.05, 0.2, mode="theorem")
+        assert sched.T > 1e7
+        for option in ("one", "two"):
+            check_budget(accbo_sampling(inst, sched, option), sched)
+        check_budget(SAMPLING, sched)

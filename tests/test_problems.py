@@ -7,7 +7,6 @@ import pytest
 
 from accbo.constants import ConstraintViolation
 from accbo.harness import _load_instance
-from accbo.optimizer import CountingOracles
 from accbo.problems import (
     GeneralQuadratic,
     IsotropicQuadratic,
@@ -18,7 +17,7 @@ from accbo.problems import (
 )
 from accbo.rng import RandomStream
 
-from conftest import analytic_instances
+from conftest import CountingOracles, analytic_instances
 
 
 def fd_grad(fn, v, h=1e-5):
