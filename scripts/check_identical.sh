@@ -16,10 +16,14 @@ set -euo pipefail
 # config (a file in the tree's scripts/configs, or - for an empty object) and
 # a JSON object whose fields replace the base config's top-level fields.
 # Lines that start with # say why the command below them is in the table.
-COMMANDS='
+# The table is a quoted heredoc, so a comment may hold any character.
+COMMANDS=$(cat <<'EOF'
 conv_one     accbo       2   0  convergence.json       {}
 conv_two     accbo       2   0  convergence.json       {"option": "two"}
 sweep        sweep       1   0  comparison_sweep.json  {}
+# Two seeds: the only row whose medians are of two values, and two accbo rows
+# that fit accbo_loglog_slope.
+sweep2       sweep       2   3  comparison_sweep.json  {"epsilons": [0.2, 0.1], "schedule": {"mode": "practical", "delta": 0.05, "d0": 1.0, "overrides": {"alpha": 0.0025, "eta": 0.005, "T": 2000, "T0": 200, "S": 1, "Q": 1, "sigma_g1_tilde": 0.2}}}
 bias         bias        1   0  bias.json              {}
 track        snag-track  400 0  tracking.json          {}
 # A fixed-direction drift in dim 3 at mu 0.7.
@@ -46,7 +50,7 @@ general_two  accbo       2   0  -                      {"instance": {"kind": "ge
 # validation data scaled by 40.
 ridge_doc    accbo       2   0  -                      {"instance": {"kind": "ridge_weighting", "params": {"Z": [[0.9477747885049593, 0.5085849021788509, -0.146131691628378], [-0.6008420289368845, -1.3547715968388199, 0.4227198599626369], [1.6250770453504617, -1.0134871226725717, 0.5717090987760849], [0.29015337503636485, -0.05422143532970905, -1.7344414671004895], [0.21823074369631223, 1.6091523073413556, -0.06932058963611176], [0.048695677021045845, -1.3224612713860078, 0.8802903889184316], [-1.0199790165722284, -1.0460596109169722, 0.8459557592066116], [2.637804808920496, 0.10491179662316866, 0.5248796861561874]], "y_tr": [1.6616205103474284, -2.2181304954456484, 2.9453636541176684, 1.762850950607453, -0.6036755573833935, 0.9299989099436576, -0.28546027131208945, 2.7165688321479586], "V": [[68.72005869574255, -17.320210742418254, 51.28761054928727], [-25.161457609980282, -39.376758132513274, 15.47821916588967], [30.67642995797084, 32.581190528796085, -32.613514549031166], [46.916188634731924, 16.582258622046645, -64.88840596247849]], "y_val": [90.20206670427349, -1.6035237522512247, 6.232456056315005, 22.40295783308898], "c_reg": 0.05, "w_radius": 2.0}, "noise": {"sigma_f1": 0.1, "sigma_g1": 0.05, "sigma_g2": 0.0}}, "schedule": {"mode": "practical", "epsilon": 0.1, "delta": 0.05, "d0": 1.0, "overrides": {"alpha": 0.001, "beta": 0.95, "eta": 0.005, "T": 1500, "T0": 200, "S": 2, "Q": 15, "I": 2, "N": 12}}, "option": "two"}
 # The same document run by the plain-momentum baseline, the only row whose
-# run logs hold the count columns of the baseline.
+# run logs hold the baseline's count columns.
 ridge_base   accbo       2   0  -                      {"instance": {"kind": "ridge_weighting", "params": {"Z": [[0.9477747885049593, 0.5085849021788509, -0.146131691628378], [-0.6008420289368845, -1.3547715968388199, 0.4227198599626369], [1.6250770453504617, -1.0134871226725717, 0.5717090987760849], [0.29015337503636485, -0.05422143532970905, -1.7344414671004895], [0.21823074369631223, 1.6091523073413556, -0.06932058963611176], [0.048695677021045845, -1.3224612713860078, 0.8802903889184316], [-1.0199790165722284, -1.0460596109169722, 0.8459557592066116], [2.637804808920496, 0.10491179662316866, 0.5248796861561874]], "y_tr": [1.6616205103474284, -2.2181304954456484, 2.9453636541176684, 1.762850950607453, -0.6036755573833935, 0.9299989099436576, -0.28546027131208945, 2.7165688321479586], "V": [[68.72005869574255, -17.320210742418254, 51.28761054928727], [-25.161457609980282, -39.376758132513274, 15.47821916588967], [30.67642995797084, 32.581190528796085, -32.613514549031166], [46.916188634731924, 16.582258622046645, -64.88840596247849]], "y_val": [90.20206670427349, -1.6035237522512247, 6.232456056315005, 22.40295783308898], "c_reg": 0.05, "w_radius": 2.0}, "noise": {"sigma_f1": 0.1, "sigma_g1": 0.05, "sigma_g2": 0.0}}, "schedule": {"mode": "practical", "epsilon": 0.1, "delta": 0.05, "d0": 1.0, "overrides": {"alpha": 0.001, "beta": 0.95, "eta": 0.005, "T": 1500, "T0": 200, "S": 2, "Q": 15, "I": 2, "N": 12}}, "option": "two", "algorithm": "plain_momentum"}
 # Refused configs: each exits 2 and names the field at fault on stderr.
 refuse_delta accbo       1   0  convergence.json       {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 1.5, "d0": 0.2, "overrides": {"alpha": 0.04, "eta": 0.002, "sigma_g1_tilde": 0.005, "T0": 200, "S": 4, "Q": 1}}}
@@ -54,7 +58,8 @@ refuse_T     snag-track  1   0  tracking.json          {"T": 2.5}
 refuse_mu    accbo       1   0  convergence.json       {"instance": {"kind": "isotropic_quadratic", "params": {"mu": 0, "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1], "c": [0.4, -0.3], "d": [0.2, 0.1], "l_f0": 1.0}, "noise": {"sigma_f1": 0.01, "sigma_g1": 0.001}}}
 # A theorem schedule, derived by the closed forms, that refuses its epsilon.
 refuse_theorem accbo     1   0  convergence.json       {"schedule": {"mode": "theorem", "epsilon": 100, "delta": 0.05, "d0": 0.2}}
-'
+EOF
+)
 
 rev=${1:?usage: scripts/check_identical.sh <rev>}
 repo=$(git rev-parse --show-toplevel)

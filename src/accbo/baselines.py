@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import Schedule
 from .hypergrad import EstimatorConfig, estimate_hypergradient
-from .optimizer import IterationLog, Sampling, _outer_loop, check_budget
+from .optimizer import RunLog, Sampling, _outer_loop, check_budget
 from .rng import RandomStream
 from .snag import NumericalAbort
 
@@ -42,7 +42,7 @@ def run_plain_momentum_bilevel(
     schedule: Schedule,
     stream: RandomStream,
     x0: np.ndarray | None = None,
-) -> list[IterationLog]:
+) -> RunLog:
     """Plain-momentum bilevel baseline with SGD lower-level updates.
 
     AccBO's outer loop (same warm start length, estimator, normalization,

@@ -227,10 +227,12 @@ def _rows(records: list[dict], columns: list[str]):
     return (tuple(rec[c] for c in columns) for rec in records)
 
 
-def write_csv(records: list[dict], path: str | Path, columns: list[str]) -> None:
+def write_csv(rows, path: str | Path, columns: list[str]) -> None:
+    """Write rows, each a tuple of values in column order, under a header of
+    columns; ``_rows`` gives the rows of a list of dicts."""
     formats: dict[tuple[type, ...], str] = {}
     lines = [",".join(columns)]
-    for row in _rows(records, columns):
+    for row in rows:
         kinds = tuple(map(type, row))
         fmt = formats.get(kinds)
         if fmt is None:
@@ -387,7 +389,7 @@ SWEEP = {
 
 
 TRAJECTORY_COLUMNS = ["t", "V", "bound", "dist", "phi_gap"]
-# Each run-log CSV column, in order, with the IterationLog field it holds.
+# Each run-log CSV column, in order, with the RunLog column it holds.
 RUN_COLUMNS = {
     "t": "t", "grad_norm": "grad_norm_true", "m_norm": "m_norm",
     "y_err": "y_track_err", "yhat_err": "yhat_track_err", "yhat_step": "yhat_step",
@@ -396,9 +398,20 @@ RUN_COLUMNS = {
 }
 
 
-def _run_log_records(logs: list[optimizer.IterationLog]) -> list[dict]:
-    return [{column: getattr(rec, field) for column, field in RUN_COLUMNS.items()}
-            for rec in logs]
+def _run_log_rows(logs: optimizer.RunLog):
+    """The run-log CSV rows, from the columns' Python scalars."""
+    return zip(*(logs.columns[field].tolist() for field in RUN_COLUMNS.values()))
+
+
+def _median(values: list[float]) -> float:
+    """float(np.median(values)) without the numpy.ma import that np.median
+    makes on its first call: NaN if any value is NaN, else the middle sorted
+    value, or the mean (a + b) / 2 of the two middle ones."""
+    v = sorted(values)
+    if any(math.isnan(x) for x in v):
+        return math.nan
+    mid = len(v) // 2
+    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +446,8 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
         sigma, delta = p.sigma, drift.delta
         # Seed 0 of the grid: run_tracking_experiment on (base_seed, "mc", 0).
         name = f"track_sigma{_fmt(float(sigma))}_delta{_fmt(float(delta))}.csv"
-        write_csv(trajectory(), config.out_dir / name, TRAJECTORY_COLUMNS)
+        write_csv(_rows(trajectory(), TRAJECTORY_COLUMNS), config.out_dir / name,
+                  TRAJECTORY_COLUMNS)
         log.info("snag-track sigma=%s delta=%s: violation rate %s over %d seeds",
                  sigma, delta, rate, config.n_seeds)
         results.append({"sigma": sigma, "delta": delta, "violation_rate": rate,
@@ -480,8 +494,8 @@ def cmd_bias(config: ExperimentConfig) -> int:
                 "var_est": res["var_est"], "se": res["se"],
             })
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(rows, config.out_dir / "bias.csv",
-              ["Q", "S", "bias_bound", "bias_est", "var_est", "se"])
+    columns = ["Q", "S", "bias_bound", "bias_est", "var_est", "se"]
+    write_csv(_rows(rows, columns), config.out_dir / "bias.csv", columns)
     write_json({"command": "bias", "rows": rows, "all_within_bound": ok},
                config.out_dir / "bias_summary.json")
     return 0 if ok else 3
@@ -491,14 +505,14 @@ def cmd_bias(config: ExperimentConfig) -> int:
 # accbo
 
 
-def _summarize_run(logs: list[optimizer.IterationLog]) -> dict:
+def _summarize_run(logs: optimizer.RunLog) -> dict:
     final = logs[-1]
     return {
         "iterations": len(logs),
         "running_avg_grad_norm": optimizer.running_average_grad_norm(logs),
         "final_grad_norm": final.grad_norm_true,
         "total_oracle_calls": final.total_calls,
-        "zero_momentum_events": sum(1 for rec in logs if rec.zero_momentum),
+        "zero_momentum_events": int(np.count_nonzero(logs.columns["zero_momentum"])),
     }
 
 
@@ -516,7 +530,7 @@ def cmd_accbo(config: ExperimentConfig) -> int:
     for k in range(config.n_seeds):
         stream = RandomStream(config.base_seed).child("run", k)
         logs = run(inst, schedule, doc["option"], stream, x0)
-        write_csv(_run_log_records(logs), config.out_dir / f"run_seed{k}.csv",
+        write_csv(_run_log_rows(logs), config.out_dir / f"run_seed{k}.csv",
                   list(RUN_COLUMNS))
         per_seed.append(_summarize_run(logs))
         log.info("accbo %s seed %d: running average grad norm %s after %d iterations",
@@ -528,9 +542,8 @@ def cmd_accbo(config: ExperimentConfig) -> int:
         "option": doc["option"],
         "epsilon": schedule.epsilon,
         "per_seed": per_seed,
-        "median_running_avg_grad_norm": float(np.median(
-            [s["running_avg_grad_norm"] for s in per_seed]
-        )),
+        "median_running_avg_grad_norm": _median(
+            [s["running_avg_grad_norm"] for s in per_seed]),
     }
     write_json(summary, config.out_dir / "accbo_summary.json")
     return 0
@@ -540,14 +553,13 @@ def cmd_accbo(config: ExperimentConfig) -> int:
 # sweep
 
 
-def calls_to_target(logs: list[optimizer.IterationLog], target: float) -> float:
-    """Cumulative oracle calls at the first t whose running average meets target."""
-    running = 0.0
-    for i, rec in enumerate(logs):
-        running += rec.grad_norm_true
-        if running / (i + 1) <= target:
-            return float(rec.total_calls)
-    return math.inf
+def calls_to_target(logs: optimizer.RunLog, target: float) -> float:
+    """Cumulative oracle calls at the first t whose running average meets target.
+
+    The running sums are np.cumsum's, one sequential add per iteration."""
+    grad = logs.columns["grad_norm_true"]
+    hits = np.flatnonzero(np.cumsum(grad) / np.arange(1, len(grad) + 1) <= target)
+    return float(logs[hits[0]].total_calls) if hits.size else math.inf
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
@@ -575,7 +587,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
             table.append({
                 "epsilon": eps,
                 "algorithm": algorithm,
-                "median_calls_to_target": float(np.median(counts)),
+                "median_calls_to_target": _median(counts),
                 "calls": counts,
             })
 

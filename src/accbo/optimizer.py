@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .snag import NumericalAbort, SnagState, snag_step
 
 __all__ = [
     "IterationLog",
+    "RunLog",
     "Sampling",
     "oracle_counts",
     "check_budget",
@@ -60,6 +62,48 @@ class IterationLog:
     @property
     def total_calls(self) -> int:
         return self.calls_g1 + self.calls_jvp + self.calls_hvp + self.calls_f
+
+
+# Each IterationLog field's column dtype: 'int' is int64, 'float' float64, 'bool' bool.
+_COLUMNS = {f.name: np.dtype(f.type) for f in fields(IterationLog)}
+
+
+class RunLog(Sequence):
+    """The diagnostics of one run, held as one read-only 1-D array per
+    IterationLog field in ``columns``. Row i is an IterationLog built when it
+    is read, with Python scalars, so its fields and their types are those of
+    the per-iteration formulas; a slice is the RunLog of those rows. Two
+    RunLogs are equal when every column is."""
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        for col in columns.values():
+            col.flags.writeable = False
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["t"])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RunLog({name: col[i] for name, col in self.columns.items()})
+        return IterationLog(**{name: col[i].item() for name, col in self.columns.items()})
+
+    def __iter__(self):
+        for row in zip(*(col.tolist() for col in self.columns.values())):
+            yield IterationLog(**dict(zip(self.columns, row)))
+
+    def __eq__(self, other):
+        if not isinstance(other, RunLog):
+            return NotImplemented
+        return all(np.array_equal(col, other.columns[name])
+                   for name, col in self.columns.items())
+
+
+def _join(blocks: list[dict[str, np.ndarray]]) -> RunLog:
+    """The RunLog of consecutive blocks of columns, in order; no blocks give
+    the RunLog of no rows."""
+    return RunLog({name: np.concatenate([np.empty(0, dtype), *(b[name] for b in blocks)])
+                   for name, dtype in _COLUMNS.items()})
 
 
 # A runner's oracle calls: a lower-level round of `steps` gradient calls at each
@@ -179,13 +223,13 @@ def _lower_round(inst, x, y, alpha, gamma, N, stream) -> np.ndarray:
     return _snag_round(inst, x, state, (stream.child("inner", j) for j in range(N))).w
 
 
-def _norms(rows: np.ndarray) -> list[float]:
+def _norms(rows: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row, bit for bit: the square root of one BLAS dot."""
-    return np.sqrt(_dot(rows, rows)).tolist()
+    return np.sqrt(_dot(rows, rows))
 
 
-def _diagnose(inst, t0: int, x, y, yhat, yhat_next, m, calls, zero) -> list[IterationLog]:
-    """IterationLogs of iterations t0, t0 + 1, ... from one row each.
+def _diagnose(inst, t0: int, x, y, yhat, yhat_next, m, calls, zero) -> dict[str, np.ndarray]:
+    """The RunLog columns of iterations t0, t0 + 1, ... from one row each.
 
     Row i holds iteration t0 + i's x_t, y_t (before the lower step), y_hat_t,
     y_hat_{t+1} and m_t, its oracle counters (g1, jvp, hvp, f) after the
@@ -194,23 +238,22 @@ def _diagnose(inst, t0: int, x, y, yhat, yhat_next, m, calls, zero) -> list[Iter
     computed for all rows at once by the instance's stacked methods.
     """
     ystar = inst.lower_minimizer(x)
-    g1, jvp, hvp, f = calls.T.tolist()
-    columns = {
+    g1, jvp, hvp, f = calls.T
+    return {
+        "t": np.arange(t0, t0 + len(x), dtype=np.int64),
         "grad_norm_true": _norms(inst.true_hypergradient(x)),
         "m_norm": _norms(m),
         "y_track_err": _norms(y - ystar),
         "yhat_track_err": _norms(yhat - ystar),
         "yhat_step": _norms(yhat_next - yhat),
         "calls_g1": g1, "calls_jvp": jvp, "calls_hvp": hvp, "calls_f": f,
-        "zero_momentum": zero.tolist(),
+        "zero_momentum": zero.copy(),
     }
-    return [IterationLog(t=t0 + i, **dict(zip(columns, row)))
-            for i, row in enumerate(zip(*columns.values()))]
 
 
 def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: float,
                 lower, direction, sampling: Sampling,
-                stream: RandomStream) -> list[IterationLog]:
+                stream: RandomStream) -> RunLog:
     """The outer loop that AccBO and its plain-momentum ablation share.
 
     Iteration t takes the new lower iterate from
@@ -219,23 +262,24 @@ def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: flo
     draws the Neumann depth q_t from the "q" child of ``st =
     stream.child("upper", t)``, and steps x a distance eta along
     ``direction(m, x, x_prev, y_hat, yhat_prev, st, q_t)``, which is formed
-    at the current y_hat. A NumericalAbort carries the logs of the
+    at the current y_hat. A NumericalAbort carries the RunLog of the
     iterations completed so far as its ``logs`` attribute.
 
     The recursion never reads its diagnostics, so the loop only records each
     iteration's x_t, y_t, y_hat_t, y_hat_{t+1}, m_t, running sum of q_t and
     zero-momentum flag in buffers of _BLOCK rows. ``_diagnose`` turns a full
-    buffer into IterationLogs in one pass (y*(x_t), the true hypergradient
-    and the norms, with the counters of ``oracle_counts``), as do the end of
-    the run and an abort for the rows filled so far. Nothing in the loop
-    reads y*(x_t) any more, which is why the ridge toy's per-x cache holds
-    only its sigmoid weights and H_yy(x).
+    buffer into a block of RunLog columns in one pass (y*(x_t), the true
+    hypergradient and the norms, with the counters of ``oracle_counts``), as
+    do the end of the run and an abort for the rows filled so far. The blocks
+    are joined once, at the end, so memory grows only with the iterations
+    run. Nothing in the loop reads y*(x_t) any more, which is why the ridge
+    toy's per-x cache holds only its sigmoid weights and H_yy(x).
     """
     y_hat = y.copy()
     x_prev: np.ndarray | None = None
     yhat_prev: np.ndarray | None = None
     m: np.ndarray | None = None
-    logs: list[IterationLog] = []
+    blocks: list[dict[str, np.ndarray]] = []
     rows = min(schedule.T, _BLOCK)
     xs, ms = np.empty((rows, x.size)), np.empty((rows, x.size))
     ys, yhats, yhat_nexts = (np.empty((rows, y.size)) for _ in range(3))
@@ -249,8 +293,8 @@ def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: flo
         if n:
             counts = np.column_stack(oracle_counts(
                 sampling, schedule, np.arange(t - n, t), q_sums[:n], q0))
-            logs.extend(_diagnose(inst, t - n, xs[:n], ys[:n], yhats[:n],
-                                  yhat_nexts[:n], ms[:n], counts, zeros[:n]))
+            blocks.append(_diagnose(inst, t - n, xs[:n], ys[:n], yhats[:n],
+                                    yhat_nexts[:n], ms[:n], counts, zeros[:n]))
             n = 0
 
     lowers = stream.children("lower", schedule.T)
@@ -279,10 +323,10 @@ def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: flo
             yhat_prev, y_hat = y_hat, yhat_next
     except NumericalAbort as exc:
         flush(t)
-        exc.logs = logs
+        exc.logs = _join(blocks)
         raise
     flush(schedule.T)
-    return logs
+    return _join(blocks)
 
 
 def run_accbo(
@@ -291,8 +335,8 @@ def run_accbo(
     option: str,
     stream: RandomStream,
     x0: np.ndarray | None = None,
-) -> list[IterationLog]:
-    """Full optimizer run; returns one IterationLog per outer iteration.
+) -> RunLog:
+    """Full optimizer run; returns its RunLog, one row per outer iteration.
 
     Deterministic given (instance, schedule, option, stream). An option
     that cannot run on inst, or a schedule that check_budget refuses, raises
@@ -326,8 +370,8 @@ def run_accbo(
     return _outer_loop(inst, x, y, s, s.tau, lower, direction, sampling, stream)
 
 
-def running_average_grad_norm(logs: list[IterationLog]) -> float:
+def running_average_grad_norm(logs: RunLog) -> float:
     """Mean of the true gradient norms over the logged iterations."""
-    if not logs:
+    if not len(logs):
         raise ConstraintViolation("empty log")
-    return float(np.mean([rec.grad_norm_true for rec in logs]))
+    return float(np.mean(logs.columns["grad_norm_true"]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from accbo import optimizer
 from accbo.problems import (
     ExpUpperToy,
     GeneralQuadratic,
@@ -97,3 +98,9 @@ class CountingOracles:
     def stoch_hvp_yy_g(self, x, y, v, stream):
         self.calls["hvp"] += 1
         return self.inst.stoch_hvp_yy_g(x, y, v, stream)
+
+
+def run_log_of(rows):
+    """The RunLog whose rows are these IterationLogs."""
+    return optimizer.RunLog({name: np.array([getattr(r, name) for r in rows], dtype)
+                             for name, dtype in optimizer._COLUMNS.items()})

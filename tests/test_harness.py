@@ -2,6 +2,7 @@ import copy
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,8 @@ from accbo import hypergrad, optimizer, snag
 from accbo.constants import PRACTICAL_OVERRIDES, ConstraintViolation, derive_schedule
 from accbo.harness import (
     _fmt,
+    _median,
+    _summarize_run,
     ConfigError,
     ExperimentConfig,
     calls_to_target,
@@ -35,7 +38,7 @@ from accbo.problems import ARRAY, INSTANCE_KINDS, NOISE, instance_from_dict, \
     instance_to_json, make_fixture_ridge
 from accbo.snag import DriftProcess, TrackingBoundParams
 
-from conftest import analytic_instances
+from conftest import analytic_instances, run_log_of
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -142,9 +145,8 @@ csv_values = st.one_of(
 class TestSerialization:
     def test_csv_floats_round_trip_exactly(self, tmp_path):
         vals = [0.1, 1.0 / 3.0, np.pi, 1e-300, 12345.6789e17]
-        records = [{"t": i, "v": v} for i, v in enumerate(vals)]
         path = tmp_path / "out.csv"
-        write_csv(records, path, ["t", "v"])
+        write_csv(enumerate(vals), path, ["t", "v"])
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t,v"
         for i, v in enumerate(vals):
@@ -160,14 +162,14 @@ class TestSerialization:
         columns = [f"c{j}" for j in range(len(rows[0]))]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.csv"
-            write_csv([dict(zip(columns, row)) for row in rows], path, columns)
+            write_csv(rows, path, columns)
             lines = path.read_bytes().decode("utf-8").split("\n")
         assert lines == [",".join(columns)] + [
             ",".join(_fmt(v) for v in row) for row in rows] + [""]
 
     def test_csv_uses_lf_endings(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv([{"a": 1}], path, ["a"])
+        write_csv([(1,)], path, ["a"])
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
@@ -407,14 +409,119 @@ class TestCallsToTarget:
                             calls_g1=calls, calls_jvp=0, calls_hvp=0, calls_f=0)
 
     def test_first_hit(self):
-        logs = [self.make_log(0, 4.0, 10), self.make_log(1, 0.0, 20),
-                self.make_log(2, 0.0, 30)]
+        logs = run_log_of([self.make_log(0, 4.0, 10), self.make_log(1, 0.0, 20),
+                           self.make_log(2, 0.0, 30)])
         # running means: 4, 2, 4/3 -> target 1.5 first met at t=2.
         assert calls_to_target(logs, 1.5) == 30.0
 
     def test_never_hit_is_inf(self):
-        logs = [self.make_log(0, 4.0, 10)]
+        logs = run_log_of([self.make_log(0, 4.0, 10)])
         assert calls_to_target(logs, 0.1) == float("inf")
+
+
+def random_run_log(seed, n):
+    """A RunLog of n rows: gradient norms over six decades, cumulative counts
+    and rare zero-momentum flags."""
+    gen = np.random.default_rng(seed)
+    calls = np.cumsum(gen.integers(0, 50, size=(4, n)), axis=1)
+    return optimizer.RunLog({
+        "t": np.arange(n), "grad_norm_true": gen.random(n) * 10.0 ** gen.integers(-3, 3, n),
+        **{name: gen.random(n) for name in ("m_norm", "y_track_err", "yhat_track_err",
+                                            "yhat_step")},
+        **dict(zip(("calls_g1", "calls_jvp", "calls_hvp", "calls_f"), calls)),
+        "zero_momentum": gen.random(n) < 0.05,
+    })
+
+
+def calls_to_target_rows(logs, target):
+    """calls_to_target as a loop over the rows: the reference."""
+    running = 0.0
+    for i, rec in enumerate(logs):
+        running += rec.grad_norm_true
+        if running / (i + 1) <= target:
+            return float(rec.total_calls)
+    return math.inf
+
+
+def summarize_rows(logs):
+    """_summarize_run from the rows: the reference."""
+    return {
+        "iterations": len(logs),
+        "running_avg_grad_norm": float(np.mean([rec.grad_norm_true for rec in logs])),
+        "final_grad_norm": logs[-1].grad_norm_true,
+        "total_oracle_calls": logs[-1].total_calls,
+        "zero_momentum_events": sum(1 for rec in logs if rec.zero_momentum),
+    }
+
+
+class TestColumnReaders:
+    """Each reader of a RunLog's columns equals its loop over the rows."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_calls_to_target_equals_the_row_loop(self, seed):
+        logs, means, running = random_run_log(seed, 300), [], 0.0
+        for i, rec in enumerate(logs):
+            running += rec.grad_norm_true
+            means.append(running / (i + 1))
+        # A target between the running means, one exactly equal to a running
+        # mean (met at that row or earlier), one below them all and one above.
+        for target in (float(np.median(means)), means[150], min(means) / 2, max(means)):
+            got = calls_to_target(logs, target)
+            assert got == calls_to_target_rows(logs, target)
+            assert type(got) is float
+        assert calls_to_target(logs, min(means) / 2) == math.inf
+
+    def test_running_mean_equal_to_the_target_meets_it(self):
+        logs = run_log_of([IterationLog(t, g, 0.0, 0.0, 0.0, 0.0, 10 * (t + 1), 0, 0, 0)
+                           for t, g in enumerate([3.0, 1.0, 2.0])])
+        # Running means 3, 2, 2: the first one equal to 2 is at t = 1.
+        assert calls_to_target(logs, 2.0) == calls_to_target_rows(logs, 2.0) == 20.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_summary_equals_the_row_forms(self, seed):
+        logs = random_run_log(seed, 257)
+        got, want = _summarize_run(logs), summarize_rows(logs)
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+        avg = optimizer.running_average_grad_norm(logs)
+        assert avg == want["running_avg_grad_norm"] and type(avg) is float
+
+
+class TestMedian:
+    @pytest.mark.parametrize("values", [
+        [3.0], [2.0, 1.0], [5.0, 1.0, 3.0], [4.0, 1.0, 3.0, 2.0], [2.0, 2.0, 1.0, 2.0],
+        [1.0, math.inf], [math.inf, math.inf, 1.0], [-math.inf, math.inf],
+        [math.inf, math.inf], [1.0, math.nan, 2.0], [math.nan], [math.nan, math.inf],
+        [0.1, 0.2], [1e308, 1e308], [1e308, 1.7e308], [-0.0, 0.0],
+    ])
+    def test_equals_np_median(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf
+            want = float(np.median(values))
+        got = _median(values)
+        assert type(got) is float
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:  # the sign of a zero too
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_no_command_imports_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma on its first call, for 1.3 MiB of memory.
+        sweep = {"instance": ISO_DOC, "option": "one", "epsilons": [0.2, 0.1],
+                 "schedule": SWEEP_SCHEDULE, "x0": [1.0, 1.0]}
+        args = []
+        for cmd, doc in (("sweep", sweep), ("accbo", ACCBO_DOC)):
+            args += [cmd, str(write_config(tmp_path, doc, f"{cmd}.json")), str(tmp_path / cmd)]
+        script = ("import sys\n"
+                  "from accbo import cli\n"
+                  "for cmd, config, out in zip(*[iter(sys.argv[1:])] * 3):\n"
+                  "    assert cli.main([cmd, '--config', config, '--out', out, '--seeds', '2']) == 0\n"
+                  "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestCli:

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from accbo.problems import IsotropicQuadratic, instance_from_dict, make_fixture_
 from accbo.rng import RandomStream
 from accbo.snag import NumericalAbort
 
-from conftest import CountingOracles, analytic_instances, scaled_ridge
+from conftest import CountingOracles, analytic_instances, run_log_of, scaled_ridge
 
 
 def practical_schedule(inst, *, alpha=0.04, eta=0.01, T=20, epsilon=0.05,
@@ -326,7 +329,7 @@ class TestDiagnosticsPostPass:
         calls = np.cumsum(gen.integers(0, 5, size=(n, 4)), axis=0)
         zero = gen.random(n) < 0.1
         rows = (x, y, yhat, yhat_next, m, calls, zero)
-        same_logs(optimizer._diagnose(inst, 17, *rows),
+        same_logs(optimizer.RunLog(optimizer._diagnose(inst, 17, *rows)),
                   per_iteration_logs(inst, 17, *rows))
 
     @pytest.mark.parametrize("inst, run", [
@@ -348,7 +351,8 @@ class TestDiagnosticsPostPass:
         monkeypatch.setattr(optimizer, "_diagnose", spy)
         logs = run(inst, sched, RandomStream(5))
         assert blocks == [(0, optimizer._BLOCK), (optimizer._BLOCK, 3)]
-        monkeypatch.setattr(optimizer, "_diagnose", per_iteration_logs)
+        monkeypatch.setattr(optimizer, "_diagnose",
+                            lambda *rows: run_log_of(per_iteration_logs(*rows)).columns)
         same_logs(logs, run(inst, sched, RandomStream(5)))
         assert [r.t for r in logs] == list(range(self.T))
 
@@ -376,6 +380,28 @@ class TestDiagnosticsPostPass:
         reference = run(noisy_iso(), sched, RandomStream(4))
         assert len(info.value.logs) == fail_at
         same_logs(info.value.logs, reference[:fail_at])
+        columns = info.value.logs.columns
+        assert list(columns) == list(reference.columns)
+        for name, col in columns.items():
+            want = reference.columns[name][:fail_at]
+            assert col.dtype == want.dtype and col.shape == (fail_at,)
+            assert np.array_equal(col, want)
+
+    def test_log_retains_at_most_100_bytes_per_iteration(self):
+        inst, T = noisy_iso(), 5000
+        sched = practical_schedule(inst, T=T, Q=1, S=1)
+        run_accbo(inst, sched, "two", RandomStream(1))  # lazy set-up outside the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            logs = run_accbo(inst, sched, "two", RandomStream(1))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(logs) == T
+        assert retained / T <= 100  # one IterationLog per row retained 420
 
 
 def counted_run(monkeypatch, inst, run, sched):

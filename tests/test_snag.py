@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from accbo import cli, snag
 from accbo.constants import ConstraintViolation, nesterov_momentum
-from accbo.harness import TRAJECTORY_COLUMNS, ExperimentConfig, cmd_snag_track, write_csv
+from accbo.harness import TRAJECTORY_COLUMNS, ExperimentConfig, _rows, cmd_snag_track, write_csv
 from accbo.hypergrad import EstimatorConfig
 from accbo.rng import RandomStream
 from accbo.snag import (
@@ -807,7 +807,8 @@ class TestSeedZeroTrajectories:
                 records = run_tracking_experiment(0.7 * np.eye(3), reference, p,
                                                   RandomStream(9).child("mc", 0))
                 name = f"track_sigma{float(sigma):.17g}_delta{float(delta):.17g}.csv"
-                write_csv(records, tmp_path / name, TRAJECTORY_COLUMNS)
+                write_csv(_rows(records, TRAJECTORY_COLUMNS), tmp_path / name,
+                          TRAJECTORY_COLUMNS)
                 assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
