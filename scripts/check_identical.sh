@@ -34,8 +34,10 @@ track_v0     snag-track  150 3  tracking.json          {"mu": 0.7, "dim": 4, "V0
 track_fixed1 snag-track  200 4  tracking.json          {"dim": 1, "sigma": [0, 0.3], "drift": {"kind": "fixed_direction", "delta": [0, 0.002]}}
 # A random walk in dim 9, where the coordinate sums are pairwise.
 track_dim9   snag-track  200 5  tracking.json          {"dim": 9, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
-# T = 257: the grid ends a 256-step tape block one step before the run ends.
+# T = 257: the grid ends a tape block one step before the run ends.
 track_block  snag-track  100 7  tracking.json          {"T": 257, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
+# T = 100: the run ends partway through its second tape block.
+track_mid    snag-track  7   11 tracking.json          {"T": 100, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
 # No drift: the only row whose drift is {"kind": "none"}, which takes no delta.
 track_still  snag-track  200 2  tracking.json          {"sigma": [0, 0.3], "drift": {"kind": "none"}}
 # Option two on the noisy fixture ridge toy, whose diagnostics need a linear solve.

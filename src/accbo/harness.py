@@ -227,21 +227,31 @@ def _rows(records: list[dict], columns: list[str]):
     return (tuple(rec[c] for c in columns) for rec in records)
 
 
+# Lines a CSV writer formats and writes at a time, and rows a run log turns
+# into Python scalars at a time.
+_CSV_BLOCK = 1024
+
+
 def write_csv(rows, path: str | Path, columns: list[str]) -> None:
     """Write rows, each a tuple of values in column order, under a header of
-    columns; ``_rows`` gives the rows of a list of dicts."""
+    columns; ``_rows`` gives the rows of a list of dicts. Lines are formatted
+    and written _CSV_BLOCK at a time, so rows may be a lazy iterable."""
     formats: dict[tuple[type, ...], str] = {}
-    lines = [",".join(columns)]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = _row_format(kinds)
-        if bool in kinds:
-            row = tuple(_fmt(v) if type(v) is bool else v for v in row)
-        lines.append(fmt % row)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines = [",".join(columns)]
+        for row in rows:
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = _row_format(kinds)
+            if bool in kinds:
+                row = tuple(_fmt(v) if type(v) is bool else v for v in row)
+            lines.append(fmt % row)
+            if len(lines) == _CSV_BLOCK:
+                fh.write("\n".join(lines) + "\n")
+                lines = []
+        if lines:
+            fh.write("\n".join(lines) + "\n")
 
 
 class _FloatEncoder(json.JSONEncoder):
@@ -399,8 +409,11 @@ RUN_COLUMNS = {
 
 
 def _run_log_rows(logs: optimizer.RunLog):
-    """The run-log CSV rows, from the columns' Python scalars."""
-    return zip(*(logs.columns[field].tolist() for field in RUN_COLUMNS.values()))
+    """The run-log CSV rows, from the columns' Python scalars, made
+    _CSV_BLOCK rows at a time."""
+    columns = [logs.columns[field] for field in RUN_COLUMNS.values()]
+    for lo in range(0, len(logs), _CSV_BLOCK):
+        yield from zip(*(col[lo:lo + _CSV_BLOCK].tolist() for col in columns))
 
 
 def _median(values: list[float]) -> float:

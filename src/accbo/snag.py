@@ -159,7 +159,7 @@ _NOISE, _DRIFT = "noise", "drift"
 
 # Steps of unit tape the Monte-Carlo grid holds per source: it draws each
 # seed's tapes this many rows at a time, just before its step loop reads them.
-_BLOCK = 256
+_BLOCK = 64
 
 
 def _unit_tape(stream: RandomStream, label: str, T: int, dim: int) -> np.ndarray:
@@ -174,15 +174,16 @@ def _tape_planes(streams: Sequence[RandomStream], label: str, T: int, dim: int):
     Each stream's generator is built once; a Generator keeps no state
     between normal calls but its bit generator, so its rows drawn _BLOCK at
     a time are the rows of its one (T, dim) draw. They fill one reused
-    (_BLOCK, dim, 1, n_seeds) array, so a plane is valid until the next
-    one is taken."""
+    seed-major (n_seeds, _BLOCK, dim) array, seed k's rows in one contiguous
+    write, and each plane is a contiguous copy of one step's rows."""
     gens = [stream.child(label).generator() for stream in streams]
-    block = np.empty((min(T, _BLOCK), dim, 1, len(gens)))
+    block = np.empty((len(gens), min(T, _BLOCK), dim))
     for lo in range(0, T, _BLOCK):
         b = min(_BLOCK, T - lo)
         for k, gen in enumerate(gens):
-            block[:b, :, 0, k] = gen.normal(0.0, 1.0, size=(b, dim))
-        yield from block[:b]
+            block[k, :b] = gen.normal(0.0, 1.0, size=(b, dim))
+        for t in range(b):
+            yield block[:, t, :].T.copy()[:, None, :]
 
 
 def _noise_rows(scale, z: np.ndarray) -> np.ndarray:
@@ -381,9 +382,10 @@ def mc_tracking_grid(
     (dim, n_cells, n_seeds) arrays, so a sum over the coordinates adds
     contiguous planes. Per seed, one unit noise tape and one unit walk
     tape are drawn (each only if some cell needs it), _BLOCK steps at a time
-    into one (_BLOCK, dim, 1, n_seeds) block per source, just before the
-    steps that read them; every cell scales the same rows step by step. Tape
-    memory is thus 2 * _BLOCK * dim * n_seeds doubles at most, whatever T and
+    into one seed-major (n_seeds, _BLOCK, dim) block per source, just before
+    the steps that read them; every cell scales the same rows step by step,
+    from one contiguous copy of the step's rows per source. Tape memory is
+    thus 2 * _BLOCK * dim * n_seeds doubles at most, whatever T and
     the number of cells. A cell that does not walk moves its minimizer by the
     same displacement at every step, delta or 0 along the first coordinate,
     so it keeps one (dim,) row of it.

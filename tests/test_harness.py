@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,8 +18,10 @@ from hypothesis import strategies as st
 from accbo import hypergrad, optimizer, snag
 from accbo.constants import PRACTICAL_OVERRIDES, ConstraintViolation, derive_schedule
 from accbo.harness import (
+    RUN_COLUMNS,
     _fmt,
     _median,
+    _run_log_rows,
     _summarize_run,
     ConfigError,
     ExperimentConfig,
@@ -173,6 +176,22 @@ class TestSerialization:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_run_log_csv_is_written_in_blocks(self, tmp_path):
+        # Formatted whole, 20,000 rows would peak at about 14 MiB.
+        logs = random_run_log(0, 20_000)
+        path = tmp_path / "run.csv"
+        tracemalloc.start()
+        try:
+            write_csv(_run_log_rows(logs), path, list(RUN_COLUMNS))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines == [",".join(RUN_COLUMNS)] + [
+            ",".join(_fmt(getattr(rec, field)) for field in RUN_COLUMNS.values())
+            for rec in logs] + [""]
 
     def test_json_sorted_keys_and_numpy_types(self, tmp_path):
         path = tmp_path / "out.json"

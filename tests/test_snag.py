@@ -572,18 +572,22 @@ class TestMonteCarloGrid:
 
 
 class TestTapeBlocks:
-    """The grid draws its unit tapes _BLOCK steps at a time. Runs that end
-    before, on and after a block's last step are the one-block runs."""
+    """The grid draws its unit tapes _BLOCK steps at a time, seed-major. Runs
+    that end before, on and after a block's last step are the one-block
+    runs."""
 
     B = 4
     TS = [1, B - 1, B, B + 1, 2 * B + 1]
 
-    @pytest.mark.parametrize("T", TS)
+    @pytest.mark.parametrize("T", [*TS, "unpatched"])
     def test_planes_are_the_unit_tapes(self, monkeypatch, T):
-        monkeypatch.setattr(snag, "_BLOCK", self.B)
+        if T == "unpatched":
+            T = 2 * snag._BLOCK + 5  # the shipped block size, a run that ends mid-block
+        else:
+            monkeypatch.setattr(snag, "_BLOCK", self.B)
         seeds = RandomStream(5).children("mc", 3)
         for label in ("noise", "drift"):
-            # A plane lives until the next is taken, so each is copied.
+            # Copied: a plane need only be valid until the next one is taken.
             planes = np.stack([plane.copy() for plane in _tape_planes(seeds, label, T, 2)])
             assert planes.shape == (T, 2, 1, 3)
             for k, stream in enumerate(seeds):
@@ -610,6 +614,26 @@ class TestTapeBlocks:
                 for key in ("V", "bound", "dist", "phi_gap"):
                     assert _bits([r[key] for r in records]) == _bits([r[key] for r in reference])
             assert rate == sum(any(map(_violates, logs)) for logs in runs) / n_seeds
+
+    def test_memory_per_seed(self):
+        # Two noisy random-walk cells, so both tapes are drawn. What a seed
+        # adds to the grid's peak is mostly its two blocks of tape,
+        # 2 * _BLOCK * dim doubles; its state, plane and generator rows come
+        # to about 1.3 KiB more.
+        T, dim = 2000, 2
+        p = TrackingBoundParams(mu=1.0, alpha=0.04, sigma=0.5, T=T, delta_prob=0.05,
+                                V0=1.0)
+        walk = DriftProcess(kind="random_walk", delta=0.01)
+        cells = [(p, walk), (replace(p, sigma=0.1), walk)]
+        peaks = []
+        for n_seeds in (200, 400):
+            tracemalloc.start()
+            try:
+                mc_tracking_grid(cells, n_seeds, dim=dim, base_seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 200 <= 6 * 1024
 
     def test_tape_memory_does_not_grow_with_T(self):
         # Two noisy random-walk cells, so both tapes are drawn, and seed 0's
