@@ -38,6 +38,9 @@ track_dim9   snag-track  200 5  tracking.json          {"dim": 9, "sigma": [0, 0
 track_block  snag-track  100 7  tracking.json          {"T": 257, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
 # T = 100: the run ends partway through its second tape block.
 track_mid    snag-track  7   11 tracking.json          {"T": 100, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
+# T = 1023: 1024 data rows, exactly one full CSV block, where a writer whose
+# first block holds the header and one whose blocks count data rows differ.
+track_1024   snag-track  7   13 tracking.json          {"T": 1023, "sigma": [0, 0.3], "drift": {"kind": "random_walk", "delta": [0, 0.002]}}
 # No drift: the only row whose drift is {"kind": "none"}, which takes no delta.
 track_still  snag-track  200 2  tracking.json          {"sigma": [0, 0.3], "drift": {"kind": "none"}}
 # Option two on the noisy fixture ridge toy, whose diagnostics need a linear solve.

@@ -14,7 +14,6 @@ domains in its ``DOMAINS`` table and checks itself with ``check_domains``:
 
 from __future__ import annotations
 
-import inspect
 import math
 import numbers
 import sys
@@ -401,12 +400,13 @@ def derive_schedule(
     refused with ConstraintViolation.
     """
     check_domains({"epsilon": epsilon, "delta": delta, "d0": d0}, SCHEDULE_INPUTS)
-    schedules = {"theorem": _theorem_schedule, "practical": _practical_schedule}
+    # Each mode's function, with the keywords it reads.
+    schedules = {"theorem": (_theorem_schedule, THEOREM_INPUTS),
+                 "practical": (_practical_schedule, ("overrides",))}
     if mode not in schedules:
         raise ConstraintViolation(f"mode must be 'theorem' or 'practical', got {mode!r}")
-    # A mode reads only the keywords of its own function.
-    make = schedules[mode]
-    unread = sorted(set(options) - set(inspect.signature(make).parameters))
+    make, keywords = schedules[mode]
+    unread = sorted(set(options) - set(keywords))
     if unread:
         raise ConstraintViolation(f"{mode} mode does not read {', '.join(unread)}")
     try:

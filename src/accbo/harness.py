@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -207,51 +206,34 @@ def load_config(path: str | Path) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def _row_format(kinds: tuple[type, ...]) -> str:
-    """The %-format of a CSV row whose values have these types: with bools
-    made "true" or "false" first, it gives _fmt's bytes for every value."""
-    return ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds)
-
-
-def _rows(records: list[dict], columns: list[str]):
-    """Each record's values in column order, as a tuple."""
-    if len(columns) > 1:
-        return map(operator.itemgetter(*columns), records)
-    return (tuple(rec[c] for c in columns) for rec in records)
-
-
-# Lines a CSV writer formats and writes at a time, and rows a run log turns
-# into Python scalars at a time.
+# Lines a CSV writer formats and writes at a time.
 _CSV_BLOCK = 1024
 
 
-def write_csv(rows, path: str | Path, columns: list[str]) -> None:
-    """Write rows, each a tuple of values in column order, under a header of
-    columns; ``_rows`` gives the rows of a list of dicts. Lines are formatted
-    and written _CSV_BLOCK at a time, so rows may be a lazy iterable."""
-    formats: dict[tuple[type, ...], str] = {}
+def write_csv(columns: dict, path: str | Path) -> None:
+    """Write a table, a mapping from column name to a 1-D array or list, under
+    a header of its names: an integer column as %d and a float column as
+    %.17g, which are _fmt's bytes. A table whose columns differ in length, or
+    whose column is not 1-D integers or floats, is refused with ValueError
+    before the file is opened. Lines are formatted and written _CSV_BLOCK
+    rows at a time, from the columns' Python scalars."""
+    arrays = [np.asarray(col) for col in columns.values()]
+    for name, col in zip(columns, arrays):
+        if col.ndim != 1 or col.dtype.kind not in "iuf":
+            raise ValueError(f"CSV column {name!r} must be 1-D integers or floats, "
+                             f"got dtype {col.dtype} and shape {col.shape}")
+        if len(col) != len(arrays[0]):
+            raise ValueError(f"CSV column {name!r} has {len(col)} rows, "
+                             f"the first column {len(arrays[0])}")
+    fmt = ",".join("%.17g" if col.dtype.kind == "f" else "%d" for col in arrays)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        lines = [",".join(columns)]
-        for row in rows:
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = _row_format(kinds)
-            if bool in kinds:
-                row = tuple(_fmt(v) if type(v) is bool else v for v in row)
-            lines.append(fmt % row)
-            if len(lines) == _CSV_BLOCK:
-                fh.write("\n".join(lines) + "\n")
-                lines = []
-        if lines:
-            fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, len(arrays[0]), _CSV_BLOCK):
+            rows = zip(*(col[lo:lo + _CSV_BLOCK].tolist() for col in arrays))
+            fh.write("\n".join(map(fmt.__mod__, rows)) + "\n")
 
 
 class _FloatEncoder(json.JSONEncoder):
@@ -398,7 +380,6 @@ SWEEP = {
 }
 
 
-TRAJECTORY_COLUMNS = ["t", "V", "bound", "dist", "phi_gap"]
 # Each run-log CSV column, in order, with the RunLog column it holds.
 RUN_COLUMNS = {
     "t": "t", "grad_norm": "grad_norm_true", "m_norm": "m_norm",
@@ -406,14 +387,6 @@ RUN_COLUMNS = {
     "calls_g1": "calls_g1", "calls_jvp": "calls_jvp", "calls_hvp": "calls_hvp",
     "calls_f": "calls_f",
 }
-
-
-def _run_log_rows(logs: optimizer.RunLog):
-    """The run-log CSV rows, from the columns' Python scalars, made
-    _CSV_BLOCK rows at a time."""
-    columns = [logs.columns[field] for field in RUN_COLUMNS.values()]
-    for lo in range(0, len(logs), _CSV_BLOCK):
-        yield from zip(*(col[lo:lo + _CSV_BLOCK].tolist() for col in columns))
 
 
 def _median(values: list[float]) -> float:
@@ -459,8 +432,7 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
         sigma, delta = p.sigma, drift.delta
         # Seed 0 of the grid: run_tracking_experiment on (base_seed, "mc", 0).
         name = f"track_sigma{_fmt(float(sigma))}_delta{_fmt(float(delta))}.csv"
-        write_csv(_rows(trajectory(), TRAJECTORY_COLUMNS), config.out_dir / name,
-                  TRAJECTORY_COLUMNS)
+        write_csv(trajectory(), config.out_dir / name)
         log.info("snag-track sigma=%s delta=%s: violation rate %s over %d seeds",
                  sigma, delta, rate, config.n_seeds)
         results.append({"sigma": sigma, "delta": delta, "violation_rate": rate,
@@ -489,7 +461,7 @@ def cmd_bias(config: ExperimentConfig) -> int:
     if x is None:
         x = np.zeros(inst.dim_x)
 
-    rows = []
+    table = {name: [] for name in ("Q", "S", "bias_bound", "bias_est", "var_est", "se")}
     ok = True
     with _refused_at("bias"):  # n_samples draws that do not fit in memory
         for Q in doc["Q_grid"]:
@@ -500,15 +472,13 @@ def cmd_bias(config: ExperimentConfig) -> int:
                 inst, x, cfg, doc["n_samples"], stream
             )
             bound = hypergrad.bias_bound(inst.constants, Q)
-            row_ok = res["bias_est"] <= bound + 4.0 * res["se"]
-            ok = ok and row_ok
-            rows.append({
-                "Q": Q, "S": cfg.S, "bias_bound": bound, "bias_est": res["bias_est"],
-                "var_est": res["var_est"], "se": res["se"],
-            })
+            ok = ok and res["bias_est"] <= bound + 4.0 * res["se"]
+            for name, value in zip(table, (Q, cfg.S, bound, res["bias_est"],
+                                           res["var_est"], res["se"])):
+                table[name].append(value)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    columns = ["Q", "S", "bias_bound", "bias_est", "var_est", "se"]
-    write_csv(_rows(rows, columns), config.out_dir / "bias.csv", columns)
+    write_csv(table, config.out_dir / "bias.csv")
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
     write_json({"command": "bias", "rows": rows, "all_within_bound": ok},
                config.out_dir / "bias_summary.json")
     return 0 if ok else 3
@@ -543,8 +513,8 @@ def cmd_accbo(config: ExperimentConfig) -> int:
     for k in range(config.n_seeds):
         stream = RandomStream(config.base_seed).child("run", k)
         logs = run(inst, schedule, doc["option"], stream, x0)
-        write_csv(_run_log_rows(logs), config.out_dir / f"run_seed{k}.csv",
-                  list(RUN_COLUMNS))
+        write_csv({name: logs.columns[field] for name, field in RUN_COLUMNS.items()},
+                  config.out_dir / f"run_seed{k}.csv")
         per_seed.append(_summarize_run(logs))
         log.info("accbo %s seed %d: running average grad norm %s after %d iterations",
                  algorithm, k, per_seed[-1]["running_avg_grad_norm"], len(logs))

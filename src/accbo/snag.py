@@ -11,12 +11,12 @@ drift term exactly when the drift moves. A run's objective is given by its
 Hessian H alone; mu is read only from the bound parameters. ``_cell_inputs``
 checks H and sets up a cell: its start row, its noise scale and its bound at
 every t, whose V0 is the start row's potential. ``_trajectory`` builds a
-run's records from its rows of w and w* with one builder, ``_record_terms``.
+run's columns from its rows of w and w* with one builder, ``_record_terms``.
 ``run_tracking_experiment`` is the scalar reference, one run with the
 gradient H @ (z - w*) + noise. ``mc_tracking_grid`` carries every
 (cell, seed) run of a grid in one coordinate-major SNAG state; seed k of a
 cell is the reference run on stream (base_seed, "mc", k), and the
-snag-track CSVs are the grid's seed-0 records. A run violates its bound
+snag-track CSVs are the grid's seed-0 columns. A run violates its bound
 when its potential is, at some t, not finite or above the bound.
 """
 
@@ -278,14 +278,13 @@ def _record_terms(w, w_prev, wstar, H: np.ndarray, s: float, alpha: float):
 
 
 def _trajectory(w: np.ndarray, wstar: np.ndarray, bounds: np.ndarray, H: np.ndarray,
-                s: float, alpha: float) -> list[dict]:
-    """Records of one run from its (T+1, dim) rows of w and w*, and its bound
-    at every t. w_prev is w one step back (w_{-1} = w_0)."""
+                s: float, alpha: float) -> dict[str, np.ndarray]:
+    """Columns t, V, bound, dist and phi_gap of one run, each with one entry
+    per t in [0, T], from its (T+1, dim) rows of w and w*, and its bound at
+    every t. w_prev is w one step back (w_{-1} = w_0)."""
     w_prev = np.concatenate([w[:1], w[:-1]])
     V, gap, dist = _record_terms(w, w_prev, wstar, H, s, alpha)
-    return [{"t": t, "V": v, "bound": b, "dist": d, "phi_gap": g}
-            for t, (v, b, d, g) in enumerate(zip(
-                V.tolist(), bounds.tolist(), dist.tolist(), gap.tolist()))]
+    return {"t": np.arange(len(w)), "V": V, "bound": bounds, "dist": dist, "phi_gap": gap}
 
 
 def _cell_inputs(H: np.ndarray, p: TrackingBoundParams, drift: DriftProcess,
@@ -295,7 +294,7 @@ def _cell_inputs(H: np.ndarray, p: TrackingBoundParams, drift: DriftProcess,
     square, finite, symmetric, with no eigenvalue below p.mu - 1e-12, and
     p.mu * I when the drift moves; w0 (dim,), by default offset along the
     first coordinate so that its potential is p.V0. The bound's V0 is the
-    start row's potential as its record computes it, and entry t is
+    start row's potential as its trajectory computes it, and entry t is
     tracking_bound(p, drift, t) with that V0, bit for bit. A potential that
     is not finite (V0 / mu overflows the start row, or its sums overflow) is
     refused."""
@@ -331,12 +330,13 @@ def run_tracking_experiment(
     p: TrackingBoundParams,
     stream: RandomStream,
     w0: np.ndarray | None = None,
-) -> list[dict]:
+) -> dict[str, np.ndarray]:
     """Run SNAG against phi_t(w) = 0.5 * (w - w*_t)' H (w - w*_t), whose
     minimizer starts at 0 and moves by the drift, and log potential vs bound
     per step. H (dim, dim) and w0 (dim,) follow _cell_inputs' rules.
 
-    Returns one record per t in [0, T] with keys t, V, bound, dist, phi_gap.
+    Returns the columns t, V, bound, dist and phi_gap, in that order, each
+    with one entry per t in [0, T].
     """
     bounds, H, w0, scale = _cell_inputs(H, p, drift, w0)
     dim = len(H)
@@ -367,7 +367,7 @@ def mc_tracking_grid(
     n_seeds: int,
     dim: int = 2,
     base_seed: int = 0,
-) -> tuple[list[float], list[Callable[[], list[dict]]]]:
+) -> tuple[list[float], list[Callable[[], dict[str, np.ndarray]]]]:
     """Violation rate of each (params, drift) cell: the fraction of its
     independent runs whose potential is, at some t, not finite or above the
     cell's bound; and seed 0's trajectory of each cell.
@@ -402,7 +402,7 @@ def mc_tracking_grid(
     The grid keeps seed 0's w and w* rows at every step once, cell-major:
     two (n_cells, T+1, dim) arrays, so cell c's rows are contiguous and laid
     out as run_tracking_experiment's. Trajectory c, when called, builds from
-    them and cell c's float64 bound table with _trajectory the records that
+    them and cell c's float64 bound table with _trajectory the columns that
     run_tracking_experiment returns for cell c on stream (base_seed, "mc", 0).
     """
     check_domains({"n_seeds": n_seeds, "dim": dim}, dict.fromkeys(("n_seeds", "dim"), COUNT))

@@ -69,7 +69,7 @@ def test_criterion_1_deterministic_contraction():
         np.diag(np.arange(1.0, 11.0)), DriftProcess(), p, RandomStream(0),
         w0=np.ones(10),
     )
-    V = np.array([rec["V"] for rec in logs])
+    V = logs["V"]
     rho = 1.0 - math.sqrt(p.mu * p.alpha)
     slack = float(np.max(V[1:] - (rho * V[:-1] + 1e-12)))
     ok = bool(np.all(V[1:] <= rho * V[:-1] + 1e-12))

@@ -21,7 +21,6 @@ from accbo.harness import (
     RUN_COLUMNS,
     _fmt,
     _median,
-    _run_log_rows,
     _summarize_run,
     ConfigError,
     ExperimentConfig,
@@ -135,44 +134,61 @@ class TestConfigLoading:
             ExperimentConfig("bias", {}, tmp_path, n_seeds=0)
 
 
-# Values of every type a CSV record holds, and the floats whose text is
-# special: signed zeros, infinities, NaN and subnormals.
-csv_values = st.one_of(
-    st.booleans(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64),
+# Values of an integer and of a float CSV column: the int64 extremes, and the
+# floats whose text is special: signed zeros, infinities, NaN and subnormals.
+# Each comes as a Python and as a numpy scalar.
+csv_ints = st.one_of(st.integers(-2**63, 2**63 - 1),
+                     st.integers(-2**63, 2**63 - 1).map(np.int64),
+                     st.sampled_from([-2**63, 2**63 - 1, np.int64(-2**63), np.int64(2**63 - 1)]))
+csv_floats = st.one_of(
     st.floats(), st.floats().map(np.float64),
     st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
-                     np.float64(-0.0), np.float64(1e-320)]),
-    st.text(max_size=3).filter(lambda text: not set(text) & set(",\n\r")))
+                     np.float64(-0.0), np.float64(1e-320)]))
 
 
 class TestSerialization:
     def test_csv_floats_round_trip_exactly(self, tmp_path):
         vals = [0.1, 1.0 / 3.0, np.pi, 1e-300, 12345.6789e17]
         path = tmp_path / "out.csv"
-        write_csv(enumerate(vals), path, ["t", "v"])
+        write_csv({"t": np.arange(len(vals)), "v": vals}, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t,v"
         for i, v in enumerate(vals):
             parsed = float(lines[i + 1].split(",")[1])
             assert parsed == v  # exact, thanks to 17 significant digits
 
-    # Each row is formatted with one %-format chosen by its value types; every
+    # Each column is formatted with one %-format chosen by its dtype; every
     # value must come out as _fmt writes it alone.
-    @given(rows=st.integers(1, 6).flatmap(
-        lambda n: st.lists(st.tuples(*[csv_values] * n), min_size=1, max_size=4)))
+    @given(columns=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.one_of(st.lists(csv_ints, min_size=n, max_size=n),
+                  st.lists(csv_floats, min_size=n, max_size=n)), min_size=1, max_size=6)))
     @settings(max_examples=300)
-    def test_csv_cells_are_fmt_of_each_value(self, rows):
-        columns = [f"c{j}" for j in range(len(rows[0]))]
+    def test_csv_cells_are_fmt_of_each_value(self, columns):
+        table = {f"c{j}": column for j, column in enumerate(columns)}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.csv"
-            write_csv(rows, path, columns)
+            write_csv(table, path)
             lines = path.read_bytes().decode("utf-8").split("\n")
-        assert lines == [",".join(columns)] + [
-            ",".join(_fmt(v) for v in row) for row in rows] + [""]
+        assert lines == [",".join(table)] + [
+            ",".join(_fmt(v) for v in row) for row in zip(*columns)] + [""]
+
+    @pytest.mark.parametrize("table, name", [
+        ({"a": [1, 2], "b": [0.5]}, "b"),
+        ({"a": np.arange(3), "b": np.zeros(3), "c": np.zeros(4)}, "c"),
+        ({"a": [1.0], "flag": [True]}, "flag"),
+        ({"a": ["x"]}, "a"),
+        ({"a": [1], "big": [2**64]}, "big"),
+        ({"a": np.zeros((2, 2))}, "a"),
+    ], ids=["lengths", "last_length", "bool", "text", "object", "2d"])
+    def test_malformed_table_refused_before_the_file_is_opened(self, tmp_path, table, name):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=f"^CSV column '{name}' "):
+            write_csv(table, path)
+        assert not path.exists()
 
     def test_csv_uses_lf_endings(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv([(1,)], path, ["a"])
+        write_csv({"a": [1]}, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
@@ -183,7 +199,7 @@ class TestSerialization:
         path = tmp_path / "run.csv"
         tracemalloc.start()
         try:
-            write_csv(_run_log_rows(logs), path, list(RUN_COLUMNS))
+            write_csv({name: logs.columns[field] for name, field in RUN_COLUMNS.items()}, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

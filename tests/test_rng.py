@@ -299,7 +299,8 @@ class TestBatchedMatchesScalarReference:
             tapes.clear()
             rates, trajectories = mc_tracking_grid(cells, self.T, dim=2, base_seed=3)
             # A rate counts seeds, so one seed's changed tape could leave it as is.
-            return (rates, [trajectory() for trajectory in trajectories],
+            return (rates, [{name: column.tolist() for name, column in trajectory().items()}
+                            for trajectory in trajectories],
                     [tape.tobytes() for tape in tapes])
 
         batched, scalar = _runs(monkeypatch, run)
