@@ -57,6 +57,16 @@ ridge_doc    accbo       2   0  -                      {"instance": {"kind": "ri
 # The same document run by the plain-momentum baseline, the only row whose
 # run logs hold the baseline's count columns.
 ridge_base   accbo       2   0  -                      {"instance": {"kind": "ridge_weighting", "params": {"Z": [[0.9477747885049593, 0.5085849021788509, -0.146131691628378], [-0.6008420289368845, -1.3547715968388199, 0.4227198599626369], [1.6250770453504617, -1.0134871226725717, 0.5717090987760849], [0.29015337503636485, -0.05422143532970905, -1.7344414671004895], [0.21823074369631223, 1.6091523073413556, -0.06932058963611176], [0.048695677021045845, -1.3224612713860078, 0.8802903889184316], [-1.0199790165722284, -1.0460596109169722, 0.8459557592066116], [2.637804808920496, 0.10491179662316866, 0.5248796861561874]], "y_tr": [1.6616205103474284, -2.2181304954456484, 2.9453636541176684, 1.762850950607453, -0.6036755573833935, 0.9299989099436576, -0.28546027131208945, 2.7165688321479586], "V": [[68.72005869574255, -17.320210742418254, 51.28761054928727], [-25.161457609980282, -39.376758132513274, 15.47821916588967], [30.67642995797084, 32.581190528796085, -32.613514549031166], [46.916188634731924, 16.582258622046645, -64.88840596247849]], "y_val": [90.20206670427349, -1.6035237522512247, 6.232456056315005, 22.40295783308898], "c_reg": 0.05, "w_radius": 2.0}, "noise": {"sigma_f1": 0.1, "sigma_g1": 0.05, "sigma_g2": 0.0}}, "schedule": {"mode": "practical", "epsilon": 0.1, "delta": 0.05, "d0": 1.0, "overrides": {"alpha": 0.001, "beta": 0.95, "eta": 0.005, "T": 1500, "T0": 200, "S": 2, "Q": 15, "I": 2, "N": 12}}, "option": "two", "algorithm": "plain_momentum"}
+# Diverging lower levels, each aborted by a non-finite gradient: in the warm
+# start (alpha_init 1e10), in option one's step and in option two's round
+# (alpha 1e10). tau = 1e-300 keeps y_hat finite, so the lower level aborts
+# before the momentum does. Each exits 4 and names its step on stderr.
+abort_warm    accbo       2   0  convergence.json  {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2, "overrides": {"alpha": 0.04, "alpha_init": 1e10, "eta": 0.002, "T": 400, "T0": 200, "S": 1, "Q": 1, "sigma_g1_tilde": 0.005}}}
+abort_one     accbo       2   0  convergence.json  {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2, "overrides": {"alpha": 1e10, "alpha_init": 0.04, "tau": 1e-300, "beta": 0.9, "eta": 0.002, "T": 400, "T0": 20, "S": 1, "Q": 1, "sigma_g1_tilde": 0.005}}}
+abort_two     accbo       2   0  convergence.json  {"option": "two", "schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2, "overrides": {"alpha": 1e10, "alpha_init": 0.04, "tau": 1e-300, "beta": 0.9, "eta": 0.002, "T": 400, "T0": 20, "S": 1, "Q": 1, "I": 3, "N": 5, "sigma_g1_tilde": 0.005}}}
+# A tracking grid at alpha 30, whose potentials overflow within T: every cell
+# violates its bound and the command exits 3.
+track_diverge snag-track  5   0  tracking.json     {"T": 300, "alpha": 30.0}
 # Refused configs: each exits 2 and names the field at fault on stderr.
 refuse_delta accbo       1   0  convergence.json       {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 1.5, "d0": 0.2, "overrides": {"alpha": 0.04, "eta": 0.002, "sigma_g1_tilde": 0.005, "T0": 200, "S": 4, "Q": 1}}}
 refuse_T     snag-track  1   0  tracking.json          {"T": 2.5}

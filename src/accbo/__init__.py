@@ -28,7 +28,6 @@ from .problems import (
 from .rng import RandomStream
 from .snag import (
     DriftProcess,
-    SnagState,
     TrackingBoundParams,
     mc_tracking_violation_rate,
     potential,

@@ -411,7 +411,10 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
                                      delta_prob=doc["delta_prob"], V0=doc["V0"])
     # "none" takes no delta: it moves the minimizer by 0.
     drifts = [snag.DriftProcess(kind, delta) for delta in doc["drift"].get("delta", [0.0])]
-    # Each sigma and each delta must give a bound floor that is finite by itself.
+    # T and delta_prob must give a finite log factor, and then each sigma and
+    # each delta a bound floor that is finite by itself.
+    with _refused_at("snag-track"):
+        snag.tracking_bound(still, snag.DriftProcess(), 0)
     for i, sigma in enumerate(doc["sigma"]):
         with _refused_at(f"snag-track.sigma[{i}]"):
             snag.tracking_bound(replace(still, sigma=sigma), snag.DriftProcess(), 0)

@@ -19,11 +19,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import ConstraintViolation, Schedule, check_domains
+from .constants import ConstraintViolation, Schedule, check_domains, nesterov_momentum
 from .hypergrad import EstimatorConfig, estimate_hypergradient
 from .problems import _dot
 from .rng import RandomStream
-from .snag import NumericalAbort, SnagState, snag_step
+from .snag import NumericalAbort, snag_step
 
 __all__ = [
     "IterationLog",
@@ -148,13 +148,15 @@ def accbo_sampling(inst, schedule: Schedule, option: str) -> Sampling:
     return Sampling(steps=1, every=1, at_zero=True, k=2)
 
 
-def warm_start(inst, x0, alpha_init: float, T0: int, stream: RandomStream,
-               y_init=None) -> np.ndarray:
+def warm_start(inst, x0, alpha_init: float, T0: int, stream: RandomStream) -> np.ndarray:
     """Run T0 Nesterov steps on the lower level at frozen x0, from y = 0."""
     check_domains({"T0": T0}, Schedule.DOMAINS)
-    y0 = np.zeros(inst.dim_y) if y_init is None else np.asarray(y_init, dtype=float)
-    state = SnagState.initial(y0, alpha_init, inst.constants.mu)
-    return _snag_round(inst, x0, state, stream.children("warm", T0)).w
+    y0 = np.zeros(inst.dim_y)
+    gamma = nesterov_momentum(inst.constants.mu, alpha_init)
+    # A step that overflows aborts the run at its gradient.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _snag_round(inst, x0, y0, y0, alpha_init, gamma,
+                           stream.children("warm", T0))[0]
 
 
 def average_step(y_hat: np.ndarray, y_next: np.ndarray, tau: float) -> np.ndarray:
@@ -203,24 +205,24 @@ def upper_step(x: np.ndarray, m: np.ndarray, eta: float,
     return x - eta * m / norm, False
 
 
-def _snag_round(inst, x, state: SnagState, streams) -> SnagState:
+def _snag_round(inst, x, w, w_prev, alpha, gamma, streams, t0=0):
     """The lower level's Nesterov loop: snag_step on g(x, .) at frozen x from
-    state, once per stream of streams; returns the last state. warm_start,
-    option two's rounds and option one's single steps differ only in their
-    start state and streams."""
+    (w, w_prev), once per stream of streams, numbering the steps from t0;
+    returns the last (w, w_prev). warm_start, option two's rounds and option
+    one's single steps differ only in their start pair, steps and streams."""
     def grad(z, s):
         return inst.stoch_grad_y_g(x, z, s)
 
-    for st in streams:
-        state = snag_step(state, grad, st)
-    return state
+    for t, st in enumerate(streams, t0):
+        w, w_prev = snag_step(w, w_prev, alpha, gamma, grad, st, t), w
+    return w, w_prev
 
 
 def _lower_round(inst, x, y, alpha, gamma, N, stream) -> np.ndarray:
     """N Nesterov steps on g(x, .) at frozen x, restarting the extrapolation."""
     y = np.asarray(y, dtype=float)
-    state = SnagState(w=y, w_prev=y, alpha=alpha, gamma=gamma)
-    return _snag_round(inst, x, state, (stream.child("inner", j) for j in range(N))).w
+    return _snag_round(inst, x, y, y, alpha, gamma,
+                       (stream.child("inner", j) for j in range(N)))[0]
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -299,32 +301,34 @@ def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: flo
 
     lowers = stream.children("lower", schedule.T)
     uppers = stream.children("upper", schedule.T)
-    try:
-        for t in range(schedule.T):
-            xs[n], ys[n], yhats[n] = x, y, y_hat
+    # An overflow aborts the run where it is found, and the abort's flush reads it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for t in range(schedule.T):
+                xs[n], ys[n], yhats[n] = x, y, y_hat
 
-            if t % sampling.every == 0 and (t or sampling.at_zero):
-                y = lower(x, y, lowers[t])
-            yhat_next = average_step(y_hat, y, tau)
+                if t % sampling.every == 0 and (t or sampling.at_zero):
+                    y = lower(x, y, lowers[t])
+                yhat_next = average_step(y_hat, y, tau)
 
-            q = uppers[t].child("q").integers(0, schedule.Q)
-            m = direction(m, x, x_prev, y_hat, yhat_prev, uppers[t], q)
-            x_next, zero_event = upper_step(x, m, schedule.eta, t)
+                q = uppers[t].child("q").integers(0, schedule.Q)
+                m = direction(m, x, x_prev, y_hat, yhat_prev, uppers[t], q)
+                x_next, zero_event = upper_step(x, m, schedule.eta, t)
 
-            if t == 0:
-                q0 = q
-            q_sum += q
-            yhat_nexts[n], ms[n], q_sums[n], zeros[n] = yhat_next, m, q_sum, zero_event
-            n += 1
-            if n == rows:
-                flush(t + 1)
+                if t == 0:
+                    q0 = q
+                q_sum += q
+                yhat_nexts[n], ms[n], q_sums[n], zeros[n] = yhat_next, m, q_sum, zero_event
+                n += 1
+                if n == rows:
+                    flush(t + 1)
 
-            x_prev, x = x, x_next
-            yhat_prev, y_hat = y_hat, yhat_next
-    except NumericalAbort as exc:
-        flush(t)
-        exc.logs = _join(blocks)
-        raise
+                x_prev, x = x, x_next
+                yhat_prev, y_hat = y_hat, yhat_next
+        except NumericalAbort as exc:
+            flush(t)
+            exc.logs = _join(blocks)
+            raise
     flush(schedule.T)
     return _join(blocks)
 
@@ -353,13 +357,15 @@ def run_accbo(
     y = warm_start(inst, x, s.alpha_init, s.T0, stream.child("init"))
 
     if option == "one":
-        # One SNAG recursion carried across outer iterations.
-        state = SnagState(w=y, w_prev=y.copy(), alpha=s.alpha, gamma=s.gamma)
+        # One SNAG recursion carried across outer iterations: it steps at
+        # every t, so its step count is the outer iteration.
+        y_prev, steps = y, 0
 
         def lower(x, y, st):
-            nonlocal state
-            state = _snag_round(inst, x, state, (st,))
-            return state.w
+            nonlocal y_prev, steps
+            y, y_prev = _snag_round(inst, x, y, y_prev, s.alpha, s.gamma, (st,), steps)
+            steps += 1
+            return y
     else:
         def lower(x, y, st):
             return _lower_round(inst, x, y, s.alpha, s.gamma, s.N, st)

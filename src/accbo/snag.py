@@ -14,10 +14,12 @@ every t, whose V0 is the start row's potential. ``_trajectory`` builds a
 run's columns from its rows of w and w* with one builder, ``_record_terms``.
 ``run_tracking_experiment`` is the scalar reference, one run with the
 gradient H @ (z - w*) + noise. ``mc_tracking_grid`` carries every
-(cell, seed) run of a grid in one coordinate-major SNAG state; seed k of a
-cell is the reference run on stream (base_seed, "mc", k), and the
+(cell, seed) run of a grid in one coordinate-major pair (w, w_prev); seed k
+of a cell is the reference run on stream (base_seed, "mc", k), and the
 snag-track CSVs are the grid's seed-0 columns. A run violates its bound
-when its potential is, at some t, not finite or above the bound.
+when its potential is, at some t, not finite or above the bound. Each loop
+carries its own (w, w_prev) and computes an overflow silently: the
+gradient turns it into an abort, the potential into a violation.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .rng import RandomStream
 
 __all__ = [
     "NumericalAbort",
-    "SnagState",
     "DRIFT_KINDS",
     "DriftProcess",
     "TrackingBoundParams",
@@ -53,44 +54,20 @@ class NumericalAbort(RuntimeError):
     """A run produced a non-finite quantity and was stopped."""
 
 
-@dataclass(frozen=True)
-class SnagState:
-    """Current and previous iterate plus the step constants."""
-
-    w: np.ndarray
-    w_prev: np.ndarray
-    alpha: float
-    gamma: float
-    t: int = 0
-
-    @classmethod
-    def initial(cls, w0: np.ndarray, alpha: float, mu: float) -> "SnagState":
-        # Convention: w_{-1} = w_0.
-        w0 = np.asarray(w0, dtype=float)
-        return cls(w=w0, w_prev=w0.copy(), alpha=alpha,
-                   gamma=nesterov_momentum(mu, alpha))
-
-    @property
-    def z(self) -> np.ndarray:
-        """Extrapolated query point."""
-        return self.w + self.gamma * (self.w - self.w_prev)
-
-
-def snag_step(
-    state: SnagState,
-    grad: Callable[[np.ndarray, RandomStream], np.ndarray],
-    stream: RandomStream,
-) -> SnagState:
-    z = state.z
+def snag_step(w: np.ndarray, w_prev: np.ndarray, alpha: float, gamma: float,
+              grad: Callable[[np.ndarray, RandomStream], np.ndarray],
+              stream: RandomStream, t: int = 0) -> np.ndarray:
+    """Step t of the recursion: the next w from w and w_prev, with the gradient
+    taken at the extrapolated point z = w + gamma * (w - w_prev)."""
+    z = w + gamma * (w - w_prev)
     g = grad(z, stream)
     if not np.isfinite(g).all():
-        raise NumericalAbort(f"non-finite gradient at iteration {state.t}")
-    w_next = z - state.alpha * g
-    return SnagState(w=w_next, w_prev=state.w, alpha=state.alpha,
-                     gamma=state.gamma, t=state.t + 1)
+        raise NumericalAbort(f"non-finite gradient at iteration {t}")
+    return z - alpha * g
 
 
-def potential(state: SnagState, minimizer: np.ndarray, phi_gap: float, mu: float) -> float:
+def potential(w: np.ndarray, w_prev: np.ndarray, alpha: float, minimizer: np.ndarray,
+              phi_gap: float, mu: float) -> float:
     """Tracking potential: rank-1 quadratic form of (w, w_prev) plus the value gap.
 
     The 2x2 block of the certificate matrix factors as v v^T / (2*alpha) with
@@ -98,9 +75,9 @@ def potential(state: SnagState, minimizer: np.ndarray, phi_gap: float, mu: float
     """
     if phi_gap < -1e-12:
         raise ConstraintViolation(f"phi_gap must be >= 0, got {phi_gap!r}")
-    s = math.sqrt(mu * state.alpha)
-    u = (state.w - minimizer) + (s - 1.0) * (state.w_prev - minimizer)
-    return float(np.dot(u, u)) / (2.0 * state.alpha) + max(phi_gap, 0.0)
+    s = math.sqrt(mu * alpha)
+    u = (w - minimizer) + (s - 1.0) * (w_prev - minimizer)
+    return float(np.dot(u, u)) / (2.0 * alpha) + max(phi_gap, 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,12 +102,18 @@ class TrackingBoundParams:
 def _rate_and_floor(p: TrackingBoundParams, drift: DriftProcess) -> tuple[float, float]:
     """(rate, floor) of the bound rate**t * V0 + floor: 1 - sqrt(mu*alpha)/4, and
     the noise term plus the drift term times log(e*T/delta_prob). The drift
-    term of a drift that does not move (delta = 0) is +0.0. A sigma or delta
-    whose floor is not finite is refused."""
+    term of a drift that does not move (delta = 0) is +0.0. A T and
+    delta_prob whose log factor is not finite are refused, and then a sigma
+    or delta whose floor is not finite."""
+    log_factor = math.log(math.e * p.T / p.delta_prob)
+    if not math.isfinite(log_factor):  # e * T / delta_prob overflows
+        raise ConstraintViolation(f"the tracking bound's log factor log(e*T/delta_prob) "
+                                  f"of T = {p.T!r} and delta_prob = {p.delta_prob!r} "
+                                  f"is not finite")
     try:
         # noise >= +0.0, so noise + 0.0 is noise.
         floor = (5.0 * math.sqrt(p.alpha) * p.sigma**2 / math.sqrt(p.mu)
-                 + 80.0 * drift.delta**2 / p.alpha) * math.log(math.e * p.T / p.delta_prob)
+                 + 80.0 * drift.delta**2 / p.alpha) * log_factor
     except OverflowError:  # sigma**2 or delta**2
         floor = math.inf
     if not math.isfinite(floor):
@@ -283,7 +266,8 @@ def _trajectory(w: np.ndarray, wstar: np.ndarray, bounds: np.ndarray, H: np.ndar
     per t in [0, T], from its (T+1, dim) rows of w and w*, and its bound at
     every t. w_prev is w one step back (w_{-1} = w_0)."""
     w_prev = np.concatenate([w[:1], w[:-1]])
-    V, gap, dist = _record_terms(w, w_prev, wstar, H, s, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run's V is inf or nan
+        V, gap, dist = _record_terms(w, w_prev, wstar, H, s, alpha)
     return {"t": np.arange(len(w)), "V": V, "bound": bounds, "dist": dist, "phi_gap": gap}
 
 
@@ -346,19 +330,20 @@ def run_tracking_experiment(
     # deriving T generators.
     noise = (_noise_rows(scale, _unit_tape(stream, _NOISE, p.T, dim))
              if p.sigma > 0.0 else np.zeros((p.T, dim)))
-    state = SnagState.initial(w0, p.alpha, p.mu)
+    gamma = nesterov_momentum(p.mu, p.alpha)
     w = np.empty((p.T + 1, dim))
     wstar = np.zeros((p.T + 1, dim))
-    w[0] = state.w
-    for t in range(p.T):
-        ws, eps = wstar[t], noise[t]  # the minimizer phi_t is defined with
+    w[0] = w0
+    # w_{-1} = w_0. A step that overflows aborts the run at its gradient.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(p.T):
+            ws, eps = wstar[t], noise[t]  # the minimizer phi_t is defined with
 
-        def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
-            return H @ (z - ws) + eps
+            def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
+                return H @ (z - ws) + eps
 
-        state = snag_step(state, grad, stream)
-        w[t + 1] = state.w
-        wstar[t + 1] = ws + steps[t]
+            w[t + 1] = snag_step(w[t], w[max(t - 1, 0)], p.alpha, gamma, grad, stream, t)
+            wstar[t + 1] = ws + steps[t]
     return _trajectory(w, wstar, bounds, H, math.sqrt(p.mu * p.alpha), p.alpha)
 
 
@@ -377,7 +362,7 @@ def mc_tracking_grid(
     (base_seed, "mc", k); n_seeds and dim are integers >= 1. Cells may
     differ in sigma, delta_prob, V0 and drift (its kind and delta), and each
     keeps the bound table and start row of _cell_inputs; they must share
-    mu, alpha and T. One SNAG state carries
+    mu, alpha and T. One pair of arrays (w, w_prev) carries
     every (cell, seed) row, laid out coordinate-major: w, w_prev and w* are
     (dim, n_cells, n_seeds) arrays, so a sum over the coordinates adds
     contiguous planes. Per seed, one unit noise tape and one unit walk
@@ -440,14 +425,15 @@ def mc_tracking_grid(
     steps = _tape_planes(seeds, _DRIFT, T, dim) if walk.any() else None
 
     wstar = np.zeros((dim, n_cells, n_seeds))
-    state = SnagState.initial(np.repeat(w0.T[:, :, None], n_seeds, axis=2), alpha, mu)
+    w = w_prev = np.repeat(w0.T[:, :, None], n_seeds, axis=2)  # w_{-1} = w_0
+    gamma = nesterov_momentum(mu, alpha)
     s = math.sqrt(mu * alpha)
 
-    def violations(state: SnagState, wstar: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    def violations(w, w_prev, wstar, bound: np.ndarray) -> np.ndarray:
         # e = w - w*, u = e + (s - 1) * (w_prev - w*) and the gap's (mu * e) * e,
         # computed in place.
-        e = state.w - wstar
-        u = state.w_prev - wstar
+        e = w - wstar
+        u = w_prev - wstar
         u *= s - 1.0
         u += e
         u *= u
@@ -459,27 +445,29 @@ def mc_tracking_grid(
     # Seed 0's rows of w and w* at every t, cell-major: [c, t] is cell c's
     # row at t, so cell c's (T+1, dim) rows are contiguous.
     w_rows, wstar_rows = np.empty((2, n_cells, T + 1, dim))
-    w_rows[:, 0], wstar_rows[:, 0] = state.w[..., 0].T, wstar[..., 0].T
-    violated = violations(state, wstar, bounds[:, :1])
-    for t in range(T):
-        eps = 0.0 if noise is None else _noise_rows(scale, next(noise))
+    w_rows[:, 0], wstar_rows[:, 0] = w[..., 0].T, wstar[..., 0].T
+    violated = violations(w, w_prev, wstar, bounds[:, :1])
+    # A potential that overflows is a violation; a gradient, an abort.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            eps = 0.0 if noise is None else _noise_rows(scale, next(noise))
 
-        def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
-            g = z - wstar  # mu * (z - w*) + eps, in place
-            g *= mu
-            g += eps
-            return g
+            def grad(z: np.ndarray, _s: RandomStream) -> np.ndarray:
+                g = z - wstar  # mu * (z - w*) + eps, in place
+                g *= mu
+                g += eps
+                return g
 
-        state = snag_step(state, grad, root)
-        # w* starts at +0.0 and a sum is -0.0 only when both terms are, so w*
-        # is never -0.0 and adding a zero (a still cell's walk, a walking
-        # cell's still row) leaves it as it is: one add per source, no select.
-        if steps is not None:
-            wstar += _walk_rows(walk, next(steps), axis=0)
-        if fixed:
-            wstar += still
-        w_rows[:, t + 1], wstar_rows[:, t + 1] = state.w[..., 0].T, wstar[..., 0].T
-        violated |= violations(state, wstar, bounds[:, t + 1, None])
+            w, w_prev = snag_step(w, w_prev, alpha, gamma, grad, root, t), w
+            # w* starts at +0.0 and a sum is -0.0 only when both terms are, so w*
+            # is never -0.0 and adding a zero (a still cell's walk, a walking
+            # cell's still row) leaves it as it is: one add per source, no select.
+            if steps is not None:
+                wstar += _walk_rows(walk, next(steps), axis=0)
+            if fixed:
+                wstar += still
+            w_rows[:, t + 1], wstar_rows[:, t + 1] = w[..., 0].T, wstar[..., 0].T
+            violated |= violations(w, w_prev, wstar, bounds[:, t + 1, None])
     rates = [float(np.count_nonzero(v)) / n_seeds for v in violated]
     return rates, [functools.partial(_trajectory, w_rows[c], wstar_rows[c], bounds[c],
                                      H, s, alpha)

@@ -43,6 +43,9 @@ from accbo.snag import DriftProcess, TrackingBoundParams
 from conftest import analytic_instances, run_log_of
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -775,6 +778,11 @@ class TestCli:
          "accbo.schedule: the practical-mode schedule underflows: float division by zero"),
         ("accbo", dict(ACCBO_DOC, schedule=dict(THEOREM_SCHEDULE, epsilon=1e-110)),
          "accbo.schedule: the theorem-mode schedule underflows: float division by zero"),
+        # A T and delta_prob whose log factor is not finite are refused by name,
+        # before any sigma or delta.
+        ("snag-track", dict(SNAG_DOC, delta_prob=1e-320),
+         "error: snag-track: the tracking bound's log factor log(e*T/delta_prob) of "
+         "T = 50 and delta_prob = 1e-320 is not finite\n"),
         # A sigma or drift delta whose bound floor is not finite is refused by path.
         ("snag-track", dict(SNAG_DOC, sigma=[1e160]), "snag-track.sigma[0]"),
         ("snag-track", dict(SNAG_DOC, sigma=[0.1, 1.3e154]), "snag-track.sigma[1]"),
@@ -897,6 +905,45 @@ class TestCli:
         assert "V0 = 1.7e+308" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    # scripts/check_identical.sh's abort_* and track_diverge rows: a lower level
+    # that diverges in the warm start, in option one's step and in option two's
+    # round, and a tracking grid whose potentials overflow. tau = 1e-300 keeps
+    # y_hat finite, so the lower level aborts before the momentum does.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, base, fields, n_seeds, rc, err", [
+        ("accbo", "convergence.json",
+         {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2,
+                       "overrides": {"alpha": 0.04, "alpha_init": 1e10, "eta": 0.002,
+                                     "T": 400, "T0": 200, "S": 1, "Q": 1,
+                                     "sigma_g1_tilde": 0.005}}},
+         2, 4, "numerical abort: non-finite gradient at iteration 61\n"),
+        ("accbo", "convergence.json",
+         {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2,
+                       "overrides": {"alpha": 1e10, "alpha_init": 0.04, "tau": 1e-300,
+                                     "beta": 0.9, "eta": 0.002, "T": 400, "T0": 20,
+                                     "S": 1, "Q": 1, "sigma_g1_tilde": 0.005}}},
+         2, 4, "numerical abort: non-finite gradient at iteration 61\n"),
+        ("accbo", "convergence.json",
+         {"option": "two",
+          "schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2,
+                       "overrides": {"alpha": 1e10, "alpha_init": 0.04, "tau": 1e-300,
+                                     "beta": 0.9, "eta": 0.002, "T": 400, "T0": 20,
+                                     "S": 1, "Q": 1, "I": 3, "N": 5,
+                                     "sigma_g1_tilde": 0.005}}},
+         2, 4, "numerical abort: non-finite gradient at iteration 1\n"),
+        ("snag-track", "tracking.json", {"T": 300, "alpha": 30.0}, 5, 3, ""),
+    ], ids=["abort_warm", "abort_one", "abort_two", "track_diverge"])
+    def test_diverging_run_stops_without_warnings(self, tmp_path, capsys, command, base,
+                                                  fields, n_seeds, rc, err):
+        """The warm start and option one name their step, which in option one
+        is the outer iteration; option two names the step within its round."""
+        doc = json.loads((CONFIGS / base).read_text(encoding="utf-8"))
+        doc.update(fields)
+        path = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--seeds", str(n_seeds)]) == rc
+        assert capsys.readouterr().err == err
 
     def test_info_log_goes_to_stderr(self, tmp_path):
         path = write_config(tmp_path, SNAG_DOC)

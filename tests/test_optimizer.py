@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from accbo.baselines import SAMPLING, run_plain_momentum_bilevel
-from accbo.constants import ConstraintViolation, ProblemConstants, derive_schedule
+from accbo.constants import (ConstraintViolation, ProblemConstants, derive_schedule,
+                             nesterov_momentum)
 from accbo.hypergrad import EstimatorConfig, estimate_hypergradient
 from accbo import optimizer
 from accbo.optimizer import (
@@ -52,7 +53,9 @@ class TestWarmStart:
         inst = noisy_iso(sigma_g1=0.0)
         x0 = np.array([0.3, 0.7])
         ystar = inst.lower_minimizer(x0)
-        y = warm_start(inst, x0, 0.2, 10, RandomStream(0), y_init=ystar)
+        gamma = nesterov_momentum(inst.constants.mu, 0.2)
+        y, _ = optimizer._snag_round(inst, x0, ystar, ystar, 0.2, gamma,
+                                     RandomStream(0).children("warm", 10))
         np.testing.assert_allclose(y, ystar, atol=1e-12)
 
     def test_requires_positive_length(self):

@@ -18,7 +18,6 @@ from accbo.snag import (
     DRIFT_KINDS,
     DriftProcess,
     NumericalAbort,
-    SnagState,
     TrackingBoundParams,
     mc_tracking_grid,
     mc_tracking_violation_rate,
@@ -57,24 +56,34 @@ class TestStep:
     def test_hand_computed_step(self):
         # mu=1, alpha=0.25: gamma = 1/3. w=2, w_prev=1 -> z = 2 + 1/3 = 7/3.
         # grad(z) = z, so w_next = z - 0.25*z = 0.75*7/3 = 7/4.
-        state = SnagState(w=np.array([2.0]), w_prev=np.array([1.0]),
-                          alpha=0.25, gamma=nesterov_momentum(1.0, 0.25))
-        assert state.z[0] == pytest.approx(7.0 / 3.0, abs=1e-15)
-        out = snag_step(state, lambda z, s: z, NULL)
-        assert out.w[0] == pytest.approx(7.0 / 4.0, abs=1e-14)
-        assert out.w_prev[0] == 2.0
-        assert out.t == 1
+        queried = []
 
-    def test_initial_state_duplicates_w0(self):
-        state = SnagState.initial(np.array([3.0, -1.0]), 0.1, 2.0)
-        np.testing.assert_array_equal(state.w, state.w_prev)
-        np.testing.assert_array_equal(state.z, state.w)  # no momentum kick
+        def grad(z, s):
+            queried.append(z.copy())
+            return z
+
+        out = snag_step(np.array([2.0]), np.array([1.0]), 0.25,
+                        nesterov_momentum(1.0, 0.25), grad, NULL)
+        assert queried[0][0] == pytest.approx(7.0 / 3.0, abs=1e-15)
+        assert out[0] == pytest.approx(7.0 / 4.0, abs=1e-14)
+
+    def test_start_at_w0_w0_has_no_momentum_kick(self):
+        w0 = np.array([3.0, -1.0])
+        queried = []
+
+        def grad(z, s):
+            queried.append(z.copy())
+            return np.zeros_like(z)
+
+        out = snag_step(w0, w0, 0.1, nesterov_momentum(2.0, 0.1), grad, NULL)
+        np.testing.assert_array_equal(queried[0], w0)  # z = w0
+        np.testing.assert_array_equal(out, w0)
 
     def test_zero_momentum_degenerates_to_gradient_descent(self):
         # mu*alpha = 1 -> gamma = 0 -> plain gradient step.
-        state = SnagState.initial(np.array([4.0]), 1.0, 1.0)
-        out = snag_step(state, lambda z, s: 0.5 * z, NULL)
-        assert out.w[0] == pytest.approx(4.0 - 1.0 * 2.0, abs=1e-15)
+        w0 = np.array([4.0])
+        out = snag_step(w0, w0, 1.0, nesterov_momentum(1.0, 1.0), lambda z, s: 0.5 * z, NULL)
+        assert out[0] == pytest.approx(4.0 - 1.0 * 2.0, abs=1e-15)
 
     def test_five_step_transcription(self):
         # Frozen from an independent scalar transcription of the recursion
@@ -86,30 +95,54 @@ class TestStep:
             z = w + gamma * (w - w_prev)
             w_prev, w = w, z - alpha * z
             expected.append(w)
-        state = SnagState.initial(np.array([1.0]), alpha, 1.0)
+        w = w_prev = np.array([1.0])
         for k in range(5):
-            state = snag_step(state, lambda z, s: z, NULL)
-            assert state.w[0] == pytest.approx(expected[k], abs=1e-14)
+            w, w_prev = snag_step(w, w_prev, alpha, gamma, lambda z, s: z, NULL), w
+            assert w[0] == pytest.approx(expected[k], abs=1e-14)
 
     def test_nonfinite_gradient_aborts(self):
-        state = SnagState.initial(np.array([1.0]), 0.1, 1.0)
-        with pytest.raises(NumericalAbort):
-            snag_step(state, lambda z, s: np.array([np.nan]), NULL)
+        w0 = np.array([1.0])
+        with pytest.raises(NumericalAbort, match=r"^non-finite gradient at iteration 7$"):
+            snag_step(w0, w0, 0.1, nesterov_momentum(1.0, 0.1),
+                      lambda z, s: np.array([np.nan]), NULL, 7)
+
+
+class TestAbortStep:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reference_and_grid_name_the_step(self):
+        """A step size far above 1/mu diverges silently until a gradient is not
+        finite; the reference and the grid both name that step t."""
+        mu, alpha = 1.0, 30.0
+        gamma = nesterov_momentum(mu, alpha)
+        # The first step whose gradient mu * z is not finite, on Python floats,
+        # from the default start of V0 = 1 and a still minimizer at 0.
+        w = w_prev = 1.0
+        t = 0
+        while math.isfinite(mu * (w + gamma * (w - w_prev))):
+            z = w + gamma * (w - w_prev)
+            w, w_prev = z - alpha * (mu * z), w
+            t += 1
+        assert t == 469
+        p = TrackingBoundParams(mu=mu, alpha=alpha, sigma=0.0, T=600, delta_prob=0.05,
+                                V0=1.0)
+        message = f"^non-finite gradient at iteration {t}$"
+        with pytest.raises(NumericalAbort, match=message):
+            run_tracking_experiment(mu * np.eye(2), DriftProcess(), p, RandomStream(0))
+        with pytest.raises(NumericalAbort, match=message):
+            mc_tracking_violation_rate(p, DriftProcess(), 3)
 
 
 class TestPotential:
     def test_worked_example(self):
         # alpha=0.25, mu=1: v=(1, -0.5). w-w*=1, w_prev-w*=1 -> u=0.5,
         # quadratic part = 0.25/0.5 = 0.5; plus gap 0.5 -> V = 1.0.
-        state = SnagState(w=np.array([1.0]), w_prev=np.array([1.0]),
-                          alpha=0.25, gamma=nesterov_momentum(1.0, 0.25))
-        V = potential(state, np.array([0.0]), 0.5, 1.0)
+        V = potential(np.array([1.0]), np.array([1.0]), 0.25, np.array([0.0]), 0.5, 1.0)
         assert V == pytest.approx(1.0, abs=1e-15)
 
     def test_negative_gap_rejected(self):
-        state = SnagState.initial(np.array([1.0]), 0.25, 1.0)
+        w0 = np.array([1.0])
         with pytest.raises(ConstraintViolation):
-            potential(state, np.zeros(1), -1e-6, 1.0)
+            potential(w0, w0, 0.25, np.zeros(1), -1e-6, 1.0)
 
     def test_rank_one_form_matches_full_matrix(self):
         gen = RandomStream(21).generator()
@@ -121,12 +154,10 @@ class TestPotential:
             w_prev = gen.normal(size=dim)
             wstar = gen.normal(size=dim)
             gap = float(gen.uniform(0.0, 2.0))
-            state = SnagState(w=w, w_prev=w_prev, alpha=alpha,
-                              gamma=nesterov_momentum(mu, alpha))
             theta = np.concatenate([w - wstar, w_prev - wstar])
             P = full_certificate_matrix(alpha, mu, dim)
             expected = float(theta @ P @ theta) + gap
-            assert potential(state, wstar, gap, mu) == pytest.approx(
+            assert potential(w, w_prev, alpha, wstar, gap, mu) == pytest.approx(
                 expected, rel=1e-12, abs=1e-12)
 
     def test_certificate_matrix_is_psd_rank_one(self):
@@ -159,9 +190,7 @@ class TestRecordTerms:
         for i in range(n):
             e = w[i] - wstar[i]
             gap_i = 0.5 * float(e @ H @ e)
-            state = SnagState(w=w[i], w_prev=w_prev[i], alpha=alpha,
-                              gamma=nesterov_momentum(mu, alpha))
-            expected = [potential(state, wstar[i], gap_i, mu), gap_i,
+            expected = [potential(w[i], w_prev[i], alpha, wstar[i], gap_i, mu), gap_i,
                         float(np.linalg.norm(e))]
             assert _bits([V[i], gap[i], dist[i]]) == _bits(expected)
             # One row alone, as a cell's start row is, gives the same bits.
@@ -179,33 +208,34 @@ class TestContraction:
         # For the fixed quadratic phi(w) = mu/2 w^2 with alpha <= 1/(25 mu):
         # V_{t+1} <= (1 - sqrt(mu alpha)) V_t.
         alpha = alpha_frac / (25.0 * mu)
-        state = SnagState(w=np.array([w]), w_prev=np.array([w_prev]),
-                          alpha=alpha, gamma=nesterov_momentum(mu, alpha))
+        w, w_prev = np.array([w]), np.array([w_prev])
         wstar = np.zeros(1)
 
-        def gap(s):
-            return 0.5 * mu * float(s.w[0] ** 2)
+        def V(w, w_prev):
+            return potential(w, w_prev, alpha, wstar, 0.5 * mu * float(w[0] ** 2), mu)
 
-        V0 = potential(state, wstar, gap(state), mu)
-        nxt = snag_step(state, lambda z, s: mu * z, NULL)
-        V1 = potential(nxt, wstar, gap(nxt), mu)
+        V0 = V(w, w_prev)
+        nxt = snag_step(w, w_prev, alpha, nesterov_momentum(mu, alpha),
+                        lambda z, s: mu * z, NULL)
+        V1 = V(nxt, w)
         assert V1 <= (1.0 - math.sqrt(mu * alpha)) * V0 + 1e-12
 
     def test_multistep_contraction_anisotropic(self):
         H = np.array([[2.0, 0.3], [0.3, 1.0]])
         mu = float(np.linalg.eigvalsh(H)[0])
         alpha = 1.0 / (25.0 * float(np.linalg.eigvalsh(H)[-1]))
-        state = SnagState.initial(np.array([3.0, -2.0]), alpha, mu)
+        gamma = nesterov_momentum(mu, alpha)
+        w = w_prev = np.array([3.0, -2.0])
         wstar = np.zeros(2)
 
-        def V(s):
-            gap = 0.5 * float(s.w @ H @ s.w)
-            return potential(s, wstar, gap, mu)
+        def V(w, w_prev):
+            gap = 0.5 * float(w @ H @ w)
+            return potential(w, w_prev, alpha, wstar, gap, mu)
 
-        prev = V(state)
+        prev = V(w, w_prev)
         for _ in range(200):
-            state = snag_step(state, exact_grad(H, wstar), NULL)
-            cur = V(state)
+            w, w_prev = snag_step(w, w_prev, alpha, gamma, exact_grad(H, wstar), NULL), w
+            cur = V(w, w_prev)
             assert cur <= (1.0 - math.sqrt(mu * alpha)) * prev + 1e-12
             prev = cur
 
