@@ -64,6 +64,12 @@ ridge_base   accbo       2   0  -                      {"instance": {"kind": "ri
 abort_warm    accbo       2   0  convergence.json  {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2, "overrides": {"alpha": 0.04, "alpha_init": 1e10, "eta": 0.002, "T": 400, "T0": 200, "S": 1, "Q": 1, "sigma_g1_tilde": 0.005}}}
 abort_one     accbo       2   0  convergence.json  {"schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2, "overrides": {"alpha": 1e10, "alpha_init": 0.04, "tau": 1e-300, "beta": 0.9, "eta": 0.002, "T": 400, "T0": 20, "S": 1, "Q": 1, "sigma_g1_tilde": 0.005}}}
 abort_two     accbo       2   0  convergence.json  {"option": "two", "schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2, "overrides": {"alpha": 1e10, "alpha_init": 0.04, "tau": 1e-300, "beta": 0.9, "eta": 0.002, "T": 400, "T0": 20, "S": 1, "Q": 1, "I": 3, "N": 5, "sigma_g1_tilde": 0.005}}}
+# The baseline's warm start diverging (alpha_init 1e10): it exits 4 and names
+# its SGD step on stderr, with no numpy warning before it.
+abort_base    accbo  2  0  convergence.json  {"algorithm": "plain_momentum", "schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2, "overrides": {"alpha": 0.04, "alpha_init": 1e10, "eta": 0.002, "T": 400, "T0": 200, "S": 1, "Q": 1, "sigma_g1_tilde": 0.005}}}
+# Bias draws near 1e160 whose oracle noise norms overflow: bias exits 4 and
+# names the non-finite estimate on stderr, with no numpy warning before it.
+abort_bias    bias   1  0  bias.json         {"instance": {"kind": "isotropic_quadratic", "params": {"mu": 1.0, "A": [[2.0, 0.0], [0.0, 2.0]], "b": [0.1, -0.1], "c": [0.3, 0.2], "d": [0.2, -0.3], "l_f0": 1.0}, "noise": {"sigma_f1": 1e160, "sigma_g1": 0.2, "sigma_g2": 0.1}}, "Q_grid": [1, 2], "n_samples": 20}
 # A tracking grid at alpha 30, whose potentials overflow within T: every cell
 # violates its bound and the command exits 3.
 track_diverge snag-track  5   0  tracking.json     {"T": 300, "alpha": 30.0}

@@ -22,8 +22,6 @@ from .problems import (
     GeneralQuadratic,
     IsotropicQuadratic,
     RidgeWeighting,
-    instance_from_json,
-    instance_to_json,
 )
 from .rng import RandomStream
 from .snag import (

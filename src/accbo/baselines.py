@@ -57,9 +57,11 @@ def run_plain_momentum_bilevel(
 
     x = np.zeros(inst.dim_x) if x0 is None else np.asarray(x0, dtype=float)
     y = np.zeros(inst.dim_y)
-    for st in stream.child("init").children("warm", s.T0):
-        y = sgd_tracking_step(
-            y, lambda w, sw: inst.stoch_grad_y_g(x, w, sw), s.alpha_init, st)
+    # A step that overflows aborts the run at its gradient.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for st in stream.child("init").children("warm", s.T0):
+            y = sgd_tracking_step(
+                y, lambda w, sw: inst.stoch_grad_y_g(x, w, sw), s.alpha_init, st)
 
     def lower(x, y, st):
         return sgd_tracking_step(

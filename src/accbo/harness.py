@@ -99,8 +99,8 @@ def parse(doc, schema: dict, ctx: str) -> dict:
         elif default is not OPTIONAL:
             # A default goes through its check as well, so that it takes the
             # checked form (a bare sigma becomes a list, an object gets its
-            # own defaults); None means "not given" and is kept as is.
-            out[name] = None if default is None else check(default, f"{ctx}.{name}")
+            # own defaults).
+            out[name] = check(default, f"{ctx}.{name}")
     return out
 
 
@@ -236,20 +236,10 @@ def write_csv(columns: dict, path: str | Path) -> None:
             fh.write("\n".join(map(fmt.__mod__, rows)) + "\n")
 
 
-class _FloatEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
-
-
 def write_json(obj, path: str | Path) -> None:
+    """Write obj, which holds only JSON-native values, with sorted keys."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, cls=_FloatEncoder)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -290,9 +280,10 @@ def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
 
 
 def _point(value, inst: problems.BilevelInstance, ctx: str):
-    """A checked list of numbers as a float array of inst.dim_x entries."""
+    """A checked list of numbers as a float array of inst.dim_x entries; the
+    origin when the field is absent (None)."""
     if value is None:
-        return None
+        return np.zeros(inst.dim_x)
     if len(value) != inst.dim_x:
         raise ConfigError(f"{ctx}: must be a list of {inst.dim_x} numbers, got {value!r}")
     return np.asarray(value, dtype=float)
@@ -357,7 +348,7 @@ BIAS = {
     "Q_grid": (list_of(_check(*hypergrad.EstimatorConfig.DOMAINS["Q"]), distinct=True),
                REQUIRED),
     "n_samples": (_integer(2), REQUIRED),
-    "x": (list_of(finite), None),
+    "x": (list_of(finite), OPTIONAL),
 }
 
 ACCBO = {
@@ -365,7 +356,7 @@ ACCBO = {
     "schedule": (tagged("mode", {mode: {**schema, "epsilon": (_EPSILON, REQUIRED)}
                                  for mode, schema in SCHEDULES.items()}), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
-    "x0": (list_of(finite), None),
+    "x0": (list_of(finite), OPTIONAL),
     "algorithm": (one_of(*_RUNNERS), "accbo"),
 }
 
@@ -375,7 +366,7 @@ SWEEP = {
     # Each run takes its epsilon from epsilons, so the schedule has none.
     "schedule": (tagged("mode", SCHEDULES), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
-    "x0": (list_of(finite), None),
+    "x0": (list_of(finite), OPTIONAL),
     "algorithms": (list_of(one_of(*_RUNNERS), distinct=True), ["accbo", "plain_momentum"]),
 }
 
@@ -460,9 +451,7 @@ def cmd_snag_track(config: ExperimentConfig) -> int:
 def cmd_bias(config: ExperimentConfig) -> int:
     doc = parse(config.params, BIAS, "bias")
     inst = doc["instance"]
-    x = _point(doc["x"], inst, "bias.x")
-    if x is None:
-        x = np.zeros(inst.dim_x)
+    x = _point(doc.get("x"), inst, "bias.x")
 
     table = {name: [] for name in ("Q", "S", "bias_bound", "bias_est", "var_est", "se")}
     ok = True
@@ -507,7 +496,7 @@ def cmd_accbo(config: ExperimentConfig) -> int:
     inst, algorithm = doc["instance"], doc["algorithm"]
     with _refused_at("accbo.schedule"):
         schedule = derive_schedule(inst.constants, **doc["schedule"])
-    x0 = _point(doc["x0"], inst, "accbo.x0")
+    x0 = _point(doc.get("x0"), inst, "accbo.x0")
     _check_runs(inst, [schedule], doc["option"], [algorithm], "accbo")
     run = _RUNNERS[algorithm]
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -551,7 +540,7 @@ def calls_to_target(logs: optimizer.RunLog, target: float) -> float:
 def cmd_sweep(config: ExperimentConfig) -> int:
     doc = parse(config.params, SWEEP, "sweep")
     inst, epsilons, algorithms = doc["instance"], doc["epsilons"], doc["algorithms"]
-    x0 = _point(doc["x0"], inst, "sweep.x0")
+    x0 = _point(doc.get("x0"), inst, "sweep.x0")
     runners = [_RUNNERS[a] for a in algorithms]
     with _refused_at("sweep.schedule"):
         schedules = [derive_schedule(inst.constants, **doc["schedule"], epsilon=eps)

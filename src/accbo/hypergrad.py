@@ -136,22 +136,23 @@ def empirical_bias_and_variance(
     Returns bias_est = ||mean of n_samples draws of estimate_hypergradient
     with cfg - true hypergradient||, var_est = the mean squared deviation of
     the draws from their mean (per sample when cfg.S is 1, as in the bias
-    command), and the standard error of the mean estimate. Any of the three
-    that is not finite (the draws' squares overflow) raises NumericalAbort.
+    command), and the standard error of the mean estimate, under those three
+    keys and no others. A draw that is not finite, or any of the three that
+    is not (the draws' squares overflow), raises NumericalAbort.
     """
     if n_samples < 2:
         raise ConstraintViolation("n_samples must be >= 2")
     ystar = inst.lower_minimizer(x)
     draws = np.empty((n_samples, inst.dim_x))
-    for k, st in enumerate(stream.children("mc", n_samples)):
-        draws[k] = estimate_hypergradient(inst, x, ystar, cfg, st)
-    mean = draws.mean(axis=0)
-    with np.errstate(over="ignore"):
+    # An overflowing draw or statistic aborts the run at its check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, st in enumerate(stream.children("mc", n_samples)):
+            draws[k] = estimate_hypergradient(inst, x, ystar, cfg, st)
+        mean = draws.mean(axis=0)
         var_est = float(np.mean(np.sum((draws - mean) ** 2, axis=1)))
         bias_est = float(np.linalg.norm(mean - inst.true_hypergradient(x)))
     se = math.sqrt(var_est / n_samples)
     if not all(map(math.isfinite, (bias_est, var_est, se))):
         raise NumericalAbort(f"bias {bias_est!r}, variance {var_est!r} or standard "
                              f"error {se!r} at Q = {cfg.Q} is not finite")
-    return {"bias_est": bias_est, "var_est": var_est, "se": se,
-            "mean": mean, "n_samples": n_samples}
+    return {"bias_est": bias_est, "var_est": var_est, "se": se}

@@ -72,7 +72,8 @@ class RunLog(Sequence):
     """The diagnostics of one run, held as one read-only 1-D array per
     IterationLog field in ``columns``. Row i is an IterationLog built when it
     is read, with Python scalars, so its fields and their types are those of
-    the per-iteration formulas; a slice is the RunLog of those rows. Two
+    the per-iteration formulas; iterating reads the rows in order this way
+    (Sequence's iterator), and a slice is the RunLog of those rows. Two
     RunLogs are equal when every column is."""
 
     def __init__(self, columns: dict[str, np.ndarray]):
@@ -87,10 +88,6 @@ class RunLog(Sequence):
         if isinstance(i, slice):
             return RunLog({name: col[i] for name, col in self.columns.items()})
         return IterationLog(**{name: col[i].item() for name, col in self.columns.items()})
-
-    def __iter__(self):
-        for row in zip(*(col.tolist() for col in self.columns.values())):
-            yield IterationLog(**dict(zip(self.columns, row)))
 
     def __eq__(self, other):
         if not isinstance(other, RunLog):

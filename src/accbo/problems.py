@@ -47,7 +47,6 @@ instance is made.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -64,8 +63,6 @@ __all__ = [
     "INSTANCE_KINDS",
     "ARRAY",
     "NOISE",
-    "instance_to_json",
-    "instance_from_json",
     "make_fixture_ridge",
 ]
 
@@ -556,14 +553,6 @@ def instance_from_dict(doc: dict) -> BilevelInstance:
         raise ConstraintViolation(f"unknown instance kind {kind!r}")
     params.update(doc.get("noise", {}))
     return INSTANCE_KINDS[kind](**params)
-
-
-def instance_to_json(inst: BilevelInstance, indent: int = 2) -> str:
-    return json.dumps(inst.to_dict(), indent=indent)
-
-
-def instance_from_json(text: str) -> BilevelInstance:
-    return instance_from_dict(json.loads(text))
 
 
 def make_fixture_ridge(seed: int = 20240817, *, c_reg=0.25, sigma_f1=0.0,

@@ -37,7 +37,7 @@ from accbo.optimizer import IterationLog
 from accbo import cli
 from accbo.hypergrad import EstimatorConfig
 from accbo.problems import ARRAY, INSTANCE_KINDS, NOISE, instance_from_dict, \
-    instance_to_json, make_fixture_ridge
+    make_fixture_ridge
 from accbo.snag import DriftProcess, TrackingBoundParams
 
 from conftest import analytic_instances, run_log_of
@@ -212,10 +212,9 @@ class TestSerialization:
             ",".join(_fmt(getattr(rec, field)) for field in RUN_COLUMNS.values())
             for rec in logs] + [""]
 
-    def test_json_sorted_keys_and_numpy_types(self, tmp_path):
+    def test_json_sorted_keys(self, tmp_path):
         path = tmp_path / "out.json"
-        write_json({"zeta": np.float64(0.5), "alpha": np.int64(3),
-                    "arr": np.array([1.0, 2.0])}, path)
+        write_json({"zeta": 0.5, "alpha": 3, "arr": [1.0, 2.0]}, path)
         text = path.read_text(encoding="utf-8")
         assert text.index('"alpha"') < text.index('"arr"') < text.index('"zeta"')
         assert json.loads(text) == {"alpha": 3, "arr": [1.0, 2.0], "zeta": 0.5}
@@ -860,14 +859,14 @@ class TestCli:
         assert "non-finite momentum at t=0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_bias_exit_code(self, tmp_path, capsys):
         # Draws near 1e160 are finite, but their squares, and so the bias,
         # the variance and the standard error, overflow.
         instance = dict(ISO_DOC, noise=dict(ISO_DOC["noise"], sigma_f1=1e160))
         path = write_config(tmp_path, {"instance": instance, "Q_grid": [1, 2],
                                        "n_samples": 20})
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli.main(["bias", "--config", str(path), "--out", str(tmp_path / "out")])
+        rc = cli.main(["bias", "--config", str(path), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 4
         assert "bias inf, variance inf or standard error inf at Q = 1 is not finite" in err
@@ -908,8 +907,9 @@ class TestCli:
 
     # scripts/check_identical.sh's abort_* and track_diverge rows: a lower level
     # that diverges in the warm start, in option one's step and in option two's
-    # round, and a tracking grid whose potentials overflow. tau = 1e-300 keeps
-    # y_hat finite, so the lower level aborts before the momentum does.
+    # round, a baseline warm start that diverges, bias draws that overflow, and
+    # a tracking grid whose potentials overflow. tau = 1e-300 keeps y_hat
+    # finite, so the lower level aborts before the momentum does.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, base, fields, n_seeds, rc, err", [
         ("accbo", "convergence.json",
@@ -932,8 +932,23 @@ class TestCli:
                                      "S": 1, "Q": 1, "I": 3, "N": 5,
                                      "sigma_g1_tilde": 0.005}}},
          2, 4, "numerical abort: non-finite gradient at iteration 1\n"),
+        ("accbo", "convergence.json",
+         {"algorithm": "plain_momentum",
+          "schedule": {"mode": "practical", "epsilon": 0.05, "delta": 0.05, "d0": 0.2,
+                       "overrides": {"alpha": 0.04, "alpha_init": 1e10, "eta": 0.002,
+                                     "T": 400, "T0": 200, "S": 1, "Q": 1,
+                                     "sigma_g1_tilde": 0.005}}},
+         2, 4, "numerical abort: non-finite gradient in sgd_tracking_step\n"),
+        ("bias", "bias.json",
+         {"instance": {"kind": "isotropic_quadratic",
+                       "params": {"mu": 1.0, "A": [[2.0, 0.0], [0.0, 2.0]], "b": [0.1, -0.1],
+                                  "c": [0.3, 0.2], "d": [0.2, -0.3], "l_f0": 1.0},
+                       "noise": {"sigma_f1": 1e160, "sigma_g1": 0.2, "sigma_g2": 0.1}},
+          "Q_grid": [1, 2], "n_samples": 20},
+         1, 4, "numerical abort: non-finite hypergradient estimate\n"),
         ("snag-track", "tracking.json", {"T": 300, "alpha": 30.0}, 5, 3, ""),
-    ], ids=["abort_warm", "abort_one", "abort_two", "track_diverge"])
+    ], ids=["abort_warm", "abort_one", "abort_two", "abort_base", "abort_bias",
+            "track_diverge"])
     def test_diverging_run_stops_without_warnings(self, tmp_path, capsys, command, base,
                                                   fields, n_seeds, rc, err):
         """The warm start and option one name their step, which in option one
@@ -972,7 +987,7 @@ class TestInstanceFixtureLoading:
 
     def test_all_kinds_serializable_for_configs(self, tmp_path):
         for inst in analytic_instances():
-            text = instance_to_json(inst)
+            text = json.dumps(inst.to_dict())
             assert json.loads(text)["kind"] == inst.kind
 
 

@@ -11,8 +11,6 @@ from accbo.problems import (
     GeneralQuadratic,
     IsotropicQuadratic,
     instance_from_dict,
-    instance_from_json,
-    instance_to_json,
     make_fixture_ridge,
 )
 from accbo.rng import RandomStream
@@ -321,7 +319,7 @@ class TestSerialization:
     @pytest.mark.parametrize("inst", analytic_instances(noise=True),
                              ids=lambda i: i.kind)
     def test_json_round_trip(self, inst):
-        clone = instance_from_json(instance_to_json(inst))
+        clone = instance_from_dict(json.loads(json.dumps(inst.to_dict())))
         assert clone.kind == inst.kind
         assert clone.constants == inst.constants
         x = np.full(inst.dim_x, 0.25)
@@ -351,7 +349,7 @@ class TestSerialization:
         assert _load_instance(json.loads(json.dumps(doc)), "instance").to_dict() == doc
 
     def test_json_is_valid_and_tagged(self, iso_simple):
-        doc = json.loads(instance_to_json(iso_simple))
+        doc = json.loads(json.dumps(iso_simple.to_dict()))
         assert doc["kind"] == "isotropic_quadratic"
         assert set(doc) == {"kind", "params", "noise"}
 
