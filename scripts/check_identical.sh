@@ -70,6 +70,9 @@ abort_base    accbo  2  0  convergence.json  {"algorithm": "plain_momentum", "sc
 # Bias draws near 1e160 whose oracle noise norms overflow: bias exits 4 and
 # names the non-finite estimate on stderr, with no numpy warning before it.
 abort_bias    bias   1  0  bias.json         {"instance": {"kind": "isotropic_quadratic", "params": {"mu": 1.0, "A": [[2.0, 0.0], [0.0, 2.0]], "b": [0.1, -0.1], "c": [0.3, 0.2], "d": [0.2, -0.3], "l_f0": 1.0}, "noise": {"sigma_f1": 1e160, "sigma_g1": 0.2, "sigma_g2": 0.1}}, "Q_grid": [1, 2], "n_samples": 20}
+# Bias at a point whose y*(x) overflows: bias exits 4 and names the
+# non-finite estimate on stderr, with no numpy warning before it.
+abort_bias_x  bias   1  0  bias.json         {"x": [1e308, -1e308], "n_samples": 3, "Q_grid": [1]}
 # A tracking grid at alpha 30, whose potentials overflow within T: every cell
 # violates its bound and the command exits 3.
 track_diverge snag-track  5   0  tracking.json     {"T": 300, "alpha": 30.0}
@@ -79,6 +82,13 @@ refuse_T     snag-track  1   0  tracking.json          {"T": 2.5}
 refuse_mu    accbo       1   0  convergence.json       {"instance": {"kind": "isotropic_quadratic", "params": {"mu": 0, "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1], "c": [0.4, -0.3], "d": [0.2, 0.1], "l_f0": 1.0}, "noise": {"sigma_f1": 0.01, "sigma_g1": 0.001}}}
 # A theorem schedule, derived by the closed forms, that refuses its epsilon.
 refuse_theorem accbo     1   0  convergence.json       {"schedule": {"mode": "theorem", "epsilon": 100, "delta": 0.05, "d0": 0.2}}
+# Instance documents whose constants overflow: a ridge toy with a huge
+# training row (l_g1 is NaN), one with a huge validation row (l_f0 is inf) and
+# an exp toy with a huge u (Lx1 is inf). Each exits 2 and names the constant on
+# stderr, with no numpy warning before it.
+refuse_ridge_z accbo     1   0  convergence.json       {"option": "two", "x0": [0.0], "instance": {"kind": "ridge_weighting", "params": {"Z": [[1e200, 0.0]], "y_tr": [1.0], "V": [[1.0, 0.0]], "y_val": [1.0], "c_reg": 1.0}}}
+refuse_ridge_v accbo     1   0  convergence.json       {"option": "two", "x0": [0.0], "instance": {"kind": "ridge_weighting", "params": {"Z": [[1.0, 0.0]], "y_tr": [1.0], "V": [[1e200, 0.0]], "y_val": [1.0], "c_reg": 1.0}}}
+refuse_exp_u   accbo     1   0  convergence.json       {"instance": {"kind": "exp_upper_toy", "params": {"u": [1e300, 1e300], "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1]}}}
 EOF
 )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import Schedule
 from .hypergrad import EstimatorConfig, estimate_hypergradient
-from .optimizer import RunLog, Sampling, _outer_loop, check_budget
+from .optimizer import RunLog, Sampling, _outer_loop
 from .rng import RandomStream
 from .snag import NumericalAbort
 
@@ -52,24 +52,23 @@ def run_plain_momentum_bilevel(
     (1-beta)*estimate has no recursive-momentum correction.
     """
     s = schedule
-    check_budget(SAMPLING, s)
     cfg = EstimatorConfig(Q=s.Q, S=s.S, l_g1=inst.constants.l_g1)
 
-    x = np.zeros(inst.dim_x) if x0 is None else np.asarray(x0, dtype=float)
-    y = np.zeros(inst.dim_y)
-    # A step that overflows aborts the run at its gradient.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for st in stream.child("init").children("warm", s.T0):
-            y = sgd_tracking_step(
-                y, lambda w, sw: inst.stoch_grad_y_g(x, w, sw), s.alpha_init, st)
+    def step(x, y, alpha, st):
+        return sgd_tracking_step(y, lambda w, sw: inst.stoch_grad_y_g(x, w, sw), alpha, st)
 
-    def lower(x, y, st):
-        return sgd_tracking_step(
-            y, lambda w, sw: inst.stoch_grad_y_g(x, w, sw), s.alpha, st)
+    def warm(x, init):
+        y = np.zeros(inst.dim_y)
+        for st in init.children("warm", s.T0):
+            y = step(x, y, s.alpha_init, st)
+        return y
+
+    def lower(x, y, y_prev, st, t):
+        return step(x, y, s.alpha, st)
 
     def direction(m, x, x_prev, y, y_prev, st, q):
         g = estimate_hypergradient(inst, x, y, cfg, st, q=q)
         return g if m is None else s.beta * m + (1.0 - s.beta) * g
 
     # tau = 1: the averaged iterate is the last lower-level iterate.
-    return _outer_loop(inst, x, y, s, 1.0, lower, direction, SAMPLING, stream)
+    return _outer_loop(inst, x0, s, 1.0, warm, lower, direction, SAMPLING, stream)

@@ -289,18 +289,16 @@ def _point(value, inst: problems.BilevelInstance, ctx: str):
     return np.asarray(value, dtype=float)
 
 
-# Runners by algorithm name, each called as (inst, schedule, option, stream,
-# x0). The library functions are looked up on their modules at call time.
-_RUNNERS = {
-    "accbo": lambda inst, schedule, option, stream, x0:
-        optimizer.run_accbo(inst, schedule, option, stream, x0=x0),
-    "plain_momentum": lambda inst, schedule, option, stream, x0:
-        baselines.run_plain_momentum_bilevel(inst, schedule, stream, x0=x0),
-}
-# Each runner's oracle calls per iteration, called as (inst, schedule, option).
-_SAMPLINGS = {
-    "accbo": optimizer.accbo_sampling,
-    "plain_momentum": lambda inst, schedule, option: baselines.SAMPLING,
+# Each algorithm's oracle calls per iteration, called as (inst, schedule,
+# option), and its runner, called as (inst, schedule, option, stream, x0).
+# The library names are looked up on their modules at call time.
+_ALGORITHMS = {
+    "accbo": (lambda *args: optimizer.accbo_sampling(*args),
+              lambda inst, schedule, option, stream, x0:
+                  optimizer.run_accbo(inst, schedule, option, stream, x0=x0)),
+    "plain_momentum": (lambda inst, schedule, option: baselines.SAMPLING,
+                       lambda inst, schedule, option, stream, x0:
+                           baselines.run_plain_momentum_bilevel(inst, schedule, stream, x0=x0)),
 }
 
 
@@ -311,7 +309,7 @@ def _check_runs(inst, schedules, option: str, algorithms: list[str], cmd: str) -
     for algorithm in algorithms:
         for schedule in schedules:
             with _refused_at(f"{cmd}.option"):
-                sampling = _SAMPLINGS[algorithm](inst, schedule, option)
+                sampling = _ALGORITHMS[algorithm][0](inst, schedule, option)
             with _refused_at(f"{cmd}.schedule"):
                 optimizer.check_budget(sampling, schedule)
 
@@ -357,7 +355,7 @@ ACCBO = {
                                  for mode, schema in SCHEDULES.items()}), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
     "x0": (list_of(finite), OPTIONAL),
-    "algorithm": (one_of(*_RUNNERS), "accbo"),
+    "algorithm": (one_of(*_ALGORITHMS), "accbo"),
 }
 
 SWEEP = {
@@ -367,7 +365,7 @@ SWEEP = {
     "schedule": (tagged("mode", SCHEDULES), REQUIRED),
     "option": (one_of("one", "two"), REQUIRED),
     "x0": (list_of(finite), OPTIONAL),
-    "algorithms": (list_of(one_of(*_RUNNERS), distinct=True), ["accbo", "plain_momentum"]),
+    "algorithms": (list_of(one_of(*_ALGORITHMS), distinct=True), ["accbo", "plain_momentum"]),
 }
 
 
@@ -465,6 +463,8 @@ def cmd_bias(config: ExperimentConfig) -> int:
             )
             bound = hypergrad.bias_bound(inst.constants, Q)
             ok = ok and res["bias_est"] <= bound + 4.0 * res["se"]
+            log.info("bias Q=%d: bias estimate %s, bound %s, standard error %s",
+                     Q, res["bias_est"], bound, res["se"])
             for name, value in zip(table, (Q, cfg.S, bound, res["bias_est"],
                                            res["var_est"], res["se"])):
                 table[name].append(value)
@@ -498,7 +498,7 @@ def cmd_accbo(config: ExperimentConfig) -> int:
         schedule = derive_schedule(inst.constants, **doc["schedule"])
     x0 = _point(doc.get("x0"), inst, "accbo.x0")
     _check_runs(inst, [schedule], doc["option"], [algorithm], "accbo")
-    run = _RUNNERS[algorithm]
+    run = _ALGORITHMS[algorithm][1]
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     per_seed = []
@@ -541,7 +541,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     doc = parse(config.params, SWEEP, "sweep")
     inst, epsilons, algorithms = doc["instance"], doc["epsilons"], doc["algorithms"]
     x0 = _point(doc.get("x0"), inst, "sweep.x0")
-    runners = [_RUNNERS[a] for a in algorithms]
+    runners = [_ALGORITHMS[a][1] for a in algorithms]
     with _refused_at("sweep.schedule"):
         schedules = [derive_schedule(inst.constants, **doc["schedule"], epsilon=eps)
                      for eps in epsilons]

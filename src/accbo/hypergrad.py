@@ -142,10 +142,10 @@ def empirical_bias_and_variance(
     """
     if n_samples < 2:
         raise ConstraintViolation("n_samples must be >= 2")
-    ystar = inst.lower_minimizer(x)
     draws = np.empty((n_samples, inst.dim_x))
-    # An overflowing draw or statistic aborts the run at its check.
+    # An overflowing y*(x), draw or statistic aborts the run at its check.
     with np.errstate(over="ignore", invalid="ignore"):
+        ystar = inst.lower_minimizer(x)
         for k, st in enumerate(stream.children("mc", n_samples)):
             draws[k] = estimate_hypergradient(inst, x, ystar, cfg, st)
         mean = draws.mean(axis=0)

@@ -193,8 +193,7 @@ def upper_step(x: np.ndarray, m: np.ndarray, eta: float,
     """Fixed-length normalized step at iteration t; zero momentum skips the
     step (flagged). A momentum whose norm is not finite (a NaN or inf entry,
     or entries so large that the norm overflows) raises NumericalAbort."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m))
+    norm = float(np.linalg.norm(m))
     if not math.isfinite(norm):
         raise NumericalAbort(f"non-finite momentum at t={t}")
     if norm == 0.0:
@@ -250,19 +249,21 @@ def _diagnose(inst, t0: int, x, y, yhat, yhat_next, m, calls, zero) -> dict[str,
     }
 
 
-def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: float,
-                lower, direction, sampling: Sampling,
+def _outer_loop(inst, x0: np.ndarray | None, schedule: Schedule, tau: float,
+                warm, lower, direction, sampling: Sampling,
                 stream: RandomStream) -> RunLog:
-    """The outer loop that AccBO and its plain-momentum ablation share.
+    """The run that AccBO and its plain-momentum ablation share; each passes
+    only its rules: warm, lower, direction, tau and sampling.
 
-    Iteration t takes the new lower iterate from
-    ``lower(x, y, stream.child("lower", t))`` at each lower-level round of
-    sampling (y stays otherwise), averages it into y_hat with weight tau,
-    draws the Neumann depth q_t from the "q" child of ``st =
-    stream.child("upper", t)``, and steps x a distance eta along
-    ``direction(m, x, x_prev, y_hat, yhat_prev, st, q_t)``, which is formed
-    at the current y_hat. A NumericalAbort carries the RunLog of the
-    iterations completed so far as its ``logs`` attribute.
+    After check_budget, x starts at x0 (the origin if None) and y at
+    ``warm(x, stream.child("init"))``. Iteration t takes the new lower
+    iterate from ``lower(x, y, y_prev, stream.child("lower", t), t)`` at each
+    lower-level round of sampling (y_prev is the iterate before the last
+    round), averages it into y_hat with weight tau, draws the Neumann depth
+    q_t from the "q" child of ``st = stream.child("upper", t)``, and steps x a
+    distance eta along ``direction(m, x, x_prev, y_hat, yhat_prev, st, q_t)``,
+    formed at the current y_hat. A NumericalAbort after the warm start carries
+    the RunLog of the iterations completed so far as its ``logs`` attribute.
 
     The recursion never reads its diagnostics, so the loop only records each
     iteration's x_t, y_t, y_hat_t, y_hat_{t+1}, m_t, running sum of q_t and
@@ -274,38 +275,37 @@ def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: flo
     run. Nothing in the loop reads y*(x_t) any more, which is why the ridge
     toy's per-x cache holds only its sigmoid weights and H_yy(x).
     """
-    y_hat = y.copy()
-    x_prev: np.ndarray | None = None
-    yhat_prev: np.ndarray | None = None
-    m: np.ndarray | None = None
+    check_budget(sampling, schedule)
+    x = np.zeros(inst.dim_x) if x0 is None else np.asarray(x0, dtype=float)
+    x_prev = yhat_prev = m = None
     blocks: list[dict[str, np.ndarray]] = []
     rows = min(schedule.T, _BLOCK)
     xs, ms = np.empty((rows, x.size)), np.empty((rows, x.size))
-    ys, yhats, yhat_nexts = (np.empty((rows, y.size)) for _ in range(3))
+    ys, yhats, yhat_nexts = (np.empty((rows, inst.dim_y)) for _ in range(3))
     q_sums = np.empty(rows, dtype=np.int64)
     zeros = np.empty(rows, dtype=bool)
     n = 0  # buffered iterations: t - n .. t - 1
     q0 = q_sum = 0
 
-    def flush(t: int) -> None:
-        nonlocal n
+    def flush(t: int, n: int) -> None:
         if n:
             counts = np.column_stack(oracle_counts(
                 sampling, schedule, np.arange(t - n, t), q_sums[:n], q0))
             blocks.append(_diagnose(inst, t - n, xs[:n], ys[:n], yhats[:n],
                                     yhat_nexts[:n], ms[:n], counts, zeros[:n]))
-            n = 0
 
     lowers = stream.children("lower", schedule.T)
     uppers = stream.children("upper", schedule.T)
     # An overflow aborts the run where it is found, and the abort's flush reads it.
     with np.errstate(over="ignore", invalid="ignore"):
+        y = warm(x, stream.child("init"))
+        y_prev, y_hat = y, y.copy()
         try:
             for t in range(schedule.T):
                 xs[n], ys[n], yhats[n] = x, y, y_hat
 
                 if t % sampling.every == 0 and (t or sampling.at_zero):
-                    y = lower(x, y, lowers[t])
+                    y_prev, y = y, lower(x, y, y_prev, lowers[t], t)
                 yhat_next = average_step(y_hat, y, tau)
 
                 q = uppers[t].child("q").integers(0, schedule.Q)
@@ -318,15 +318,16 @@ def _outer_loop(inst, x: np.ndarray, y: np.ndarray, schedule: Schedule, tau: flo
                 yhat_nexts[n], ms[n], q_sums[n], zeros[n] = yhat_next, m, q_sum, zero_event
                 n += 1
                 if n == rows:
-                    flush(t + 1)
+                    flush(t + 1, n)
+                    n = 0
 
                 x_prev, x = x, x_next
                 yhat_prev, y_hat = y_hat, yhat_next
         except NumericalAbort as exc:
-            flush(t)
+            flush(t, n)
             exc.logs = _join(blocks)
             raise
-    flush(schedule.T)
+    flush(schedule.T, n)
     return _join(blocks)
 
 
@@ -347,30 +348,24 @@ def run_accbo(
     """
     s = schedule
     sampling = accbo_sampling(inst, s, option)
-    check_budget(sampling, s)
     cfg = EstimatorConfig(Q=s.Q, S=s.S, l_g1=inst.constants.l_g1)
 
-    x = np.zeros(inst.dim_x) if x0 is None else np.asarray(x0, dtype=float)
-    y = warm_start(inst, x, s.alpha_init, s.T0, stream.child("init"))
+    def warm(x, st):
+        return warm_start(inst, x, s.alpha_init, s.T0, st)
 
     if option == "one":
         # One SNAG recursion carried across outer iterations: it steps at
         # every t, so its step count is the outer iteration.
-        y_prev, steps = y, 0
-
-        def lower(x, y, st):
-            nonlocal y_prev, steps
-            y, y_prev = _snag_round(inst, x, y, y_prev, s.alpha, s.gamma, (st,), steps)
-            steps += 1
-            return y
+        def lower(x, y, y_prev, st, t):
+            return _snag_round(inst, x, y, y_prev, s.alpha, s.gamma, (st,), t)[0]
     else:
-        def lower(x, y, st):
+        def lower(x, y, y_prev, st, t):
             return _lower_round(inst, x, y, s.alpha, s.gamma, s.N, st)
 
     def direction(m, x, x_prev, y_hat, yhat_prev, st, q):
         return momentum_update(inst, m, x, x_prev, y_hat, yhat_prev, cfg, s.beta, st, q)
 
-    return _outer_loop(inst, x, y, s, s.tau, lower, direction, sampling, stream)
+    return _outer_loop(inst, x0, s, s.tau, warm, lower, direction, sampling, stream)
 
 
 def running_average_grad_norm(logs: RunLog) -> float:

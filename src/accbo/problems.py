@@ -427,21 +427,19 @@ class RidgeWeighting(BilevelInstance):
         self._reg = _read_only(2.0 * self.c_reg * np.eye(self.dim_y))
         self._x_cache = {}
 
-        zz_max = float(np.linalg.eigvalsh(self.Z.T @ self.Z / self.n_tr)[-1])
-        vv_max = float(np.linalg.eigvalsh(self.V.T @ self.V / self.n_val)[-1])
-        row_norms = np.linalg.norm(self.Z, axis=1)
-        # Conservative curvature-Lipschitz and gradient bounds on the ball
-        # ||w|| <= w_radius; recorded once, used only by constant calculators.
-        res_bound = row_norms * w_radius + np.abs(self.y_tr)
-        l_g2 = float(np.max(
-            0.25 * row_norms**2 / self.n_tr
-            + row_norms * (row_norms + res_bound) / (4.0 * self.n_tr)
-        ))
-        l_f0 = float(
-            np.linalg.norm(self.V, 2)
-            * (np.linalg.norm(self.V, 2) * w_radius + np.linalg.norm(self.y_val))
-            / self.n_val
-        )
+        # The curvature-Lipschitz and gradient bounds are conservative, on the
+        # ball ||w|| <= w_radius; recorded once, used only by constant
+        # calculators. A constant that overflows is refused by ProblemConstants.
+        with np.errstate(over="ignore", invalid="ignore"):
+            zz_max = float(np.linalg.eigvalsh(self.Z.T @ self.Z / self.n_tr)[-1])
+            vv_max = float(np.linalg.eigvalsh(self.V.T @ self.V / self.n_val)[-1])
+            row_norms = np.linalg.norm(self.Z, axis=1)
+            res_bound = row_norms * w_radius + np.abs(self.y_tr)
+            l_g2 = float(np.max(0.25 * row_norms**2 / self.n_tr
+                                + row_norms * (row_norms + res_bound) / (4.0 * self.n_tr)))
+            l_f0 = float(np.linalg.norm(self.V, 2)
+                         * (np.linalg.norm(self.V, 2) * w_radius + np.linalg.norm(self.y_val))
+                         / self.n_val)
         self.constants = ProblemConstants(
             mu=2.0 * self.c_reg,
             l_g1=max(zz_max + 2.0 * self.c_reg, 2.0 * self.c_reg),
@@ -517,8 +515,9 @@ class ExpUpperToy(_IsotropicLower):
                  sigma_g2=0.0):
         noise = self._checked_noise(locals())
         self.u = np.asarray(u, dtype=float)
-        super().__init__(mu, A, b, noise, l_f0=float(l_f0), Lx0=0.0,
-                         Lx1=float(np.linalg.norm(self.u)), Ly0=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing Lx1 is refused
+            Lx1 = float(np.linalg.norm(self.u))
+        super().__init__(mu, A, b, noise, l_f0=float(l_f0), Lx0=0.0, Lx1=Lx1, Ly0=1.0)
         if self.u.shape != (self.dim_x,):
             raise ConstraintViolation("u must have dim_x entries")
 

@@ -426,7 +426,9 @@ class TestInfoLog:
         (cmd_sweep, "sweep", {"instance": ISO_DOC, "option": "one", "epsilons": [0.2],
                               "schedule": SWEEP_SCHEDULE}, 2, 4,
          "oracle calls to target"),
-    ], ids=["snag-track", "accbo", "sweep"])
+        (cmd_bias, "bias", {"instance": ISO_DOC, "Q_grid": [1, 2, 4], "n_samples": 50},
+         1, 3, "bias estimate"),
+    ], ids=["snag-track", "accbo", "sweep", "bias"])
     def test_one_line_per_unit(self, caplog, tmp_path, cmd, command, doc, n_seeds,
                                units, text):
         info, files = self.run(caplog, tmp_path, cmd, command, doc, n_seeds,
@@ -907,9 +909,10 @@ class TestCli:
 
     # scripts/check_identical.sh's abort_* and track_diverge rows: a lower level
     # that diverges in the warm start, in option one's step and in option two's
-    # round, a baseline warm start that diverges, bias draws that overflow, and
-    # a tracking grid whose potentials overflow. tau = 1e-300 keeps y_hat
-    # finite, so the lower level aborts before the momentum does.
+    # round, a baseline warm start that diverges, bias draws that overflow, bias
+    # at a point whose y*(x) overflows, and a tracking grid whose potentials
+    # overflow. tau = 1e-300 keeps y_hat finite, so the lower level aborts
+    # before the momentum does.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command, base, fields, n_seeds, rc, err", [
         ("accbo", "convergence.json",
@@ -946,9 +949,11 @@ class TestCli:
                        "noise": {"sigma_f1": 1e160, "sigma_g1": 0.2, "sigma_g2": 0.1}},
           "Q_grid": [1, 2], "n_samples": 20},
          1, 4, "numerical abort: non-finite hypergradient estimate\n"),
+        ("bias", "bias.json", {"x": [1e308, -1e308], "n_samples": 3, "Q_grid": [1]},
+         1, 4, "numerical abort: non-finite hypergradient estimate\n"),
         ("snag-track", "tracking.json", {"T": 300, "alpha": 30.0}, 5, 3, ""),
     ], ids=["abort_warm", "abort_one", "abort_two", "abort_base", "abort_bias",
-            "track_diverge"])
+            "abort_bias_x", "track_diverge"])
     def test_diverging_run_stops_without_warnings(self, tmp_path, capsys, command, base,
                                                   fields, n_seeds, rc, err):
         """The warm start and option one name their step, which in option one
@@ -959,6 +964,33 @@ class TestCli:
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out"),
                          "--seeds", str(n_seeds)]) == rc
         assert capsys.readouterr().err == err
+
+    # scripts/check_identical.sh's refuse_ridge_z, refuse_ridge_v and
+    # refuse_exp_u rows: instance constants that overflow are refused by the
+    # constants' own check, with no numpy warning before it.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fields, err", [
+        ({"option": "two", "x0": [0.0], "instance": {"kind": "ridge_weighting", "params": {
+            "Z": [[1e200, 0.0]], "y_tr": [1.0], "V": [[1.0, 0.0]], "y_val": [1.0],
+            "c_reg": 1.0}}},
+         "error: accbo.instance: l_g1 must be a number >= 0, got nan\n"),
+        ({"option": "two", "x0": [0.0], "instance": {"kind": "ridge_weighting", "params": {
+            "Z": [[1.0, 0.0]], "y_tr": [1.0], "V": [[1e200, 0.0]], "y_val": [1.0],
+            "c_reg": 1.0}}},
+         "error: accbo.instance: l_f0 must be a number >= 0, got inf\n"),
+        ({"instance": {"kind": "exp_upper_toy", "params": {
+            "u": [1e300, 1e300], "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1]}}},
+         "error: accbo.instance: Lx1 must be a number >= 0, got inf\n"),
+    ], ids=["refuse_ridge_z", "refuse_ridge_v", "refuse_exp_u"])
+    def test_overflowing_constants_refused_without_warnings(self, tmp_path, capsys,
+                                                            fields, err):
+        doc = json.loads((CONFIGS / "convergence.json").read_text(encoding="utf-8"))
+        doc.update(fields)
+        path = write_config(tmp_path, doc)
+        assert cli.main(["accbo", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
 
     def test_info_log_goes_to_stderr(self, tmp_path):
         path = write_config(tmp_path, SNAG_DOC)
