@@ -89,6 +89,10 @@ refuse_theorem accbo     1   0  convergence.json       {"schedule": {"mode": "th
 refuse_ridge_z accbo     1   0  convergence.json       {"option": "two", "x0": [0.0], "instance": {"kind": "ridge_weighting", "params": {"Z": [[1e200, 0.0]], "y_tr": [1.0], "V": [[1.0, 0.0]], "y_val": [1.0], "c_reg": 1.0}}}
 refuse_ridge_v accbo     1   0  convergence.json       {"option": "two", "x0": [0.0], "instance": {"kind": "ridge_weighting", "params": {"Z": [[1.0, 0.0]], "y_tr": [1.0], "V": [[1e200, 0.0]], "y_val": [1.0], "c_reg": 1.0}}}
 refuse_exp_u   accbo     1   0  convergence.json       {"instance": {"kind": "exp_upper_toy", "params": {"u": [1e300, 1e300], "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.1, -0.1]}}}
+# Instance paths that cannot be read: each exits 2 and names the field and the
+# file on stderr.
+refuse_inst_dir     accbo  1  0  convergence.json  {"instance": "scripts/configs"}
+refuse_inst_missing accbo  1  0  convergence.json  {"instance": "scripts/configs/missing.json"}
 EOF
 )
 

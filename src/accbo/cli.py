@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: snag-track, bias, accbo, sweep. Exit codes: 0 success,
-2 config error, 3 assertion/acceptance failure, 4 numerical abort.
+2 refused input (a ConstraintViolation naming the field or file at fault),
+3 assertion/acceptance failure, 4 numerical abort.
 Verbosity via the ACCBO_LOG environment variable (quiet, info, debug).
 """
 
@@ -43,23 +44,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("ACCBO_LOG", "quiet")
-    if level not in _LOG_LEVELS:
-        print(f"error: ACCBO_LOG must be one of {sorted(_LOG_LEVELS)}", file=sys.stderr)
-        return 2
-    logging.basicConfig(level=_LOG_LEVELS[level])
-
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("ACCBO_LOG", "quiet")
+        if level not in _LOG_LEVELS:
+            raise ConstraintViolation(f"ACCBO_LOG must be one of {sorted(_LOG_LEVELS)}")
+        logging.basicConfig(level=_LOG_LEVELS[level])
         config = harness.ExperimentConfig(
-            command=args.command,
-            params=harness.load_config(args.config),
-            out_dir=Path(args.out),
-            n_seeds=args.seeds,
-            base_seed=args.base_seed,
-        )
+            args.command, harness.load_config(args.config), Path(args.out),
+            n_seeds=args.seeds, base_seed=args.base_seed)
         return _COMMANDS[args.command](config)
-    except (harness.ConfigError, ConstraintViolation) as exc:
+    except ConstraintViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalAbort as exc:

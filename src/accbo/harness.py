@@ -8,6 +8,14 @@ A config field that a library record reads is checked against the domain in
 that record's table (``DOMAINS``, an instance kind's ``PARAMS``, the schedule
 tables of ``accbo.constants``); only the fields that no record holds, ``dim``,
 ``n_samples`` and the fixture's ``seed``, have checks of their own.
+
+Every refused input raises ``ConstraintViolation``, whose message starts with
+the path of the field or file at fault, as in
+``accbo.schedule.delta: must be a number in (0, 1), got 1.5`` or
+``sweep.algorithms[1]: must be one of 'accbo', 'plain_momentum', got 'acbo'``.
+A value that the library refuses once the fields are checked, such as a
+derived ``tau = sqrt(mu*alpha)`` above 1, is reported at the object it
+comes from: ``accbo.schedule: tau must be a number in (0, 1], got 1.22…``.
 """
 
 from __future__ import annotations
@@ -23,11 +31,10 @@ import numpy as np
 
 from . import baselines, hypergrad, optimizer, problems, snag
 from .constants import (COUNT, FINITE, PRACTICAL_OVERRIDES, SCHEDULE_INPUTS, THEOREM_INPUTS,
-                        derive_schedule)
+                        ConstraintViolation, derive_schedule)
 from .rng import RandomStream
 
 __all__ = [
-    "ConfigError",
     "ExperimentConfig",
     "load_config",
     "write_csv",
@@ -39,18 +46,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("accbo")
-
-
-class ConfigError(ValueError):
-    """A configuration document is malformed.
-
-    The message starts with the path of the field at fault, as in
-    ``accbo.schedule.delta: must be a number in (0, 1), got 1.5`` or
-    ``sweep.algorithms[1]: must be one of 'accbo', 'plain_momentum', got 'acbo'``.
-    A value that the library refuses once the fields are checked, such as a
-    derived ``tau = sqrt(mu*alpha)`` above 1, is reported at the object it
-    comes from: ``accbo.schedule: tau must be a number in (0, 1], got 1.22…``.
-    """
 
 
 @dataclass(frozen=True)
@@ -65,19 +60,23 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.n_seeds < 1:
-            raise ConfigError("seeds: must be >= 1")
+            raise ConstraintViolation("seeds: must be >= 1")
         # RandomStream refuses seeds outside the 64 bits SeedSequence reads;
         # say so here, naming the field, before any output is written.
         if not 0 <= self.base_seed < 2**64:
-            raise ConfigError(f"base_seed: must be an integer in [0, 2**64), "
-                              f"got {self.base_seed!r}")
+            raise ConstraintViolation(f"base_seed: must be an integer in [0, 2**64), "
+                                      f"got {self.base_seed!r}")
+        # An out that is, or lies under, a file is refused before any work.
+        path = next(p for p in (self.out_dir, *self.out_dir.parents) if p.exists())
+        if not path.is_dir():
+            raise ConstraintViolation(f"out: {path} is not a directory")
 
 
 # ---------------------------------------------------------------------------
 # Config schema: each command's fields live in one table (SNAG_TRACK, BIAS,
 # ACCBO and SWEEP below) mapping a name to (check, default). A check takes
-# (value, path), raises ConfigError naming the path, and returns the value
-# to use.
+# (value, path), raises ConstraintViolation naming the path, and returns the
+# value to use.
 
 REQUIRED = object()  # no default: the field must be given
 OPTIONAL = object()  # no default: an absent field stays absent
@@ -86,16 +85,16 @@ OPTIONAL = object()  # no default: an absent field stays absent
 def parse(doc, schema: dict, ctx: str) -> dict:
     """Check doc against schema; return it with every default filled in."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{ctx}: must be an object, got {doc!r}")
+        raise ConstraintViolation(f"{ctx}: must be an object, got {doc!r}")
     for name in doc:
         if name not in schema:
-            raise ConfigError(f"{ctx}: unknown field '{name}'")
+            raise ConstraintViolation(f"{ctx}: unknown field '{name}'")
     out = {}
     for name, (check, default) in schema.items():
         if name in doc:
             out[name] = check(doc[name], f"{ctx}.{name}")
         elif default is REQUIRED:
-            raise ConfigError(f"{ctx}: missing required field '{name}'")
+            raise ConstraintViolation(f"{ctx}: missing required field '{name}'")
         elif default is not OPTIONAL:
             # A default goes through its check as well, so that it takes the
             # checked form (a bare sigma becomes a list, an object gets its
@@ -107,7 +106,7 @@ def parse(doc, schema: dict, ctx: str) -> dict:
 def _check(what: str, ok):
     def check(value, ctx: str):
         if not ok(value):
-            raise ConfigError(f"{ctx}: must be {what}, got {value!r}")
+            raise ConstraintViolation(f"{ctx}: must be {what}, got {value!r}")
         return value
     return check
 
@@ -138,14 +137,14 @@ def list_of(item, bare: bool = False, distinct: bool = False):
         if bare and not isinstance(value, list):
             return [item(value, ctx)]
         if not (isinstance(value, list) and value):
-            raise ConfigError(f"{ctx}: must be a non-empty list, got {value!r}")
+            raise ConstraintViolation(f"{ctx}: must be a non-empty list, got {value!r}")
         out = [item(v, f"{ctx}[{i}]") for i, v in enumerate(value)]
         if distinct:
             first: dict = {}  # each value's first index
             for i, v in enumerate(out):
                 if first.setdefault(v, i) != i:
-                    raise ConfigError(f"{ctx}[{i}]: must differ from entry {first[v]}, "
-                                      f"got {v!r}")
+                    raise ConstraintViolation(f"{ctx}[{i}]: must differ from entry {first[v]}, "
+                                              f"got {v!r}")
         return out
     return check
 
@@ -162,7 +161,7 @@ def tagged(tag: str, schemas: dict):
 
     def check(value, ctx: str):
         if not isinstance(value, dict):
-            raise ConfigError(f"{ctx}: must be an object, got {value!r}")
+            raise ConstraintViolation(f"{ctx}: must be an object, got {value!r}")
         name = pick(value.get(tag), f"{ctx}.{tag}")
         return parse(value, {tag: (pick, REQUIRED), **schemas[name]}, ctx)
     return check
@@ -171,11 +170,11 @@ def tagged(tag: str, schemas: dict):
 @contextmanager
 def _refused_at(ctx: str):
     """Report a value that the library refuses (a ConstraintViolation or
-    another ValueError) or that asks for too much memory as a config error at ctx."""
+    another ValueError) or that asks for too much memory as a refusal at ctx."""
     try:
         yield
     except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
+        raise ConstraintViolation(f"{ctx}: {exc}") from exc
 
 
 def array(value, ctx: str):
@@ -186,23 +185,24 @@ def array(value, ctx: str):
     rows = list_of(array)(value, ctx)
     for i, row in enumerate(rows):
         if np.shape(row) != np.shape(rows[0]):
-            raise ConfigError(f"{ctx}[{i}]: must have the shape {np.shape(rows[0])} "
-                              f"of entry 0, got {row!r}")
+            raise ConstraintViolation(f"{ctx}[{i}]: must have the shape {np.shape(rows[0])} "
+                                      f"of entry 0, got {row!r}")
     return rows
 
 
-def load_config(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def _read_object(path: str | Path, ctx) -> dict:
+    """The JSON object in the file at path; any other file is refused at ctx."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConstraintViolation(f"{ctx}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+        raise ConstraintViolation(f"{ctx}: top level must be an object")
     return doc
+
+
+def load_config(path: str | Path) -> dict:
+    return _read_object(path, path)
 
 
 def _fmt(value) -> str:
@@ -265,12 +265,9 @@ _INSTANCE = tagged("kind", INSTANCES)
 
 def _load_instance(spec, ctx: str) -> problems.BilevelInstance:
     if isinstance(spec, str):
-        try:
-            spec = json.loads(Path(spec).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
+        spec = _read_object(spec, ctx)
     if not isinstance(spec, dict):
-        raise ConfigError(f"{ctx}: must be a path or an inline object, got {spec!r}")
+        raise ConstraintViolation(f"{ctx}: must be a path or an inline object, got {spec!r}")
     doc = _INSTANCE(spec, ctx)
     with _refused_at(ctx):  # a rejected array shape, say
         if doc["kind"] == "fixture_ridge":
@@ -285,7 +282,7 @@ def _point(value, inst: problems.BilevelInstance, ctx: str):
     if value is None:
         return np.zeros(inst.dim_x)
     if len(value) != inst.dim_x:
-        raise ConfigError(f"{ctx}: must be a list of {inst.dim_x} numbers, got {value!r}")
+        raise ConstraintViolation(f"{ctx}: must be a list of {inst.dim_x} numbers, got {value!r}")
     return np.asarray(value, dtype=float)
 
 

@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accbo import hypergrad, optimizer, snag
+from accbo import baselines, hypergrad, optimizer, snag
 from accbo.constants import PRACTICAL_OVERRIDES, ConstraintViolation, derive_schedule
 from accbo.harness import (
     RUN_COLUMNS,
     _fmt,
     _median,
     _summarize_run,
-    ConfigError,
     ExperimentConfig,
     calls_to_target,
     cmd_accbo,
@@ -103,37 +102,52 @@ class TestConfigLoading:
         doc = {"a": 1, "b": [1.5, 2.5]}
         assert load_config(write_config(tmp_path, doc)) == doc
 
+    @staticmethod
+    def refusal(path) -> str:
+        with pytest.raises(ConstraintViolation) as outcome:
+            load_config(path)
+        return str(outcome.value)
+
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "nope.json")
+        path = tmp_path / "nope.json"
+        assert self.refusal(path) == f"{path}: [Errno 2] No such file or directory: '{path}'"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
-        with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(path)
+        assert self.refusal(path) == (f"{path}: Expecting property name enclosed in double "
+                                      "quotes: line 1 column 2 (char 1)")
+
+    def test_directory(self, tmp_path):
+        assert self.refusal(tmp_path) == f"{tmp_path}: [Errno 21] Is a directory: '{tmp_path}'"
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert self.refusal(path) == (f"{path}: 'utf-8' codec can't decode byte 0xff in "
+                                      "position 0: invalid start byte")
 
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", encoding="utf-8")
-        with pytest.raises(ConfigError, match="top level"):
+        with pytest.raises(ConstraintViolation, match="top level"):
             load_config(path)
 
     def test_missing_field_names_field(self, tmp_path):
         doc = dict(SNAG_DOC)
         del doc["alpha"]
         config = ExperimentConfig("snag-track", doc, tmp_path, n_seeds=2)
-        with pytest.raises(ConfigError, match="'alpha'"):
+        with pytest.raises(ConstraintViolation, match="'alpha'"):
             cmd_snag_track(config)
 
     def test_unknown_field_names_field(self, tmp_path):
         doc = dict(SNAG_DOC, typo_field=1)
         config = ExperimentConfig("snag-track", doc, tmp_path, n_seeds=2)
-        with pytest.raises(ConfigError, match="'typo_field'"):
+        with pytest.raises(ConstraintViolation, match="'typo_field'"):
             cmd_snag_track(config)
 
     def test_invalid_run_options(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConstraintViolation):
             ExperimentConfig("bias", {}, tmp_path, n_seeds=0)
 
 
@@ -271,7 +285,7 @@ class TestCommands:
 
     def test_accbo_unknown_algorithm(self, tmp_path):
         doc = dict(ACCBO_DOC, algorithm="bogus")
-        with pytest.raises(ConfigError, match="algorithm"):
+        with pytest.raises(ConstraintViolation, match="algorithm"):
             cmd_accbo(ExperimentConfig("accbo", doc, tmp_path))
 
     def test_instance_from_file_path(self, tmp_path):
@@ -300,7 +314,7 @@ class TestCommands:
             "instance": ISO_DOC, "option": "one", "epsilons": [0.2],
             "schedule": SWEEP_SCHEDULE, "algorithms": ["accbo", "acbo"],
         }
-        with pytest.raises(ConfigError, match="sweep.algorithms.*'acbo'"):
+        with pytest.raises(ConstraintViolation, match="sweep.algorithms.*'acbo'"):
             cmd_sweep(ExperimentConfig("sweep", doc, tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
@@ -402,7 +416,7 @@ def test_field_accepted_iff_the_library_accepts(monkeypatch, tmp_path, command, 
     except ConstraintViolation as exc:
         refusal = str(exc)
     config = ExperimentConfig(command, with_entry(doc, keys, value), tmp_path / "out")
-    with pytest.raises((ConfigError, ConstraintViolation, Ran)) as outcome:
+    with pytest.raises((ConstraintViolation, Ran)) as outcome:
         cli._COMMANDS[command](config)
     assert (outcome.type is Ran) == (refusal is None)
     if refusal is not None and refusal.startswith(f"{name} must be "):
@@ -593,7 +607,54 @@ class TestCli:
                             "--out", str(tmp_path / "out")],
                            env_extra={"ACCBO_LOG": "chatty"})
         assert res.returncode == 2
-        assert "ACCBO_LOG" in res.stderr
+        assert res.stderr == "error: ACCBO_LOG must be one of ['debug', 'info', 'quiet']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["config", "bias", "accbo", "sweep"])
+    @pytest.mark.parametrize("content, error", [
+        (None, "Is a directory"),
+        (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff"),
+        (b"[1, 2]", "top level must be an object"),
+    ], ids=["directory", "not_utf8", "list"])
+    def test_unreadable_document_exit_code(self, tmp_path, capsys, where, content, error):
+        """A --config, or a command's instance path, that cannot be read, decoded
+        or parsed, or that holds no object, exits 2 naming the file or the field."""
+        doc = tmp_path / "doc.json"
+        if content is None:
+            doc.mkdir()
+        else:
+            doc.write_bytes(content)
+        if where == "config":
+            command, path, ctx = "accbo", doc, doc
+        else:
+            command, ctx = where, f"{where}.instance"
+            path = write_config(tmp_path, dict(FUZZ_DOCS[where], instance=str(doc)))
+        rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {ctx}: ") and error in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    @pytest.mark.parametrize("command, config", [
+        ("snag-track", "tracking.json"), ("bias", "bias.json"),
+        ("accbo", "convergence.json"), ("sweep", "comparison_sweep.json"),
+    ])
+    def test_out_not_a_directory_exit_code(self, monkeypatch, tmp_path, capsys, command,
+                                           config, under):
+        """An --out that is a file, or lies under one, is refused before any run."""
+        for owner, runner in ((optimizer, "run_accbo"), (snag, "mc_tracking_grid"),
+                              (hypergrad, "empirical_bias_and_variance"),
+                              (baselines, "run_plain_momentum_bilevel")):
+            monkeypatch.setattr(owner, runner, ran)
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out" if under else blocker
+        rc = cli.main([command, "--config", str(CONFIGS / config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: out: {blocker} is not a directory\n"
+        assert blocker.read_text(encoding="utf-8") == ""
 
     def test_snag_track_success(self, tmp_path):
         path = write_config(tmp_path, dict(SNAG_DOC, sigma=[0.0]))
